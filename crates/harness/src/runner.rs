@@ -45,10 +45,12 @@ pub struct RunConfig {
     /// deterministic warm-prefix subtraction still applies; a crash
     /// inside the warm-up region fails the run like any other crash.
     pub faults: FaultPlan,
-    /// Partition threads for the engine's parallel (PDES) scheduler
-    /// ([`SimConfig::threads`]). `1` (the default) runs the sequential
-    /// engine; results are bit-identical at every value, so this is a
-    /// pure throughput knob and is excluded from the result cache key.
+    /// Partition threads for the engine's scheduler
+    /// ([`SimConfig::threads`]). `1` (the default) runs every rank on
+    /// the calling thread; larger values partition the ranks across
+    /// host threads. Results and error payloads are bit-identical at
+    /// every value, so this is a pure throughput knob and is excluded
+    /// from the result cache key.
     pub threads: usize,
 }
 

@@ -40,18 +40,37 @@
 //! The engine is deterministic: completion times depend only on the
 //! programs and the network model, never on host scheduling.
 //!
-//! With [`SimConfig::threads`] `> 1` the run is executed by the
-//! conservative parallel (PDES) scheduler in [`crate::pdes`]: the rank
-//! range is split into contiguous, node-aligned partitions, each driven
-//! by its own ready-queue scheduler on a host thread, with
-//! cross-partition traffic forwarded over inter-partition channels. The
-//! visiting-order independence above is exactly what makes this safe —
-//! the parallel engine produces a bit-identical [`SimResult`] at every
-//! thread count, and `threads == 1` (the default) runs the sequential
-//! scheduler below unchanged.
+//! ## One step loop for every partition count
+//!
+//! The step loop exists once, in the crate-private `Scheduler`. It is
+//! monomorphized over the profile sink, the fault hook, the `TRACE`
+//! flag and a `Boundary`: the hook that says which ranks the loop owns
+//! and how it reaches the others. A boundary answers four questions —
+//! does this partition own rank `r` (and the channels into it); where
+//! does a send to a rank it does not own go; where does the rendezvous
+//! completion of a foreign sender go; and how is a collective entered
+//! and its finish published — plus one notification at the end of
+//! every rank's turn.
+//!
+//! * `Solo` (`SimConfig::threads == 1`) owns every rank and keeps the
+//!   collective table to itself. Its hooks are constants and direct
+//!   calls, so the remote branches compile away and the run stays on
+//!   the calling thread: no inbox, atomics, locks, spawn or merge.
+//! * `Partitioned` (`threads > 1`, see [`crate::pdes`]) owns one
+//!   contiguous, node-aligned slice of the ranks. It forwards
+//!   cross-partition traffic through per-partition inboxes in
+//!   lookahead-sized batches and shares one locked collective table.
+//!
+//! Visiting-order independence is what makes the partitioned case
+//! exact: every partition count yields a bit-identical [`SimResult`].
+//! Failures resolve in one canonical order at every partition count —
+//! cancellation, then the earliest `(at_s, rank)` crash, then the
+//! smallest-rank collective mismatch, then deadlock — so the error
+//! payload does not depend on the thread count either.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
+use std::ops::Range;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -82,13 +101,13 @@ pub struct SimConfig {
     /// fault branches on the hot path, and keeps [`SimResult`]
     /// bit-identical to a faults-free build.
     pub faults: FaultPlan,
-    /// Number of partition threads for the parallel (PDES) scheduler.
-    /// `1` (the default) runs the sequential engine unchanged; values
-    /// above `1` split the rank range into contiguous, node-aligned
-    /// partitions executed on host threads (see [`crate::pdes`]).
-    /// `SimResult` is bit-identical at every thread count; `0` is
-    /// clamped to `1`, and values above the rank count are clamped to
-    /// it.
+    /// Number of partitions the scheduler splits the rank range into,
+    /// one host thread each. `1` (the default) is the one-partition
+    /// case and runs on the calling thread; larger values split the
+    /// ranks into contiguous, node-aligned partitions (see
+    /// [`crate::pdes`]). Results and error payloads are bit-identical
+    /// at every thread count; `0` is clamped to `1`, and values above
+    /// the rank count are clamped to it.
     pub threads: usize,
 }
 
@@ -135,7 +154,9 @@ pub enum SimError {
     /// No rank can make progress. Contains `(rank, op index, op)` for
     /// every blocked rank.
     Deadlock(Vec<(usize, usize, Op)>),
-    /// Ranks disagree on the collective sequence.
+    /// Ranks disagree on the collective sequence: `expected` is the
+    /// call of the smallest rank that entered sequence `seq`, `rank`
+    /// the smallest rank whose call (`found`) differs from it.
     CollectiveMismatch {
         seq: usize,
         rank: usize,
@@ -149,7 +170,8 @@ pub enum SimError {
     /// A rank was hard-killed by an injected
     /// [`FaultEvent::Crash`](crate::faults::FaultEvent). MPI-abort
     /// semantics: the whole run aborts, blaming the crashed rank and
-    /// the op it was about to execute.
+    /// the op it was about to execute. When several ranks crash, the
+    /// earliest `(at_s, rank)` is blamed.
     RankFailed {
         rank: usize,
         op_index: usize,
@@ -252,7 +274,7 @@ impl SimResult {
 pub struct Prepass {
     /// Point-to-point posts per rank (`Send`/`Isend`/`Recv`/`Irecv`
     /// count 1, `Sendrecv` counts 2).
-    pub(crate) p2p_ops: Vec<usize>,
+    p2p_ops: Vec<usize>,
 }
 
 impl Prepass {
@@ -350,6 +372,21 @@ impl Prepass {
     pub fn nranks(&self) -> usize {
         self.p2p_ops.len()
     }
+
+    /// Request-arena layout: rank `r` owns the contiguous slot range
+    /// `starts[r]..starts[r + 1]`. Every partition indexes the same
+    /// layout, so request ids — and the flaky-link draws keyed by
+    /// them — do not depend on the partition count.
+    fn arena_starts(&self) -> Vec<usize> {
+        let mut starts = Vec::with_capacity(self.p2p_ops.len() + 1);
+        let mut acc = 0;
+        starts.push(0);
+        for &n in &self.p2p_ops {
+            acc += n;
+            starts.push(acc);
+        }
+        starts
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -361,18 +398,24 @@ impl Prepass {
 /// profile-off one compiles to nothing (no per-op branch, no dead
 /// `Profile` allocation, and blocked-phase attribution is skipped
 /// entirely).
-pub(crate) trait ProfileSink {
+pub(crate) trait ProfileSink: Send {
     /// Whether phase attribution needs to be computed at all.
     const ENABLED: bool;
+    fn new(nranks: usize) -> Self;
     fn phase(&mut self, rank: usize, phase: Phase, secs: f64);
     fn message(&mut self, from: usize, to: usize, bytes: usize, regime: Regime);
+    /// Fold in the sink of a partition owning the ranks `owned`.
+    fn absorb(&mut self, part: Self, owned: Range<usize>);
     fn finish(self) -> Profile;
 }
 
-pub(crate) struct LiveProfile(pub(crate) Profile);
+struct LiveProfile(Profile);
 
 impl ProfileSink for LiveProfile {
     const ENABLED: bool = true;
+    fn new(nranks: usize) -> Self {
+        LiveProfile(Profile::new(nranks))
+    }
     #[inline]
     fn phase(&mut self, rank: usize, phase: Phase, secs: f64) {
         self.0.record_phase(rank, phase, secs);
@@ -381,19 +424,26 @@ impl ProfileSink for LiveProfile {
     fn message(&mut self, from: usize, to: usize, bytes: usize, regime: Regime) {
         self.0.record_message(from, to, bytes, regime);
     }
+    fn absorb(&mut self, part: Self, owned: Range<usize>) {
+        self.0.absorb_partition(&part.0, owned.start, owned.end);
+    }
     fn finish(self) -> Profile {
         self.0
     }
 }
 
-pub(crate) struct NoProfile;
+struct NoProfile;
 
 impl ProfileSink for NoProfile {
     const ENABLED: bool = false;
+    fn new(_nranks: usize) -> Self {
+        NoProfile
+    }
     #[inline]
     fn phase(&mut self, _rank: usize, _phase: Phase, _secs: f64) {}
     #[inline]
     fn message(&mut self, _from: usize, _to: usize, _bytes: usize, _regime: Regime) {}
+    fn absorb(&mut self, _part: Self, _owned: Range<usize>) {}
     fn finish(self) -> Profile {
         Profile::default()
     }
@@ -408,8 +458,8 @@ impl ProfileSink for NoProfile {
 /// nothing (no per-op branch, no crash/cancel polls, no wire-time
 /// perturbation — results stay bit-identical to a faults-free build),
 /// the active one reads the lookup tables an [`ActiveFaults`] compiled
-/// from the plan.
-pub(crate) trait FaultHook {
+/// from the plan. Partitions share one hook, hence `Sync`.
+pub(crate) trait FaultHook: Sync {
     /// Whether any fault logic needs to run at all.
     const ENABLED: bool;
     /// Perturbed duration of a compute op (`base` when off).
@@ -423,7 +473,7 @@ pub(crate) trait FaultHook {
 }
 
 /// The zero-cost off path.
-pub(crate) struct NoFaults;
+struct NoFaults;
 
 impl FaultHook for NoFaults {
     const ENABLED: bool = false;
@@ -517,14 +567,14 @@ type ChannelKey = (usize, usize, u32);
 /// (see [`ChanMemo`]); steady-state communication patterns (rings,
 /// halos) hit the memo and never hash.
 #[derive(Default)]
-pub(crate) struct Channels {
-    pub(crate) store: Vec<Channel>,
+struct Channels {
+    store: Vec<Channel>,
     index: HashMap<ChannelKey, u32, BuildHasherDefault<FxHasher>>,
 }
 
 impl Channels {
     /// Slot of channel `(from, to, tag)`, creating it on first use.
-    pub(crate) fn slot(&mut self, np: &NetParams, from: usize, to: usize, tag: u32) -> u32 {
+    fn slot(&mut self, np: &NetParams, from: usize, to: usize, tag: u32) -> u32 {
         use std::collections::hash_map::Entry;
         match self.index.entry((from, to, tag)) {
             Entry::Occupied(e) => *e.get(),
@@ -536,6 +586,24 @@ impl Channels {
             }
         }
     }
+
+    /// [`Channels::slot`] through a rank's one-slot `memo`, keyed by
+    /// the channel's far end `peer` as seen from that rank.
+    #[inline]
+    fn memo_slot(
+        &mut self,
+        np: &NetParams,
+        memo: &mut ChanMemo,
+        peer: usize,
+        (from, to, tag): ChannelKey,
+    ) -> u32 {
+        if memo.peer == peer && memo.tag == tag {
+            return memo.idx;
+        }
+        let idx = self.slot(np, from, to, tag);
+        *memo = ChanMemo { peer, tag, idx };
+        idx
+    }
 }
 
 /// One-slot memo of the channel a rank last used on each side. MPI
@@ -543,14 +611,14 @@ impl Channels {
 /// the memo turns almost every channel lookup into two integer
 /// compares.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ChanMemo {
-    pub(crate) peer: usize,
-    pub(crate) tag: u32,
-    pub(crate) idx: u32,
+struct ChanMemo {
+    peer: usize,
+    tag: u32,
+    idx: u32,
 }
 
 impl ChanMemo {
-    pub(crate) const EMPTY: ChanMemo = ChanMemo {
+    const EMPTY: ChanMemo = ChanMemo {
         peer: usize::MAX,
         tag: 0,
         idx: 0,
@@ -561,12 +629,12 @@ impl ChanMemo {
 pub(crate) type IReq = usize;
 
 /// Sentinel for an unoccupied user-request slot.
-pub(crate) const NO_REQ: IReq = usize::MAX;
+const NO_REQ: IReq = usize::MAX;
 
 /// What an internal request stands for — used to attribute blocked time
 /// to a [`Phase`] in the online profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReqClass {
+enum ReqClass {
     EagerSend,
     RdvSend,
     Recv,
@@ -576,14 +644,22 @@ pub(crate) enum ReqClass {
 /// `done_at`. State and classification live in one table so a post
 /// touches a single cache line.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Req {
-    pub(crate) done_at: f64,
-    pub(crate) class: ReqClass,
-    pub(crate) done: bool,
+struct Req {
+    done_at: f64,
+    class: ReqClass,
+    done: bool,
+}
+
+impl Req {
+    #[inline]
+    fn complete(&mut self, at: f64) {
+        self.done_at = at;
+        self.done = true;
+    }
 }
 
 /// Map the eager-protocol decision onto the profile's [`Regime`].
-pub(crate) fn regime_of(eager: bool) -> Regime {
+fn regime_of(eager: bool) -> Regime {
     if eager {
         Regime::Eager
     } else {
@@ -598,12 +674,12 @@ pub(crate) fn regime_of(eager: bool) -> Regime {
 /// computes it (the `bandwidth * 1e9` product is hoisted, the division
 /// is not — keeping results bit-identical).
 pub(crate) struct NetParams {
-    pub(crate) send_overhead: f64,
-    pub(crate) eager_threshold: usize,
-    pub(crate) lat_intra: f64,
-    pub(crate) denom_intra: f64,
-    pub(crate) lat_inter: f64,
-    pub(crate) denom_inter: f64,
+    send_overhead: f64,
+    eager_threshold: usize,
+    lat_intra: f64,
+    denom_intra: f64,
+    lat_inter: f64,
+    denom_inter: f64,
     /// Node id per rank (dense copy of the pinning).
     pub(crate) node_of: Vec<u32>,
 }
@@ -625,17 +701,20 @@ impl NetParams {
     }
 }
 
+/// A send posting. The sender's arena request id travels with it, so
+/// rendezvous completions and flaky-link draws key the same way in
+/// whichever partition the channel lives.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SendPost {
-    pub(crate) time: f64,
-    pub(crate) bytes: usize,
-    pub(crate) ireq: IReq,
+    time: f64,
+    bytes: usize,
+    ireq: IReq,
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RecvPost {
-    pub(crate) time: f64,
-    pub(crate) ireq: IReq,
+struct RecvPost {
+    time: f64,
+    ireq: IReq,
 }
 
 /// FIFO with two inline slots and a heap spill area. A channel's
@@ -646,7 +725,7 @@ pub(crate) struct RecvPost {
 /// are always older than spilled ones, so popping inline-first
 /// preserves FIFO order.
 #[derive(Debug)]
-pub(crate) struct Fifo<T> {
+struct Fifo<T> {
     inline: [Option<T>; 2],
     head: u8,
     len: u8,
@@ -672,7 +751,7 @@ impl<T: Copy> Fifo<T> {
         self.spill_head < self.spill.len()
     }
     #[inline]
-    pub(crate) fn push(&mut self, t: T) {
+    fn push(&mut self, t: T) {
         // Once anything has spilled, newer items must follow it there
         // until the spill drains, or they would overtake it.
         if self.len < 2 && !self.spill_pending() {
@@ -683,7 +762,7 @@ impl<T: Copy> Fifo<T> {
         }
     }
     #[inline]
-    pub(crate) fn pop(&mut self) -> T {
+    fn pop(&mut self) -> T {
         if self.len > 0 {
             let t = self.inline[self.head as usize]
                 .take()
@@ -702,25 +781,26 @@ impl<T: Copy> Fifo<T> {
         }
     }
     #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len == 0 && !self.spill_pending()
     }
 }
 
-/// One `(from, to, tag)` message channel. The wire parameters of the
-/// rank pair are resolved once at channel creation, so matching never
-/// consults the pinning tables.
+/// One `(from, to, tag)` message channel, owned by the partition of
+/// the receiver `to`. The wire parameters of the rank pair are resolved
+/// once at channel creation, so matching never consults the pinning
+/// tables.
 #[derive(Debug)]
-pub(crate) struct Channel {
-    pub(crate) sends: Fifo<SendPost>,
-    pub(crate) recvs: Fifo<RecvPost>,
-    pub(crate) wire_lat: f64,
-    pub(crate) wire_denom: f64,
-    pub(crate) same_node: bool,
+struct Channel {
+    sends: Fifo<SendPost>,
+    recvs: Fifo<RecvPost>,
+    wire_lat: f64,
+    wire_denom: f64,
+    same_node: bool,
 }
 
 impl Channel {
-    pub(crate) fn new(np: &NetParams, from: usize, to: usize) -> Self {
+    fn new(np: &NetParams, from: usize, to: usize) -> Self {
         let same_node = np.node_of[from] == np.node_of[to];
         Channel {
             sends: Fifo::default(),
@@ -744,35 +824,35 @@ impl Channel {
 /// `Sendrecv` is the maximum arity (2), so no blocking op ever
 /// heap-allocates its request list.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ReqSet {
+struct ReqSet {
     reqs: [IReq; 2],
     len: u8,
 }
 
 impl ReqSet {
     #[inline]
-    pub(crate) fn one(a: IReq) -> Self {
+    fn one(a: IReq) -> Self {
         ReqSet {
             reqs: [a, a],
             len: 1,
         }
     }
     #[inline]
-    pub(crate) fn two(a: IReq, b: IReq) -> Self {
+    fn two(a: IReq, b: IReq) -> Self {
         ReqSet {
             reqs: [a, b],
             len: 2,
         }
     }
     #[inline]
-    pub(crate) fn as_slice(&self) -> &[IReq] {
+    fn as_slice(&self) -> &[IReq] {
         &self.reqs[..self.len as usize]
     }
 }
 
 /// What a rank is currently blocked on.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Blocked {
+enum Blocked {
     /// Waiting for a set of internal requests; resumes at the max of
     /// their completion times (and not before `start`).
     Reqs {
@@ -780,44 +860,34 @@ pub(crate) enum Blocked {
         kind: EventKind,
         start: f64,
     },
-    /// Waiting inside the collective at the rank's current sequence
-    /// number.
-    Collective { start: f64 },
+    /// Waiting inside the collective (of kind `kind`) at the rank's
+    /// current sequence number.
+    Collective { start: f64, kind: EventKind },
 }
 
-pub(crate) struct RankState {
-    pub(crate) pc: usize,
-    pub(crate) clock: f64,
-    pub(crate) blocked: Option<Blocked>,
-    pub(crate) done: bool,
+struct RankState {
+    pc: usize,
+    clock: f64,
+    blocked: Option<Blocked>,
+    /// The rank will never run again: it finished its program or
+    /// crashed (a crash is reported before any outcome that reads
+    /// `done`).
+    done: bool,
     /// Next free slot in the rank's range of the shared request arena.
-    pub(crate) req_next: usize,
+    req_next: usize,
     /// One past the last slot of that range (bounds the posts the
     /// validation prepass counted for this rank).
-    pub(crate) req_end: usize,
+    req_end: usize,
     /// Memo of the last send-side channel (`(to, tag)` → slot).
-    pub(crate) send_memo: ChanMemo,
+    send_memo: ChanMemo,
     /// Memo of the last receive-side channel (`(from, tag)` → slot).
-    pub(crate) recv_memo: ChanMemo,
+    recv_memo: ChanMemo,
     /// User request id → internal request id, as a slot vector indexed
     /// by [`ReqId`] (program validation guarantees every `Wait` follows
     /// its creation, so a `Wait` always finds its slot occupied).
-    pub(crate) user_reqs: Vec<IReq>,
+    user_reqs: Vec<IReq>,
     /// Rank-local collective sequence number.
-    pub(crate) coll_seq: usize,
-}
-
-struct CollectiveEntry {
-    event_kind: EventKind,
-    bytes: usize,
-    /// Ranks entered so far.
-    entered: usize,
-    /// Running max of the entry times (same accumulation order as the
-    /// entries arrive, so the result is bit-identical to a fold over a
-    /// stored entry list).
-    max_entry: f64,
-    /// Completion time once all ranks have entered.
-    finish: Option<f64>,
+    coll_seq: usize,
 }
 
 /// The scheduler's wake-list: ranks that may be able to make progress.
@@ -833,28 +903,23 @@ struct CollectiveEntry {
 /// Together these guarantee no lost wakeups: a rank blocks only on
 /// requests/collectives that complete exactly once, and each completion
 /// produces a wake.
-pub(crate) struct ReadyQueue {
+struct ReadyQueue {
     queue: VecDeque<usize>,
     queued: Vec<bool>,
 }
 
 impl ReadyQueue {
-    fn with_all(nranks: usize) -> Self {
-        Self::with_range(nranks, 0, nranks)
-    }
-
-    /// Queue over the global rank id space with only `lo..hi` initially
-    /// runnable — the partition-local variant the PDES scheduler uses
-    /// (a partition only ever enqueues its own ranks).
-    pub(crate) fn with_range(nranks: usize, lo: usize, hi: usize) -> Self {
+    /// Queue over the global rank id space with the partition's own
+    /// ranks initially runnable (a partition only ever enqueues those).
+    fn new(nranks: usize, owned: Range<usize>) -> Self {
         ReadyQueue {
-            queue: (lo..hi).collect(),
-            queued: (0..nranks).map(|r| (lo..hi).contains(&r)).collect(),
+            queue: owned.clone().collect(),
+            queued: (0..nranks).map(|r| owned.contains(&r)).collect(),
         }
     }
 
     #[inline]
-    pub(crate) fn wake(&mut self, rank: usize, running: usize) {
+    fn wake(&mut self, rank: usize, running: usize) {
         if rank != running && !self.queued[rank] {
             self.queued[rank] = true;
             self.queue.push_back(rank);
@@ -862,20 +927,748 @@ impl ReadyQueue {
     }
 
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<usize> {
+    fn pop(&mut self) -> Option<usize> {
         let r = self.queue.pop_front()?;
         self.queued[r] = false;
         Some(r)
     }
 }
 
+// ---------------------------------------------------------------------------
+// Collectives
+// ---------------------------------------------------------------------------
+
+/// State of one collective sequence number.
+struct CollEntry {
+    /// The expected call: the smallest entrant's, so the mismatch
+    /// report is independent of arrival order.
+    kind: EventKind,
+    /// Smallest rank entered so far; defines `kind`.
+    owner: usize,
+    bytes: usize,
+    entered: usize,
+    /// Running max of the entry times — exact and commutative, so the
+    /// finish is the same bits for any arrival order.
+    max_entry: f64,
+    /// Smallest rank whose call differs from `kind`, if any.
+    mismatch: Option<(usize, EventKind)>,
+}
+
+/// The collective table, one entry per sequence number. `Solo` owns
+/// it; partitions share one behind a lock.
+pub(crate) struct CollTable<'a> {
+    net: &'a NetModel,
+    entries: Vec<CollEntry>,
+}
+
+impl<'a> CollTable<'a> {
+    pub(crate) fn new(net: &'a NetModel) -> Self {
+        CollTable {
+            net,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Enter `rank`, calling `kind` with `bytes` at `time`, into the
+    /// collective at `seq`. Returns the common finish time when `rank`
+    /// is the last entrant of a consistent collective; the entrants of
+    /// an inconsistent one stay parked, and [`CollTable::mismatch`]
+    /// reports it once the run has drained.
+    pub(crate) fn enter(
+        &mut self,
+        seq: usize,
+        rank: usize,
+        kind: EventKind,
+        bytes: usize,
+        time: f64,
+    ) -> Option<f64> {
+        if self.entries.len() <= seq {
+            // A rank reaches `seq` only after every rank passed
+            // `seq - 1`, so the table grows one sequence at a time.
+            debug_assert_eq!(self.entries.len(), seq, "collective entered out of order");
+            self.entries.push(CollEntry {
+                kind,
+                owner: rank,
+                bytes: 0,
+                entered: 0,
+                max_entry: 0.0,
+                mismatch: None,
+            });
+        }
+        let e = &mut self.entries[seq];
+        let differs = if rank < e.owner {
+            // A new smallest entrant redefines the expected call; the
+            // old owner was the smallest entrant so far, hence the
+            // smallest now disagreeing with it.
+            let old = (e.owner, e.kind);
+            e.owner = rank;
+            e.kind = kind;
+            (old.1 != kind).then_some(old)
+        } else {
+            (kind != e.kind).then_some((rank, kind))
+        };
+        if let Some((r, k)) = differs {
+            if e.mismatch.is_none_or(|(m, _)| r < m) {
+                e.mismatch = Some((r, k));
+            }
+        }
+        e.bytes = e.bytes.max(bytes);
+        e.entered += 1;
+        e.max_entry = e.max_entry.max(time);
+        let n = self.net.nprocs();
+        if e.entered < n || e.mismatch.is_some() {
+            return None;
+        }
+        let cost = match e.kind {
+            EventKind::Barrier => self.net.barrier_cost(n),
+            EventKind::Allreduce => self.net.allreduce_cost(n, e.bytes),
+            EventKind::Bcast => self.net.bcast_cost(n, e.bytes),
+            EventKind::Reduce => self.net.reduce_cost(n, e.bytes),
+            EventKind::Allgather => self.net.allgather_cost(n, e.bytes),
+            EventKind::Alltoall => self.net.alltoall_cost(n, e.bytes),
+            _ => 0.0,
+        };
+        Some(e.max_entry + cost)
+    }
+
+    /// The canonical mismatch error, if any sequence saw one.
+    pub(crate) fn mismatch(&self) -> Option<SimError> {
+        self.entries.iter().enumerate().find_map(|(seq, e)| {
+            let (rank, found) = e.mismatch?;
+            Some(SimError::CollectiveMismatch {
+                seq,
+                rank,
+                expected: collective_name(e.kind),
+                found: collective_name(found),
+            })
+        })
+    }
+}
+
+/// Name used in collective-mismatch diagnostics.
+fn collective_name(kind: EventKind) -> &'static str {
+    match kind {
+        EventKind::Allreduce => "Allreduce",
+        EventKind::Barrier => "Barrier",
+        EventKind::Bcast => "Bcast",
+        EventKind::Reduce => "Reduce",
+        EventKind::Allgather => "Allgather",
+        EventKind::Alltoall => "Alltoall",
+        _ => "?",
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The partition boundary (monomorphized; see the module docs)
+// ---------------------------------------------------------------------------
+
+/// How a [`Scheduler`] reaches the ranks it does not own. Channels
+/// live with their receiver, so a partition posts receives locally and
+/// only sends, rendezvous completions and collective finishes cross a
+/// boundary.
+pub(crate) trait Boundary {
+    /// Whether this partition executes `rank` (and owns the channels
+    /// into it).
+    fn owns(&self, rank: usize) -> bool;
+    /// Hand a send posting to the partition owning its receiver `to`.
+    fn forward_send(&mut self, from: usize, to: usize, tag: u32, post: SendPost);
+    /// Hand the rendezvous completion of request `ireq` back to the
+    /// partition owning its sender `rank`.
+    fn forward_rdv_done(&mut self, rank: usize, ireq: IReq, done_at: f64);
+    /// [`CollTable::enter`] on the run's collective table; a finish is
+    /// also published to every other partition.
+    fn enter_collective(
+        &mut self,
+        seq: usize,
+        rank: usize,
+        kind: EventKind,
+        bytes: usize,
+        time: f64,
+    ) -> Option<f64>;
+    /// The executing rank's turn ended with its clock at `clock`.
+    fn end_turn(&mut self, clock: f64);
+}
+
+/// The one-partition boundary: owns every rank and the collective
+/// table. Every hook is a constant or a direct call.
+struct Solo<'a>(CollTable<'a>);
+
+impl Boundary for Solo<'_> {
+    #[inline]
+    fn owns(&self, _rank: usize) -> bool {
+        true
+    }
+    fn forward_send(&mut self, _from: usize, _to: usize, _tag: u32, _post: SendPost) {
+        unreachable!("a solo partition owns every rank")
+    }
+    fn forward_rdv_done(&mut self, _rank: usize, _ireq: IReq, _done_at: f64) {
+        unreachable!("a solo partition owns every rank")
+    }
+    #[inline]
+    fn enter_collective(
+        &mut self,
+        seq: usize,
+        rank: usize,
+        kind: EventKind,
+        bytes: usize,
+        time: f64,
+    ) -> Option<f64> {
+        self.0.enter(seq, rank, kind, bytes, time)
+    }
+    #[inline]
+    fn end_turn(&mut self, _clock: f64) {}
+}
+
+// ---------------------------------------------------------------------------
+// The scheduler
+// ---------------------------------------------------------------------------
+
+/// A rank whose clock reached its injected crash time before op `pc`.
+struct Crash {
+    at_s: f64,
+    rank: usize,
+    pc: usize,
+}
+
+/// The event-driven scheduler over the ranks one partition owns,
+/// monomorphized over the profile sink, the fault hook, the boundary
+/// and the tracing flag. Programs are already validated.
+///
+/// State is globally indexed even when the partition owns a slice of
+/// the ranks: only owned slots (plus the rendezvous completions of
+/// owned senders) are ever touched, but global indexing keeps the arena
+/// numbering identical at every partition count.
+pub(crate) struct Scheduler<'a, P, F, B, const TRACE: bool> {
+    programs: &'a [Program],
+    np: &'a NetParams,
+    faults: &'a F,
+    pub(crate) boundary: B,
+    owned: Range<usize>,
+    ranks: Vec<RankState>,
+    /// All internal requests in one flat arena; each rank owns the
+    /// contiguous range sized by its prepass post count.
+    reqs: Vec<Req>,
+    channels: Channels,
+    ready: ReadyQueue,
+    /// Finish time of every completed collective, by sequence number.
+    coll_finish: Vec<f64>,
+    crashes: Vec<Crash>,
+    timeline: Timeline,
+    /// Online per-rank breakdown (kept even when full tracing is off).
+    breakdown: Vec<[f64; EventKind::COUNT]>,
+    profile: P,
+    p2p_bytes: u64,
+    internode_bytes: u64,
+}
+
+impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
+    Scheduler<'a, P, F, B, TRACE>
+{
+    /// A scheduler executing the ranks `owned`, with rank `r`'s
+    /// requests at `arena[r]..arena[r + 1]`.
+    pub(crate) fn new(
+        programs: &'a [Program],
+        np: &'a NetParams,
+        arena: &[usize],
+        owned: Range<usize>,
+        faults: &'a F,
+        boundary: B,
+    ) -> Self {
+        let nranks = programs.len();
+        let ranks = (0..nranks)
+            .map(|r| RankState {
+                pc: 0,
+                clock: 0.0,
+                blocked: None,
+                done: false,
+                req_next: arena[r],
+                req_end: arena[r + 1],
+                send_memo: ChanMemo::EMPTY,
+                recv_memo: ChanMemo::EMPTY,
+                user_reqs: Vec::new(),
+                coll_seq: 0,
+            })
+            .collect();
+        // Every slot starts as a pending `Recv`, which is exactly the
+        // state of a freshly posted receive.
+        let pending = Req {
+            done_at: 0.0,
+            class: ReqClass::Recv,
+            done: false,
+        };
+        Scheduler {
+            programs,
+            np,
+            faults,
+            boundary,
+            ranks,
+            reqs: vec![pending; arena[nranks]],
+            channels: Channels::default(),
+            ready: ReadyQueue::new(nranks, owned.clone()),
+            owned,
+            coll_finish: Vec::new(),
+            crashes: Vec::new(),
+            timeline: Timeline::new(nranks),
+            breakdown: vec![[0.0; EventKind::COUNT]; nranks],
+            profile: P::new(nranks),
+            p2p_bytes: 0,
+            internode_bytes: 0,
+        }
+    }
+
+    /// Run ranks off the ready queue until it is empty. The only error
+    /// is [`SimError::Cancelled`]; every other failure parks or retires
+    /// ranks and is resolved by [`Scheduler::conclude`].
+    pub(crate) fn drain(&mut self) -> Result<(), SimError> {
+        let programs = self.programs;
+        while let Some(r) = self.ready.pop() {
+            if self.ranks[r].done {
+                continue; // woken spuriously after finishing or crashing
+            }
+            'rank: loop {
+                if F::ENABLED {
+                    // Cooperative cancellation and hard crashes are
+                    // checked at op granularity. A crash retires only
+                    // the crashed rank: the rest drain to quiescence so
+                    // the blame is the earliest `(at_s, rank)` at any
+                    // partition count.
+                    if self.faults.cancelled() {
+                        return Err(SimError::Cancelled);
+                    }
+                    let state = &mut self.ranks[r];
+                    if state.clock >= self.faults.crash_at(r) {
+                        self.crashes.push(Crash {
+                            at_s: state.clock,
+                            rank: r,
+                            pc: state.pc,
+                        });
+                        state.done = true;
+                        break 'rank;
+                    }
+                }
+                // Re-examine the blocked state first: a popped rank was
+                // woken by a completion that may end its blocked op.
+                // (Blocking ops that can finish immediately never store
+                // a `Blocked` at all — they unblock inline below.)
+                match self.ranks[r].blocked {
+                    Some(Blocked::Reqs { reqs, kind, start }) => {
+                        if !self.try_unblock(r, reqs, kind, start) {
+                            // Still pending; the next completion
+                            // delivered to this rank re-enqueues it.
+                            break 'rank;
+                        }
+                        continue 'rank;
+                    }
+                    Some(Blocked::Collective { start, kind }) => {
+                        let seq = self.ranks[r].coll_seq;
+                        let Some(&finish) = self.coll_finish.get(seq) else {
+                            break 'rank;
+                        };
+                        self.unblock_collective(r, start, finish, kind);
+                        continue 'rank;
+                    }
+                    None => {}
+                }
+
+                let (pc, clock) = (self.ranks[r].pc, self.ranks[r].clock);
+                let Some(&op) = programs[r].ops.get(pc) else {
+                    self.ranks[r].done = true;
+                    break 'rank;
+                };
+                // Blocking point-to-point ops yield the requests they
+                // wait on.
+                let (set, kind) = match op {
+                    Op::Compute { seconds } => {
+                        self.compute(r, pc, clock, seconds);
+                        continue 'rank;
+                    }
+                    Op::Send { to, tag, bytes } => {
+                        let s = self.post_send(r, to, tag, bytes, clock);
+                        (ReqSet::one(s), EventKind::Send)
+                    }
+                    Op::Recv { from, tag } => {
+                        let v = self.post_recv(from, r, tag, clock);
+                        (ReqSet::one(v), EventKind::Recv)
+                    }
+                    Op::Sendrecv {
+                        to,
+                        send_bytes,
+                        from,
+                        tag,
+                    } => {
+                        let s = self.post_send(r, to, tag, send_bytes, clock);
+                        let v = self.post_recv(from, r, tag, clock);
+                        (ReqSet::two(s, v), EventKind::Sendrecv)
+                    }
+                    Op::Isend {
+                        to,
+                        tag,
+                        bytes,
+                        req,
+                    } => {
+                        let s = self.post_send(r, to, tag, bytes, clock);
+                        self.set_user_req(r, req, s);
+                        continue 'rank;
+                    }
+                    Op::Irecv { from, tag, req } => {
+                        let v = self.post_recv(from, r, tag, clock);
+                        self.set_user_req(r, req, v);
+                        continue 'rank;
+                    }
+                    Op::Wait { req } => {
+                        let ireq = self.ranks[r].user_reqs[req as usize];
+                        debug_assert_ne!(ireq, NO_REQ, "validated: wait follows creation");
+                        (ReqSet::one(ireq), EventKind::Wait)
+                    }
+                    Op::Allreduce { .. }
+                    | Op::Barrier
+                    | Op::Bcast { .. }
+                    | Op::Reduce { .. }
+                    | Op::Allgather { .. }
+                    | Op::Alltoall { .. } => {
+                        let (kind, bytes) = match op {
+                            Op::Allreduce { bytes } => (EventKind::Allreduce, bytes),
+                            Op::Barrier => (EventKind::Barrier, 0),
+                            Op::Bcast { bytes, .. } => (EventKind::Bcast, bytes),
+                            Op::Reduce { bytes, .. } => (EventKind::Reduce, bytes),
+                            Op::Allgather { bytes } => (EventKind::Allgather, bytes),
+                            Op::Alltoall { bytes } => (EventKind::Alltoall, bytes),
+                            _ => unreachable!(),
+                        };
+                        let seq = self.ranks[r].coll_seq;
+                        // The last entrant finishes the collective and
+                        // unblocks inline; everyone else parks.
+                        match self.boundary.enter_collective(seq, r, kind, bytes, clock) {
+                            Some(finish) => {
+                                self.collective_finished(seq, finish, r);
+                                self.unblock_collective(r, clock, finish, kind);
+                                continue 'rank;
+                            }
+                            None => {
+                                self.ranks[r].blocked =
+                                    Some(Blocked::Collective { start: clock, kind });
+                                break 'rank;
+                            }
+                        }
+                    }
+                };
+                if !self.try_unblock(r, set, kind, clock) {
+                    self.ranks[r].blocked = Some(Blocked::Reqs {
+                        reqs: set,
+                        kind,
+                        start: clock,
+                    });
+                    break 'rank;
+                }
+            }
+            self.boundary.end_turn(self.ranks[r].clock);
+        }
+        Ok(())
+    }
+
+    /// Execute a compute op of fault-free length `seconds`. Fault
+    /// inflation (noise, straggler, throttle) stretches the op; the
+    /// excess over the fault-free duration is attributed to
+    /// `Phase::FaultStall` so variability studies can read the injected
+    /// time directly.
+    #[inline]
+    fn compute(&mut self, r: usize, pc: usize, clock: f64, seconds: f64) {
+        let (total, stall) = if F::ENABLED {
+            let t = self.faults.compute_seconds(r, pc, clock, seconds);
+            (t, (t - seconds).max(0.0))
+        } else {
+            (seconds, 0.0)
+        };
+        if TRACE {
+            self.timeline
+                .record(r, clock, clock + total, EventKind::Compute);
+        }
+        self.breakdown[r][EventKind::Compute.index()] += total;
+        if F::ENABLED && stall > 0.0 {
+            self.profile.phase(r, Phase::Compute, total - stall);
+            self.profile.phase(r, Phase::FaultStall, stall);
+        } else {
+            self.profile.phase(r, Phase::Compute, total);
+        }
+        let state = &mut self.ranks[r];
+        state.clock += total;
+        state.pc += 1;
+    }
+
+    /// If every request in `set` has completed, perform the full
+    /// unblock bookkeeping (trace, breakdown, profile phase, clock,
+    /// program counter) and return `true`; otherwise leave the rank
+    /// untouched. Shared by the inline fast path (blocking op completes
+    /// at post time) and the wake path (rank re-examined off the ready
+    /// queue).
+    #[inline]
+    fn try_unblock(&mut self, r: usize, set: ReqSet, kind: EventKind, start: f64) -> bool {
+        let mut resume = start;
+        for &ireq in set.as_slice() {
+            let q = self.reqs[ireq];
+            if !q.done {
+                return false;
+            }
+            resume = resume.max(q.done_at);
+        }
+        // Attribute the blocked time: a rendezvous send in the set
+        // means a hand-shake stall; otherwise an unfinished receive
+        // dominates (eager sends complete in `o`). Skipped entirely
+        // when profiling is off.
+        let has = |class: ReqClass| set.as_slice().iter().any(|&q| self.reqs[q].class == class);
+        let phase = if !P::ENABLED {
+            Phase::Compute // unused
+        } else if has(ReqClass::RdvSend) {
+            Phase::RendezvousStall
+        } else if has(ReqClass::Recv) {
+            Phase::RecvWait
+        } else {
+            Phase::EagerSend
+        };
+        if TRACE {
+            self.timeline.record(r, start, resume, kind);
+        }
+        if resume > start {
+            self.breakdown[r][kind.index()] += resume - start;
+            self.profile.phase(r, phase, resume - start);
+        }
+        let state = &mut self.ranks[r];
+        state.clock = resume;
+        state.blocked = None;
+        state.pc += 1;
+        true
+    }
+
+    /// Unblock bookkeeping for a finished collective: the rank leaves
+    /// at the common `finish` time and advances to its next collective
+    /// sequence number.
+    #[inline]
+    fn unblock_collective(&mut self, r: usize, start: f64, finish: f64, kind: EventKind) {
+        if TRACE {
+            self.timeline.record(r, start, finish, kind);
+        }
+        if finish > start {
+            self.breakdown[r][kind.index()] += finish - start;
+            self.profile.phase(r, Phase::CollectiveWait, finish - start);
+        }
+        let state = &mut self.ranks[r];
+        state.clock = finish;
+        state.blocked = None;
+        state.coll_seq += 1;
+        state.pc += 1;
+    }
+
+    /// Record collective `seq`'s finish and wake every owned rank —
+    /// all of them entered it (except `running`, which re-examines its
+    /// state inline).
+    pub(crate) fn collective_finished(&mut self, seq: usize, finish: f64, running: usize) {
+        debug_assert_eq!(self.coll_finish.len(), seq, "collectives finish in order");
+        self.coll_finish.push(finish);
+        for r in self.owned.clone() {
+            self.ready.wake(r, running);
+        }
+    }
+
+    /// Record `user req id → ireq` in rank `r`'s slot vector, growing
+    /// it on first use of a new id (ids may be reused after their
+    /// `Wait`), and step past the non-blocking post.
+    #[inline]
+    fn set_user_req(&mut self, r: usize, req: ReqId, ireq: IReq) {
+        let state = &mut self.ranks[r];
+        let slot = req as usize;
+        if state.user_reqs.len() <= slot {
+            state.user_reqs.resize(slot + 1, NO_REQ);
+        }
+        state.user_reqs[slot] = ireq;
+        state.pc += 1;
+    }
+
+    /// Take the next request of `rank`'s arena range.
+    #[inline]
+    fn next_req(&mut self, rank: usize) -> IReq {
+        let state = &mut self.ranks[rank];
+        let ireq = state.req_next;
+        debug_assert!(ireq < state.req_end, "prepass under-counted posts");
+        state.req_next += 1;
+        ireq
+    }
+
+    /// Post a send: create its request (eager sends complete locally
+    /// after the sender overhead, receiver or not), append the posting
+    /// to its channel — or forward it to the partition owning the
+    /// receiver — and account the message.
+    fn post_send(&mut self, from: usize, to: usize, tag: u32, bytes: usize, time: f64) -> IReq {
+        let eager = bytes < self.np.eager_threshold;
+        let ireq = self.next_req(from);
+        self.reqs[ireq] = if eager {
+            Req {
+                done_at: time + self.np.send_overhead,
+                class: ReqClass::EagerSend,
+                done: true,
+            }
+        } else {
+            Req {
+                done_at: 0.0,
+                class: ReqClass::RdvSend,
+                done: false,
+            }
+        };
+        let post = SendPost { time, bytes, ireq };
+        let same_node = if self.boundary.owns(to) {
+            let memo = &mut self.ranks[from].send_memo;
+            let slot = self.channels.memo_slot(self.np, memo, to, (from, to, tag));
+            let ch = &mut self.channels.store[slot as usize];
+            ch.sends.push(post);
+            let same_node = ch.same_node;
+            self.match_channel(slot, from, to, from);
+            same_node
+        } else {
+            self.boundary.forward_send(from, to, tag, post);
+            self.np.node_of[from] == self.np.node_of[to]
+        };
+        self.profile.message(from, to, bytes, regime_of(eager));
+        self.p2p_bytes += bytes as u64;
+        if !same_node {
+            self.internode_bytes += bytes as u64;
+        }
+        ireq
+    }
+
+    /// Post a receive on its (always local) channel and resolve any
+    /// matches this enables.
+    fn post_recv(&mut self, from: usize, to: usize, tag: u32, time: f64) -> IReq {
+        let ireq = self.next_req(to);
+        let memo = &mut self.ranks[to].recv_memo;
+        let slot = self
+            .channels
+            .memo_slot(self.np, memo, from, (from, to, tag));
+        self.channels.store[slot as usize]
+            .recvs
+            .push(RecvPost { time, ireq });
+        self.match_channel(slot, from, to, to);
+        ireq
+    }
+
+    /// Append a send forwarded by the sender's partition to its channel
+    /// and resolve any matches this enables.
+    pub(crate) fn deliver_send(&mut self, from: usize, to: usize, tag: u32, post: SendPost) {
+        let slot = self.channels.slot(self.np, from, to, tag);
+        self.channels.store[slot as usize].sends.push(post);
+        self.match_channel(slot, from, to, usize::MAX);
+    }
+
+    /// Complete owned request `ireq` of `rank` at `done_at` (a
+    /// rendezvous resolved in the receiver's partition).
+    pub(crate) fn complete_remote(&mut self, rank: usize, ireq: IReq, done_at: f64) {
+        self.reqs[ireq].complete(done_at);
+        self.ready.wake(rank, usize::MAX);
+    }
+
+    /// Match pending send/recv pairs in channel `slot` (`from → to`),
+    /// delivering completions straight into the request arena and
+    /// waking the owning ranks (the currently executing rank `running`
+    /// re-examines its own state inline instead). A foreign sender's
+    /// rendezvous completion crosses the boundary. FIFO per channel
+    /// preserves MPI's non-overtaking rule.
+    fn match_channel(&mut self, slot: u32, from: usize, to: usize, running: usize) {
+        let ch = &mut self.channels.store[slot as usize];
+        while !ch.sends.is_empty() && !ch.recvs.is_empty() {
+            let s = ch.sends.pop();
+            let v = ch.recvs.pop();
+            let mut wire = ch.wire_lat + s.bytes as f64 / ch.wire_denom;
+            if F::ENABLED {
+                // Degraded-link retransmissions lengthen the transfer;
+                // the draw is keyed by the sender's program-order
+                // request id, keeping it visiting-order independent.
+                wire += self.faults.wire_extra(from, to, s.ireq);
+            }
+            let recv_done = if s.bytes < self.np.eager_threshold {
+                // The sender's completion was already issued at post
+                // time (eager sends complete locally); only the receive
+                // side completes here, at message arrival.
+                v.time.max(s.time + wire)
+            } else {
+                // Rendezvous: transfer starts when both are ready.
+                let done = s.time.max(v.time) + wire;
+                if self.boundary.owns(from) {
+                    self.reqs[s.ireq].complete(done);
+                    self.ready.wake(from, running);
+                } else {
+                    self.boundary.forward_rdv_done(from, s.ireq, done);
+                }
+                done
+            };
+            self.reqs[v.ireq].complete(recv_done);
+            self.ready.wake(to, running);
+        }
+    }
+
+    /// Fold in a drained partition: its owned per-rank state replaces
+    /// the (untouched) rows here, and the cross-rank aggregates add —
+    /// `u64` counters and histogram buckets, exact and commutative.
+    pub(crate) fn absorb(&mut self, mut part: Self) {
+        let owned = part.owned.clone();
+        self.ranks[owned.clone()].swap_with_slice(&mut part.ranks[owned.clone()]);
+        self.breakdown[owned.clone()].copy_from_slice(&part.breakdown[owned.clone()]);
+        self.timeline.absorb(&part.timeline);
+        self.profile.absorb(part.profile, owned);
+        self.p2p_bytes += part.p2p_bytes;
+        self.internode_bytes += part.internode_bytes;
+        self.crashes.append(&mut part.crashes);
+    }
+
+    /// The run's outcome from the drained state of every rank, in the
+    /// canonical order after cancellation: the earliest `(at_s, rank)`
+    /// crash, then `mismatch`, then deadlock.
+    pub(crate) fn conclude(self, mismatch: Option<SimError>) -> Result<SimResult, SimError> {
+        let earliest = self
+            .crashes
+            .iter()
+            .min_by(|a, b| a.at_s.total_cmp(&b.at_s).then_with(|| a.rank.cmp(&b.rank)));
+        if let Some(c) = earliest {
+            return Err(SimError::RankFailed {
+                rank: c.rank,
+                op_index: c.pc,
+                at_s: c.at_s,
+            });
+        }
+        if let Some(e) = mismatch {
+            return Err(e);
+        }
+        if self.ranks.iter().any(|s| !s.done) {
+            let blocked = self
+                .ranks
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| !s.done)
+                .map(|(r, s)| {
+                    let ops = &self.programs[r].ops;
+                    (r, s.pc, ops[s.pc.min(ops.len().saturating_sub(1))])
+                })
+                .collect();
+            return Err(SimError::Deadlock(blocked));
+        }
+        let finish_times: Vec<f64> = self.ranks.iter().map(|s| s.clock).collect();
+        let makespan = finish_times.iter().copied().fold(0.0, f64::max);
+        Ok(SimResult {
+            makespan,
+            finish_times,
+            timeline: self.timeline,
+            p2p_bytes: self.p2p_bytes,
+            internode_bytes: self.internode_bytes,
+            per_rank_breakdown: self.breakdown,
+            profile: self.profile.finish(),
+        })
+    }
+}
+
 /// The discrete-event engine. See the module docs for semantics.
 pub struct Engine {
-    pub(crate) config: SimConfig,
+    config: SimConfig,
     pub(crate) net: NetModel,
     pub(crate) programs: Vec<Program>,
     /// Cooperative cancellation token (see [`Engine::with_cancel`]).
-    pub(crate) cancel: Option<Arc<AtomicBool>>,
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Engine {
@@ -935,780 +1728,52 @@ impl Engine {
         // are bit-identical at every value, 0 is clamped to 1 and the
         // partition count never exceeds the rank count.
         let threads = self.config.threads.max(1).min(nranks.max(1));
-        if threads > 1 {
-            return crate::pdes::run_parallel(self, prepass, threads);
-        }
-        let p2p_ops = &prepass.p2p_ops;
-
         // Fault-capable instantiations are selected only when a plan or
         // a cancellation token is present; otherwise the zero-cost
         // `NoFaults` hook keeps the hot path free of fault branches.
         if !self.config.faults.is_none() || self.cancel.is_some() {
             let hook = ActiveFaults::compile(&self.config.faults, nranks, self.cancel.clone());
-            match (self.config.profile, self.config.trace) {
-                (true, false) => {
-                    self.run_with::<_, _, false>(LiveProfile(Profile::new(nranks)), hook, p2p_ops)
-                }
-                (true, true) => {
-                    self.run_with::<_, _, true>(LiveProfile(Profile::new(nranks)), hook, p2p_ops)
-                }
-                (false, false) => self.run_with::<_, _, false>(NoProfile, hook, p2p_ops),
-                (false, true) => self.run_with::<_, _, true>(NoProfile, hook, p2p_ops),
-            }
+            self.dispatch(prepass, threads, &hook)
         } else {
-            match (self.config.profile, self.config.trace) {
-                (true, false) => self.run_with::<_, _, false>(
-                    LiveProfile(Profile::new(nranks)),
-                    NoFaults,
-                    p2p_ops,
-                ),
-                (true, true) => self.run_with::<_, _, true>(
-                    LiveProfile(Profile::new(nranks)),
-                    NoFaults,
-                    p2p_ops,
-                ),
-                (false, false) => self.run_with::<_, _, false>(NoProfile, NoFaults, p2p_ops),
-                (false, true) => self.run_with::<_, _, true>(NoProfile, NoFaults, p2p_ops),
-            }
+            self.dispatch(prepass, threads, &NoFaults)
         }
     }
 
-    /// The event-driven scheduler, monomorphized over the profile
-    /// recording strategy, the fault hook and the tracing flag.
-    /// Programs are already validated.
-    fn run_with<P: ProfileSink, F: FaultHook, const TRACE: bool>(
-        self,
-        mut profile: P,
-        faults: F,
-        p2p_ops: &[usize],
+    /// Select the (profile × trace) instantiation for fault hook `F`.
+    fn dispatch<F: FaultHook>(
+        &self,
+        prepass: &Prepass,
+        threads: usize,
+        faults: &F,
     ) -> Result<SimResult, SimError> {
+        match (self.config.profile, self.config.trace) {
+            (true, false) => self.run_with::<LiveProfile, F, false>(prepass, threads, faults),
+            (true, true) => self.run_with::<LiveProfile, F, true>(prepass, threads, faults),
+            (false, false) => self.run_with::<NoProfile, F, false>(prepass, threads, faults),
+            (false, true) => self.run_with::<NoProfile, F, true>(prepass, threads, faults),
+        }
+    }
+
+    /// Run one instantiation: the `Solo` boundary on the calling thread,
+    /// or `threads` partitions under [`crate::pdes`].
+    fn run_with<P: ProfileSink, F: FaultHook, const TRACE: bool>(
+        &self,
+        prepass: &Prepass,
+        threads: usize,
+        faults: &F,
+    ) -> Result<SimResult, SimError> {
+        let arena = prepass.arena_starts();
+        if threads > 1 {
+            return crate::pdes::run::<P, F, TRACE>(self, &arena, threads, faults);
+        }
         let nranks = self.programs.len();
         let np = NetParams::of(&self.net, nranks);
-        // All internal requests live in one flat arena; each rank owns
-        // the contiguous range sized by its prepass post count (one
-        // allocation and dense locality instead of a table per rank).
-        let mut base = 0usize;
-        let mut ranks: Vec<RankState> = (0..nranks)
-            .map(|r| {
-                let start = base;
-                base += p2p_ops[r];
-                RankState {
-                    pc: 0,
-                    clock: 0.0,
-                    blocked: None,
-                    done: false,
-                    req_next: start,
-                    req_end: base,
-                    send_memo: ChanMemo::EMPTY,
-                    recv_memo: ChanMemo::EMPTY,
-                    user_reqs: Vec::new(),
-                    coll_seq: 0,
-                }
-            })
-            .collect();
-        let mut reqs: Vec<Req> = vec![
-            Req {
-                done_at: 0.0,
-                class: ReqClass::Recv,
-                done: false,
-            };
-            base
-        ];
-        let mut channels = Channels::default();
-        let mut collectives: Vec<CollectiveEntry> = Vec::new();
-        let mut timeline = Timeline::new(nranks);
-        // Online per-rank breakdown (kept even when full tracing is off).
-        let mut breakdown: Vec<[f64; EventKind::COUNT]> = vec![[0.0; EventKind::COUNT]; nranks];
-        let mut p2p_bytes: u64 = 0;
-        let mut internode_bytes: u64 = 0;
-        let mut ready = ReadyQueue::with_all(nranks);
-
-        while let Some(r) = ready.pop() {
-            if ranks[r].done {
-                continue; // woken spuriously after finishing
-            }
-            loop {
-                if F::ENABLED {
-                    // Cooperative cancellation and hard crashes are
-                    // checked at op granularity; both abort the whole
-                    // run (MPI-abort semantics for crashes).
-                    if faults.cancelled() {
-                        return Err(SimError::Cancelled);
-                    }
-                    if ranks[r].clock >= faults.crash_at(r) {
-                        return Err(SimError::RankFailed {
-                            rank: r,
-                            op_index: ranks[r].pc,
-                            at_s: ranks[r].clock,
-                        });
-                    }
-                }
-                // Re-examine the blocked state first: a popped rank was
-                // woken by a completion that may end its blocked op.
-                // (Blocking ops that can finish immediately never store
-                // a `Blocked` at all — they unblock inline below.)
-                match ranks[r].blocked {
-                    Some(Blocked::Reqs {
-                        reqs: set,
-                        kind,
-                        start,
-                    }) => {
-                        if !Self::try_unblock_reqs::<P, TRACE>(
-                            r,
-                            set,
-                            kind,
-                            start,
-                            &mut ranks,
-                            &reqs,
-                            &mut timeline,
-                            &mut breakdown,
-                            &mut profile,
-                        ) {
-                            // Still pending; the next completion
-                            // delivered to this rank re-enqueues it.
-                            break;
-                        }
-                        continue;
-                    }
-                    Some(Blocked::Collective { start }) => {
-                        let entry = &collectives[ranks[r].coll_seq];
-                        let Some(finish) = entry.finish else {
-                            break;
-                        };
-                        Self::unblock_collective::<P, TRACE>(
-                            r,
-                            start,
-                            finish,
-                            entry.event_kind,
-                            &mut ranks,
-                            &mut timeline,
-                            &mut breakdown,
-                            &mut profile,
-                        );
-                        continue;
-                    }
-                    None => {}
-                }
-
-                if ranks[r].pc >= self.programs[r].ops.len() {
-                    ranks[r].done = true;
-                    break;
-                }
-
-                let op = self.programs[r].ops[ranks[r].pc];
-                let clock = ranks[r].clock;
-                match op {
-                    Op::Compute { seconds } => {
-                        // Fault inflation (noise, straggler, throttle)
-                        // stretches the op; the excess over the
-                        // fault-free duration is attributed to
-                        // `Phase::FaultStall` so variability studies
-                        // can read the injected time directly.
-                        let (total, stall) = if F::ENABLED {
-                            let t = faults.compute_seconds(r, ranks[r].pc, clock, seconds);
-                            (t, (t - seconds).max(0.0))
-                        } else {
-                            (seconds, 0.0)
-                        };
-                        if TRACE {
-                            timeline.record(r, clock, clock + total, EventKind::Compute);
-                        }
-                        breakdown[r][EventKind::Compute.index()] += total;
-                        if F::ENABLED && stall > 0.0 {
-                            profile.phase(r, Phase::Compute, total - stall);
-                            profile.phase(r, Phase::FaultStall, stall);
-                        } else {
-                            profile.phase(r, Phase::Compute, total);
-                        }
-                        ranks[r].clock += total;
-                        ranks[r].pc += 1;
-                    }
-                    Op::Send { to, tag, bytes } => {
-                        let eager = bytes < np.eager_threshold;
-                        let (ireq, same_node) = Self::post_send(
-                            &np,
-                            &mut ranks,
-                            &mut reqs,
-                            &mut channels,
-                            &mut ready,
-                            r,
-                            to,
-                            tag,
-                            bytes,
-                            clock,
-                            eager,
-                            &faults,
-                        );
-                        profile.message(r, to, bytes, regime_of(eager));
-                        p2p_bytes += bytes as u64;
-                        if !same_node {
-                            internode_bytes += bytes as u64;
-                        }
-                        let set = ReqSet::one(ireq);
-                        if !Self::try_unblock_reqs::<P, TRACE>(
-                            r,
-                            set,
-                            EventKind::Send,
-                            clock,
-                            &mut ranks,
-                            &reqs,
-                            &mut timeline,
-                            &mut breakdown,
-                            &mut profile,
-                        ) {
-                            ranks[r].blocked = Some(Blocked::Reqs {
-                                reqs: set,
-                                kind: EventKind::Send,
-                                start: clock,
-                            });
-                            break;
-                        }
-                    }
-                    Op::Recv { from, tag } => {
-                        let ireq = Self::post_recv(
-                            &np,
-                            &mut ranks,
-                            &mut reqs,
-                            &mut channels,
-                            &mut ready,
-                            from,
-                            r,
-                            tag,
-                            clock,
-                            &faults,
-                        );
-                        let set = ReqSet::one(ireq);
-                        if !Self::try_unblock_reqs::<P, TRACE>(
-                            r,
-                            set,
-                            EventKind::Recv,
-                            clock,
-                            &mut ranks,
-                            &reqs,
-                            &mut timeline,
-                            &mut breakdown,
-                            &mut profile,
-                        ) {
-                            ranks[r].blocked = Some(Blocked::Reqs {
-                                reqs: set,
-                                kind: EventKind::Recv,
-                                start: clock,
-                            });
-                            break;
-                        }
-                    }
-                    Op::Sendrecv {
-                        to,
-                        send_bytes,
-                        from,
-                        tag,
-                    } => {
-                        let eager = send_bytes < np.eager_threshold;
-                        let (s, same_node) = Self::post_send(
-                            &np,
-                            &mut ranks,
-                            &mut reqs,
-                            &mut channels,
-                            &mut ready,
-                            r,
-                            to,
-                            tag,
-                            send_bytes,
-                            clock,
-                            eager,
-                            &faults,
-                        );
-                        let v = Self::post_recv(
-                            &np,
-                            &mut ranks,
-                            &mut reqs,
-                            &mut channels,
-                            &mut ready,
-                            from,
-                            r,
-                            tag,
-                            clock,
-                            &faults,
-                        );
-                        profile.message(r, to, send_bytes, regime_of(eager));
-                        p2p_bytes += send_bytes as u64;
-                        if !same_node {
-                            internode_bytes += send_bytes as u64;
-                        }
-                        let set = ReqSet::two(s, v);
-                        if !Self::try_unblock_reqs::<P, TRACE>(
-                            r,
-                            set,
-                            EventKind::Sendrecv,
-                            clock,
-                            &mut ranks,
-                            &reqs,
-                            &mut timeline,
-                            &mut breakdown,
-                            &mut profile,
-                        ) {
-                            ranks[r].blocked = Some(Blocked::Reqs {
-                                reqs: set,
-                                kind: EventKind::Sendrecv,
-                                start: clock,
-                            });
-                            break;
-                        }
-                    }
-                    Op::Isend {
-                        to,
-                        tag,
-                        bytes,
-                        req,
-                    } => {
-                        let eager = bytes < np.eager_threshold;
-                        let (ireq, same_node) = Self::post_send(
-                            &np,
-                            &mut ranks,
-                            &mut reqs,
-                            &mut channels,
-                            &mut ready,
-                            r,
-                            to,
-                            tag,
-                            bytes,
-                            clock,
-                            eager,
-                            &faults,
-                        );
-                        Self::set_user_req(&mut ranks[r].user_reqs, req, ireq);
-                        ranks[r].pc += 1;
-                        profile.message(r, to, bytes, regime_of(eager));
-                        p2p_bytes += bytes as u64;
-                        if !same_node {
-                            internode_bytes += bytes as u64;
-                        }
-                    }
-                    Op::Irecv { from, tag, req } => {
-                        let ireq = Self::post_recv(
-                            &np,
-                            &mut ranks,
-                            &mut reqs,
-                            &mut channels,
-                            &mut ready,
-                            from,
-                            r,
-                            tag,
-                            clock,
-                            &faults,
-                        );
-                        Self::set_user_req(&mut ranks[r].user_reqs, req, ireq);
-                        ranks[r].pc += 1;
-                    }
-                    Op::Wait { req } => {
-                        let ireq = ranks[r].user_reqs[req as usize];
-                        debug_assert_ne!(ireq, NO_REQ, "validated: wait follows creation");
-                        let set = ReqSet::one(ireq);
-                        if !Self::try_unblock_reqs::<P, TRACE>(
-                            r,
-                            set,
-                            EventKind::Wait,
-                            clock,
-                            &mut ranks,
-                            &reqs,
-                            &mut timeline,
-                            &mut breakdown,
-                            &mut profile,
-                        ) {
-                            ranks[r].blocked = Some(Blocked::Reqs {
-                                reqs: set,
-                                kind: EventKind::Wait,
-                                start: clock,
-                            });
-                            break;
-                        }
-                    }
-                    Op::Allreduce { .. }
-                    | Op::Barrier
-                    | Op::Bcast { .. }
-                    | Op::Reduce { .. }
-                    | Op::Allgather { .. }
-                    | Op::Alltoall { .. } => {
-                        let (kind, bytes) = match op {
-                            Op::Allreduce { bytes } => (EventKind::Allreduce, bytes),
-                            Op::Barrier => (EventKind::Barrier, 0),
-                            Op::Bcast { bytes, .. } => (EventKind::Bcast, bytes),
-                            Op::Reduce { bytes, .. } => (EventKind::Reduce, bytes),
-                            Op::Allgather { bytes } => (EventKind::Allgather, bytes),
-                            Op::Alltoall { bytes } => (EventKind::Alltoall, bytes),
-                            _ => unreachable!(),
-                        };
-                        let seq = ranks[r].coll_seq;
-                        Self::enter_collective(
-                            &mut collectives,
-                            &mut ready,
-                            seq,
-                            kind,
-                            bytes,
-                            r,
-                            clock,
-                            nranks,
-                            &self.net,
-                        )?;
-                        // The last entrant finishes the collective and
-                        // unblocks inline; everyone else parks.
-                        if let Some(finish) = collectives[seq].finish {
-                            Self::unblock_collective::<P, TRACE>(
-                                r,
-                                clock,
-                                finish,
-                                kind,
-                                &mut ranks,
-                                &mut timeline,
-                                &mut breakdown,
-                                &mut profile,
-                            );
-                        } else {
-                            ranks[r].blocked = Some(Blocked::Collective { start: clock });
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
-        if ranks.iter().any(|s| !s.done) {
-            let blocked = ranks
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.done)
-                .map(|(r, s)| {
-                    let pc = s.pc.min(self.programs[r].ops.len().saturating_sub(1));
-                    (r, s.pc, self.programs[r].ops[pc])
-                })
-                .collect();
-            return Err(SimError::Deadlock(blocked));
-        }
-
-        let finish_times: Vec<f64> = ranks.iter().map(|s| s.clock).collect();
-        let makespan = finish_times.iter().copied().fold(0.0, f64::max);
-        Ok(SimResult {
-            makespan,
-            finish_times,
-            timeline,
-            p2p_bytes,
-            internode_bytes,
-            per_rank_breakdown: breakdown,
-            profile: profile.finish(),
-        })
-    }
-
-    /// If every request in `reqs` has completed, perform the full
-    /// unblock bookkeeping (trace, breakdown, profile phase, clock,
-    /// program counter) and return `true`; otherwise leave the rank
-    /// untouched. Shared by the inline fast path (blocking op completes
-    /// at post time) and the wake path (rank re-examined off the ready
-    /// queue).
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn try_unblock_reqs<P: ProfileSink, const TRACE: bool>(
-        r: usize,
-        set: ReqSet,
-        kind: EventKind,
-        start: f64,
-        ranks: &mut [RankState],
-        reqs: &[Req],
-        timeline: &mut Timeline,
-        breakdown: &mut [[f64; EventKind::COUNT]],
-        profile: &mut P,
-    ) -> bool {
-        let mut resume = start;
-        for &ireq in set.as_slice() {
-            let q = reqs[ireq];
-            if !q.done {
-                return false;
-            }
-            resume = resume.max(q.done_at);
-        }
-        // Attribute the blocked time: a rendezvous send in the set
-        // means a hand-shake stall; otherwise an unfinished receive
-        // dominates (eager sends complete in `o`). Skipped entirely
-        // when profiling is off.
-        let phase = if !P::ENABLED {
-            Phase::Compute // unused
-        } else if set
-            .as_slice()
-            .iter()
-            .any(|&q| reqs[q].class == ReqClass::RdvSend)
-        {
-            Phase::RendezvousStall
-        } else if set
-            .as_slice()
-            .iter()
-            .any(|&q| reqs[q].class == ReqClass::Recv)
-        {
-            Phase::RecvWait
-        } else {
-            Phase::EagerSend
-        };
-        if TRACE {
-            timeline.record(r, start, resume, kind);
-        }
-        if resume > start {
-            breakdown[r][kind.index()] += resume - start;
-            profile.phase(r, phase, resume - start);
-        }
-        let state = &mut ranks[r];
-        state.clock = resume;
-        state.blocked = None;
-        state.pc += 1;
-        true
-    }
-
-    /// Unblock bookkeeping for a finished collective: the rank leaves
-    /// at the common `finish` time and advances to its next collective
-    /// sequence number.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn unblock_collective<P: ProfileSink, const TRACE: bool>(
-        r: usize,
-        start: f64,
-        finish: f64,
-        kind: EventKind,
-        ranks: &mut [RankState],
-        timeline: &mut Timeline,
-        breakdown: &mut [[f64; EventKind::COUNT]],
-        profile: &mut P,
-    ) {
-        if TRACE {
-            timeline.record(r, start, finish, kind);
-        }
-        if finish > start {
-            breakdown[r][kind.index()] += finish - start;
-            profile.phase(r, Phase::CollectiveWait, finish - start);
-        }
-        let state = &mut ranks[r];
-        state.clock = finish;
-        state.blocked = None;
-        state.coll_seq += 1;
-        state.pc += 1;
-    }
-
-    /// Record `user req id → ireq` in the slot vector, growing it on
-    /// first use of a new id (ids may be reused after their `Wait`).
-    #[inline]
-    pub(crate) fn set_user_req(user_reqs: &mut Vec<IReq>, req: ReqId, ireq: IReq) {
-        let slot = req as usize;
-        if user_reqs.len() <= slot {
-            user_reqs.resize(slot + 1, NO_REQ);
-        }
-        user_reqs[slot] = ireq;
-    }
-
-    /// Create the internal request for a send, append the posting to
-    /// its channel (completing it locally right away if eager), and
-    /// resolve any matches this enables. Returns the request and
-    /// whether the pair shares a node.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn post_send<F: FaultHook>(
-        np: &NetParams,
-        ranks: &mut [RankState],
-        reqs: &mut [Req],
-        channels: &mut Channels,
-        ready: &mut ReadyQueue,
-        from: usize,
-        to: usize,
-        tag: u32,
-        bytes: usize,
-        time: f64,
-        eager: bool,
-        faults: &F,
-    ) -> (IReq, bool) {
-        let rank = &mut ranks[from];
-        let ireq = rank.req_next;
-        debug_assert!(ireq < rank.req_end, "prepass under-counted posts");
-        rank.req_next += 1;
-        // Eager sends complete locally after the sender overhead,
-        // receiver or not.
-        reqs[ireq] = Req {
-            done_at: if eager { time + np.send_overhead } else { 0.0 },
-            class: if eager {
-                ReqClass::EagerSend
-            } else {
-                ReqClass::RdvSend
-            },
-            done: eager,
-        };
-        let memo = rank.send_memo;
-        let slot = if memo.peer == to && memo.tag == tag {
-            memo.idx
-        } else {
-            let idx = channels.slot(np, from, to, tag);
-            rank.send_memo = ChanMemo { peer: to, tag, idx };
-            idx
-        };
-        let ch = &mut channels.store[slot as usize];
-        ch.sends.push(SendPost { time, bytes, ireq });
-        let same_node = ch.same_node;
-        Self::match_channel(np.eager_threshold, ch, from, to, reqs, ready, from, faults);
-        (ireq, same_node)
-    }
-
-    /// Create the internal request for a receive, append the posting to
-    /// its channel, and resolve any matches this enables.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn post_recv<F: FaultHook>(
-        np: &NetParams,
-        ranks: &mut [RankState],
-        reqs: &mut [Req],
-        channels: &mut Channels,
-        ready: &mut ReadyQueue,
-        from: usize,
-        to: usize,
-        tag: u32,
-        time: f64,
-        faults: &F,
-    ) -> IReq {
-        let rank = &mut ranks[to];
-        let ireq = rank.req_next;
-        debug_assert!(ireq < rank.req_end, "prepass under-counted posts");
-        rank.req_next += 1;
-        // The arena slot is pre-initialized to a pending `Recv`, which
-        // is exactly this request's state.
-        let memo = rank.recv_memo;
-        let slot = if memo.peer == from && memo.tag == tag {
-            memo.idx
-        } else {
-            let idx = channels.slot(np, from, to, tag);
-            rank.recv_memo = ChanMemo {
-                peer: from,
-                tag,
-                idx,
-            };
-            idx
-        };
-        let ch = &mut channels.store[slot as usize];
-        ch.recvs.push(RecvPost { time, ireq });
-        Self::match_channel(np.eager_threshold, ch, from, to, reqs, ready, to, faults);
-        ireq
-    }
-
-    /// Match pending send/recv pairs in one channel (`from → to`),
-    /// delivering completions straight into the owning ranks' request
-    /// tables and waking those ranks (the currently executing rank
-    /// `running` re-examines its own state inline instead). FIFO per
-    /// channel preserves MPI's non-overtaking rule.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn match_channel<F: FaultHook>(
-        eager_threshold: usize,
-        ch: &mut Channel,
-        from: usize,
-        to: usize,
-        reqs: &mut [Req],
-        ready: &mut ReadyQueue,
-        running: usize,
-        faults: &F,
-    ) {
-        while !ch.sends.is_empty() && !ch.recvs.is_empty() {
-            let s = ch.sends.pop();
-            let v = ch.recvs.pop();
-            let mut wire = ch.wire_lat + s.bytes as f64 / ch.wire_denom;
-            if F::ENABLED {
-                // Degraded-link retransmissions lengthen the transfer;
-                // the draw is keyed by the sender's program-order
-                // request id, keeping it visiting-order independent.
-                wire += faults.wire_extra(from, to, s.ireq);
-            }
-            if s.bytes < eager_threshold {
-                // The sender's completion was already issued at post time
-                // (eager sends complete locally); only the receive side
-                // completes here, at message arrival.
-                let arrival = s.time + wire;
-                let recv_done = v.time.max(arrival);
-                let rq = &mut reqs[v.ireq];
-                rq.done_at = recv_done;
-                rq.done = true;
-                ready.wake(to, running);
-            } else {
-                // Rendezvous: transfer starts when both are ready.
-                let start = s.time.max(v.time);
-                let done = start + wire;
-                let sq = &mut reqs[s.ireq];
-                sq.done_at = done;
-                sq.done = true;
-                let rq = &mut reqs[v.ireq];
-                rq.done_at = done;
-                rq.done = true;
-                ready.wake(from, running);
-                ready.wake(to, running);
-            }
-        }
-    }
-
-    /// Name used in collective-mismatch diagnostics.
-    pub(crate) fn collective_name(kind: EventKind) -> &'static str {
-        match kind {
-            EventKind::Allreduce => "Allreduce",
-            EventKind::Barrier => "Barrier",
-            EventKind::Bcast => "Bcast",
-            EventKind::Reduce => "Reduce",
-            EventKind::Allgather => "Allgather",
-            EventKind::Alltoall => "Alltoall",
-            _ => "?",
-        }
-    }
-
-    /// Enter rank `rank` into the collective at sequence `seq`; the
-    /// last entrant computes the common finish time and wakes every
-    /// participant (except the entrant itself, which re-examines its
-    /// state inline).
-    #[allow(clippy::too_many_arguments)]
-    fn enter_collective(
-        collectives: &mut Vec<CollectiveEntry>,
-        ready: &mut ReadyQueue,
-        seq: usize,
-        kind: EventKind,
-        bytes: usize,
-        rank: usize,
-        time: f64,
-        nranks: usize,
-        net: &NetModel,
-    ) -> Result<(), SimError> {
-        if collectives.len() <= seq {
-            collectives.push(CollectiveEntry {
-                event_kind: kind,
-                bytes,
-                entered: 0,
-                max_entry: 0.0,
-                finish: None,
-            });
-        }
-        let entry = &mut collectives[seq];
-        if entry.event_kind != kind {
-            return Err(SimError::CollectiveMismatch {
-                seq,
-                rank,
-                expected: Self::collective_name(entry.event_kind),
-                found: Self::collective_name(kind),
-            });
-        }
-        entry.bytes = entry.bytes.max(bytes);
-        entry.entered += 1;
-        entry.max_entry = entry.max_entry.max(time);
-        if entry.entered == nranks {
-            let max_entry = entry.max_entry;
-            let cost = match entry.event_kind {
-                EventKind::Barrier => net.barrier_cost(nranks),
-                EventKind::Allreduce => net.allreduce_cost(nranks, entry.bytes),
-                EventKind::Bcast => net.bcast_cost(nranks, entry.bytes),
-                EventKind::Reduce => net.reduce_cost(nranks, entry.bytes),
-                EventKind::Allgather => net.allgather_cost(nranks, entry.bytes),
-                EventKind::Alltoall => net.alltoall_cost(nranks, entry.bytes),
-                _ => 0.0,
-            };
-            entry.finish = Some(max_entry + cost);
-            // Every rank participates in every collective, so the wake
-            // targets are simply all ranks.
-            for er in 0..nranks {
-                ready.wake(er, rank);
-            }
-        }
-        Ok(())
+        let solo = Solo(CollTable::new(&self.net));
+        let mut sched =
+            Scheduler::<P, F, _, TRACE>::new(&self.programs, &np, &arena, 0..nranks, faults, solo);
+        sched.drain()?;
+        let mismatch = sched.boundary.0.mismatch();
+        sched.conclude(mismatch)
     }
 }
 
@@ -2448,15 +2513,29 @@ mod tests {
 
     #[test]
     fn pre_set_cancel_token_aborts_immediately() {
-        let mut p0 = Program::new();
-        p0.push(Op::compute(1.0));
+        // An 8-rank ring, cancelled before the first op, at one and at
+        // several partitions (the executor's per-run timeout relies on
+        // the partitioned path too).
+        let ring = || -> Vec<Program> {
+            (0..8)
+                .map(|r| {
+                    let mut p = Program::new();
+                    p.push(Op::compute(1.0));
+                    p.push(Op::sendrecv((r + 1) % 8, 1 << 17, (r + 7) % 8, 0));
+                    p.push(Op::allreduce(64));
+                    p
+                })
+                .collect()
+        };
         let cluster = presets::cluster_a();
-        let net = NetModel::compact(&cluster, 1);
-        let token = Arc::new(AtomicBool::new(true));
-        let err = Engine::new(SimConfig::default(), net, vec![p0])
-            .with_cancel(token)
-            .run()
-            .unwrap_err();
-        assert_eq!(err, SimError::Cancelled);
+        for threads in [1, 2, 4] {
+            let token = Arc::new(AtomicBool::new(true));
+            let cfg = SimConfig::default().with_threads(threads);
+            let err = Engine::new(cfg, NetModel::compact(&cluster, 8), ring())
+                .with_cancel(token)
+                .run()
+                .unwrap_err();
+            assert_eq!(err, SimError::Cancelled, "threads={threads}");
+        }
     }
 }

@@ -21,7 +21,7 @@
 //!   [`SimConfig::threads`](engine::SimConfig): contiguous node-aligned
 //!   rank partitions on host threads, null-message-style synchronization
 //!   with LogGP lookahead, and a deterministic merge keeping results
-//!   bit-identical to the sequential engine,
+//!   bit-identical to the one-partition (`threads = 1`) run,
 //! * [`faults`] — seeded, deterministic fault injection (OS noise,
 //!   stragglers, flaky links, power-cap throttling, rank crashes) woven
 //!   through the engine with a zero-cost off path,

@@ -275,7 +275,7 @@ impl Profile {
     /// result is bit-identical to a single-threaded accumulation
     /// regardless of partition order; the per-rank `f64` sums are
     /// owner-written in the rank's own operation order, which is the
-    /// same order the sequential engine uses.
+    /// same order a one-partition run uses.
     pub fn absorb_partition(&mut self, part: &Profile, lo: usize, hi: usize) {
         assert_eq!(self.nranks, part.nranks, "profiles of different runs");
         self.per_rank[lo..hi].copy_from_slice(&part.per_rank[lo..hi]);

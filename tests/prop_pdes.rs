@@ -1,7 +1,8 @@
 //! Property-style tests of the parallel (PDES) engine path: the
-//! partitioned scheduler must reproduce the sequential engine **bit
-//! for bit** at every thread count — same golden fingerprints, same
-//! fault-plan outcomes, same error payloads on crash and deadlock.
+//! partitioned scheduler must reproduce the 1-thread run **bit for
+//! bit** at every thread count — same golden fingerprints, same
+//! fault-plan outcomes, same error payloads on crash, deadlock and
+//! collective mismatch.
 //!
 //! The generators and fingerprints are duplicated from
 //! `prop_engine.rs` / `prop_faults.rs` (each property suite is
@@ -342,31 +343,23 @@ fn fault_plans_are_bit_identical_across_thread_counts() {
     }
 }
 
-/// A single injected crash aborts the parallel run with *exactly* the
-/// sequential error payload: same rank, same op index, same time.
+/// An injected crash aborts the parallel run with *exactly* the
+/// sequential error payload: same rank, same op index, same time. When
+/// several ranks crash, every thread count blames the earliest
+/// `(at_s, rank)`.
 #[test]
 fn crash_blame_matches_sequential() {
-    let mut rng = Rng::seed_from_u64(0xFA01);
-    let mut crashes_seen = 0;
-    for _ in 0..16 {
-        let nranks = 2 + rng.range(0.0, 16.0) as usize;
-        let steps = 1 + rng.range(0.0, 5.0) as usize;
-        let victim = rng.range(0.0, nranks as f64) as usize % nranks;
-        let at_s = rng.range(0.0, 2e-3);
-        let plan = FaultPlan {
-            seed: 1,
-            events: vec![FaultEvent::Crash { rank: victim, at_s }],
-        };
-        let progs = ring_programs(nranks, steps, &[3, 7, 11], 4096, true);
-        let cluster = presets::cluster_a();
+    let cluster = presets::cluster_a();
+    // The outcome at 1 thread, after checking 2 and 4 threads agree.
+    let outcome = |plan: &FaultPlan, progs: &[Program]| {
         let run = |threads: usize| {
-            let net = NetModel::compact(&cluster, nranks);
+            let net = NetModel::compact(&cluster, progs.len());
             Engine::new(
                 SimConfig::default()
                     .with_faults(plan.clone())
                     .with_threads(threads),
                 net,
-                progs.clone(),
+                progs.to_vec(),
             )
             .run()
         };
@@ -383,11 +376,57 @@ fn crash_blame_matches_sequential() {
                 }
             }
         }
-        if seq.is_err() {
+        seq
+    };
+
+    let mut rng = Rng::seed_from_u64(0xFA01);
+    let mut crashes_seen = 0;
+    for _ in 0..16 {
+        let nranks = 2 + rng.range(0.0, 16.0) as usize;
+        let steps = 1 + rng.range(0.0, 5.0) as usize;
+        let victim = rng.range(0.0, nranks as f64) as usize % nranks;
+        let at_s = rng.range(0.0, 2e-3);
+        let plan = FaultPlan {
+            seed: 1,
+            events: vec![FaultEvent::Crash { rank: victim, at_s }],
+        };
+        let progs = ring_programs(nranks, steps, &[3, 7, 11], 4096, true);
+        if outcome(&plan, &progs).is_err() {
             crashes_seen += 1;
         }
     }
     assert!(crashes_seen > 0, "no sampled crash ever fired");
+
+    // Two crashes: rank 1 is first seen past its 1 ms crash time after
+    // its first 2 ms compute, but rank 2 dies at t = 0 before op 0 —
+    // the earliest crash, whichever rank the scheduler visits first.
+    let progs: Vec<Program> = (0..4)
+        .map(|_| {
+            let mut p = Program::new();
+            p.push(Op::compute(2e-3));
+            p.push(Op::compute(2e-3));
+            p.push(Op::Barrier);
+            p
+        })
+        .collect();
+    let plan = FaultPlan {
+        seed: 1,
+        events: vec![
+            FaultEvent::Crash {
+                rank: 1,
+                at_s: 1e-3,
+            },
+            FaultEvent::Crash { rank: 2, at_s: 0.0 },
+        ],
+    };
+    assert_eq!(
+        outcome(&plan, &progs).expect_err("both crashes fire"),
+        SimError::RankFailed {
+            rank: 2,
+            op_index: 0,
+            at_s: 0.0
+        }
+    );
 }
 
 /// A deadlock that spans every partition — an 8-rank ring of blocking
@@ -434,11 +473,39 @@ fn cross_partition_deadlock_reports_the_full_cycle() {
 }
 
 /// Collective sequence mismatches blame the same canonical rank in
-/// parallel as in sequence, regardless of which partition trips first.
+/// parallel as in sequence, regardless of which partition trips first:
+/// the smallest entrant's call is the expected one, and the smallest
+/// rank calling something else is blamed.
 #[test]
 fn collective_mismatch_blame_matches_sequential() {
-    let nranks = 6;
-    let progs: Vec<Program> = (0..nranks)
+    let cluster = presets::cluster_a();
+    // The error at 1 thread, after checking 2, 3 and 6 threads agree.
+    let blame = |progs: &[Program]| {
+        let run = |threads: usize| {
+            let net = NetModel::compact(&cluster, progs.len());
+            Engine::new(
+                SimConfig::default().with_threads(threads),
+                net,
+                progs.to_vec(),
+            )
+            .run()
+        };
+        let seq = run(1).expect_err("mismatched collectives must fail");
+        assert!(
+            matches!(seq, SimError::CollectiveMismatch { .. }),
+            "{seq:?}"
+        );
+        for threads in [2usize, 3, 6] {
+            assert_eq!(
+                run(threads).expect_err("must fail"),
+                seq,
+                "{threads} threads"
+            );
+        }
+        seq
+    };
+
+    let progs: Vec<Program> = (0..6)
         .map(|r| {
             let mut p = Program::new();
             p.push(Op::compute(1e-5));
@@ -451,26 +518,34 @@ fn collective_mismatch_blame_matches_sequential() {
             p
         })
         .collect();
-    let cluster = presets::cluster_a();
-    let run = |threads: usize| {
-        let net = NetModel::compact(&cluster, nranks);
-        Engine::new(
-            SimConfig::default().with_threads(threads),
-            net,
-            progs.clone(),
-        )
-        .run()
-    };
-    let seq = run(1).expect_err("mismatched collectives must fail");
-    assert!(
-        matches!(seq, SimError::CollectiveMismatch { .. }),
-        "{seq:?}"
+    blame(&progs);
+
+    // Rank 0 enters last (it first waits for rank 5's message), yet its
+    // barrier is the expected call and rank 1 is the one blamed.
+    let progs: Vec<Program> = (0..6)
+        .map(|r| {
+            let mut p = Program::new();
+            match r {
+                0 => {
+                    p.push(Op::Recv { from: 5, tag: 0 });
+                    p.push(Op::Barrier);
+                }
+                5 => {
+                    p.push(Op::send(0, 0, 64));
+                    p.push(Op::allreduce(64));
+                }
+                _ => p.push(Op::allreduce(64)),
+            }
+            p
+        })
+        .collect();
+    assert_eq!(
+        blame(&progs),
+        SimError::CollectiveMismatch {
+            seq: 0,
+            rank: 1,
+            expected: "Barrier",
+            found: "Allreduce"
+        }
     );
-    for threads in [2usize, 3, 6] {
-        assert_eq!(
-            run(threads).expect_err("must fail"),
-            seq,
-            "{threads} threads"
-        );
-    }
 }
