@@ -64,7 +64,6 @@
 //! gets byte-identical correct bytes or a typed 5xx, never corrupt
 //! JSON, never a hang past its deadline.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -72,7 +71,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::faultcfg::PlanError;
+use crate::faultcfg::{self, check_keys, PlanError, TableData};
 
 // ---------------------------------------------------------------------------
 // Plan model
@@ -356,61 +355,8 @@ fn chaos_unit(seed: u64, conn: u64, event: u64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Plan parsing (faultcfg-style TOML subset)
+// Plan parsing (faultcfg's TOML subset, `[[fault]]` sections)
 // ---------------------------------------------------------------------------
-
-/// One parsed TOML value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-}
-
-/// One `key = value` table plus the line each key was set on.
-#[derive(Debug, Default)]
-struct TableData {
-    entries: HashMap<String, (Value, usize)>,
-}
-
-impl TableData {
-    fn str(&self, key: &str) -> Option<Result<&str, PlanError>> {
-        self.entries.get(key).map(|(v, line)| match v {
-            Value::Str(s) => Ok(s.as_str()),
-            Value::Num(_) => Err(PlanError::at(*line, format!("'{key}' must be a string"))),
-        })
-    }
-
-    fn num(&self, key: &str) -> Option<Result<f64, PlanError>> {
-        self.entries.get(key).map(|(v, line)| match v {
-            Value::Num(n) => Ok(*n),
-            Value::Str(_) => Err(PlanError::at(*line, format!("'{key}' must be a number"))),
-        })
-    }
-
-    fn require_count(&self, key: &str, kind: &str, line: usize) -> Result<u64, PlanError> {
-        let n = self
-            .num(key)
-            .unwrap_or_else(|| Err(PlanError::at(line, format!("'{kind}' fault needs '{key}'"))))?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(PlanError::at(
-                line,
-                format!("'{key}' must be a non-negative integer, got {n}"),
-            ));
-        }
-        Ok(n as u64)
-    }
-
-    fn count_or(&self, key: &str, default: u64, line: usize) -> Result<u64, PlanError> {
-        match self.num(key).transpose()? {
-            Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
-            Some(n) => Err(PlanError::at(
-                line,
-                format!("'{key}' must be a non-negative integer, got {n}"),
-            )),
-            None => Ok(default),
-        }
-    }
-}
 
 /// Load and validate a chaos plan from a `.toml` file.
 pub fn load_chaos_plan(path: &Path) -> Result<ChaosPlan, PlanError> {
@@ -421,94 +367,12 @@ pub fn load_chaos_plan(path: &Path) -> Result<ChaosPlan, PlanError> {
 
 /// Parse and validate a chaos plan from TOML text.
 pub fn parse_chaos_plan(text: &str) -> Result<ChaosPlan, PlanError> {
-    // Pass 1: split into the top-level table and one table per
-    // `[[fault]]` header, mirroring faultcfg's two-pass structure.
-    let mut top = TableData::default();
-    let mut faults: Vec<(TableData, usize)> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "[[fault]]" {
-            faults.push((TableData::default(), lineno));
-            continue;
-        }
-        if line.starts_with('[') {
-            return Err(PlanError::at(
-                lineno,
-                format!("unsupported section '{line}' (only [[fault]] is recognized)"),
-            ));
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(PlanError::at(
-                lineno,
-                format!("expected 'key = value', got '{line}'"),
-            ));
-        };
-        let key = key.trim().to_string();
-        let value = parse_value(value.trim(), lineno)?;
-        let table = match faults.last_mut() {
-            Some((t, _)) => t,
-            None => &mut top,
-        };
-        if table.entries.insert(key.clone(), (value, lineno)).is_some() {
-            return Err(PlanError::at(lineno, format!("duplicate key '{key}'")));
-        }
-    }
-
-    // Pass 2: typed conversion.
-    let seed = match top.num("seed").transpose()? {
-        Some(s) if s >= 0.0 && s.fract() == 0.0 => s as u64,
-        Some(s) => {
-            return Err(PlanError::new(format!(
-                "seed must be a non-negative integer, got {s}"
-            )))
-        }
-        None => 0,
-    };
-    for key in top.entries.keys() {
-        if key != "seed" {
-            return Err(PlanError::new(format!("unknown top-level key '{key}'")));
-        }
-    }
+    let (seed, faults) = faultcfg::parse_sections(text, "fault")?;
     let faults = faults
         .iter()
         .map(|(t, line)| convert_fault(t, *line))
         .collect::<Result<Vec<ChaosFault>, PlanError>>()?;
     Ok(ChaosPlan { seed, faults })
-}
-
-/// Drop a `#` comment, respecting (single-line) quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_value(text: &str, line: usize) -> Result<Value, PlanError> {
-    if let Some(rest) = text.strip_prefix('"') {
-        let Some(inner) = rest.strip_suffix('"') else {
-            return Err(PlanError::at(line, format!("unterminated string: {text}")));
-        };
-        if inner.contains('"') {
-            return Err(PlanError::at(
-                line,
-                format!("stray quote in string: {text}"),
-            ));
-        }
-        return Ok(Value::Str(inner.to_string()));
-    }
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| PlanError::at(line, format!("cannot parse value '{text}'")))
 }
 
 fn convert_fault(t: &TableData, line: usize) -> Result<ChaosFault, PlanError> {
@@ -595,20 +459,6 @@ fn convert_fault(t: &TableData, line: usize) -> Result<ChaosFault, PlanError> {
             ),
         )),
     }
-}
-
-/// Reject keys the fault kind does not understand — a typo in a plan
-/// must not silently become a no-op.
-fn check_keys(t: &TableData, allowed: &[&str], kind: &str, line: usize) -> Result<(), PlanError> {
-    for key in t.entries.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(PlanError::at(
-                line,
-                format!("'{kind}' fault does not take '{key}'"),
-            ));
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------

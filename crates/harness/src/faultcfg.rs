@@ -6,7 +6,8 @@
 //! top-level `key = value` pairs, `[[event]]` array-of-table headers,
 //! quoted strings, numbers and `#` comments. Anything fancier
 //! (nested tables, arrays, multi-line strings) is rejected with a
-//! line-numbered error.
+//! line-numbered error. Chaos plans ([`chaos`](crate::chaos)) are read
+//! by the same table reader, with `[[fault]]` sections.
 //!
 //! ## Plan format
 //!
@@ -98,43 +99,72 @@ enum Value {
     Num(f64),
 }
 
-/// One `key = value` table with the line each key was set on (for
-/// error messages).
-#[derive(Debug, Default)]
-struct TableData {
+/// One `key = value` table with the line each key was set on, and the
+/// noun its section's errors use (`event`, `fault`).
+#[derive(Debug)]
+pub(crate) struct TableData {
     entries: HashMap<String, (Value, usize)>,
+    noun: &'static str,
 }
 
 impl TableData {
-    fn str(&self, key: &str) -> Option<Result<&str, PlanError>> {
+    fn new(noun: &'static str) -> Self {
+        TableData {
+            entries: HashMap::new(),
+            noun,
+        }
+    }
+
+    pub(crate) fn str(&self, key: &str) -> Option<Result<&str, PlanError>> {
         self.entries.get(key).map(|(v, line)| match v {
             Value::Str(s) => Ok(s.as_str()),
             Value::Num(_) => Err(PlanError::at(*line, format!("'{key}' must be a string"))),
         })
     }
 
-    fn num(&self, key: &str) -> Option<Result<f64, PlanError>> {
+    pub(crate) fn num(&self, key: &str) -> Option<Result<f64, PlanError>> {
         self.entries.get(key).map(|(v, line)| match v {
             Value::Num(n) => Ok(*n),
             Value::Str(_) => Err(PlanError::at(*line, format!("'{key}' must be a number"))),
         })
     }
 
-    fn require_num(&self, key: &str, kind: &str, line: usize) -> Result<f64, PlanError> {
-        self.num(key)
-            .unwrap_or_else(|| Err(PlanError::at(line, format!("'{kind}' event needs '{key}'"))))
+    pub(crate) fn require_num(&self, key: &str, kind: &str, line: usize) -> Result<f64, PlanError> {
+        self.num(key).unwrap_or_else(|| {
+            Err(PlanError::at(
+                line,
+                format!("'{kind}' {} needs '{key}'", self.noun),
+            ))
+        })
     }
 
-    fn require_rank(&self, key: &str, kind: &str, line: usize) -> Result<usize, PlanError> {
-        let n = self.require_num(key, kind, line)?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(PlanError::at(
-                line,
-                format!("'{key}' must be a non-negative integer, got {n}"),
-            ));
-        }
-        Ok(n as usize)
+    /// A required non-negative integer (a rank, a byte count).
+    pub(crate) fn require_count(
+        &self,
+        key: &str,
+        kind: &str,
+        line: usize,
+    ) -> Result<u64, PlanError> {
+        count(key, self.require_num(key, kind, line)?, line)
     }
+
+    /// An optional non-negative integer, `default` when absent.
+    pub(crate) fn count_or(&self, key: &str, default: u64, line: usize) -> Result<u64, PlanError> {
+        match self.num(key).transpose()? {
+            Some(n) => count(key, n, line),
+            None => Ok(default),
+        }
+    }
+}
+
+fn count(key: &str, n: f64, line: usize) -> Result<u64, PlanError> {
+    if n < 0.0 || n.fract() != 0.0 {
+        return Err(PlanError::at(
+            line,
+            format!("'{key}' must be a non-negative integer, got {n}"),
+        ));
+    }
+    Ok(n as u64)
 }
 
 /// Load and validate a fault plan from a `.toml` file.
@@ -146,24 +176,43 @@ pub fn load_plan(path: &Path) -> Result<FaultPlan, PlanError> {
 
 /// Parse and validate a fault plan from TOML text.
 pub fn parse_plan(text: &str) -> Result<FaultPlan, PlanError> {
-    // Pass 1: split into the top-level table and one table per
-    // `[[event]]` header (recording each event's header line).
-    let mut top = TableData::default();
-    let mut events: Vec<(TableData, usize)> = Vec::new();
+    let (seed, events) = parse_sections(text, "event")?;
+    let events = events
+        .iter()
+        .map(|(t, line)| convert_event(t, *line))
+        .collect::<Result<Vec<FaultEvent>, PlanError>>()?;
+
+    let plan = FaultPlan { seed, events };
+    plan.validate().map_err(PlanError::new)?;
+    Ok(plan)
+}
+
+/// The first pass both plan dialects share (fault plans here, chaos
+/// plans in [`chaos`](crate::chaos)): split `text` into the top-level
+/// table and one table per `[[section]]` header, recording each
+/// header's line, and read the top-level `seed` (default 0), the only
+/// top-level key.
+pub(crate) fn parse_sections(
+    text: &str,
+    section: &'static str,
+) -> Result<(u64, Vec<(TableData, usize)>), PlanError> {
+    let header = format!("[[{section}]]");
+    let mut top = TableData::new(section);
+    let mut tables: Vec<(TableData, usize)> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = strip_comment(raw).trim().to_string();
         if line.is_empty() {
             continue;
         }
-        if line == "[[event]]" {
-            events.push((TableData::default(), lineno));
+        if line == header {
+            tables.push((TableData::new(section), lineno));
             continue;
         }
         if line.starts_with('[') {
             return Err(PlanError::at(
                 lineno,
-                format!("unsupported section '{line}' (only [[event]] is recognized)"),
+                format!("unsupported section '{line}' (only {header} is recognized)"),
             ));
         }
         let Some((key, value)) = line.split_once('=') else {
@@ -174,7 +223,7 @@ pub fn parse_plan(text: &str) -> Result<FaultPlan, PlanError> {
         };
         let key = key.trim().to_string();
         let value = parse_value(value.trim(), lineno)?;
-        let table = match events.last_mut() {
+        let table = match tables.last_mut() {
             Some((t, _)) => t,
             None => &mut top,
         };
@@ -183,7 +232,6 @@ pub fn parse_plan(text: &str) -> Result<FaultPlan, PlanError> {
         }
     }
 
-    // Pass 2: convert the tables into typed events.
     let seed = match top.num("seed").transpose()? {
         Some(s) if s >= 0.0 && s.fract() == 0.0 => s as u64,
         Some(s) => {
@@ -198,14 +246,7 @@ pub fn parse_plan(text: &str) -> Result<FaultPlan, PlanError> {
             return Err(PlanError::new(format!("unknown top-level key '{key}'")));
         }
     }
-    let events = events
-        .iter()
-        .map(|(t, line)| convert_event(t, *line))
-        .collect::<Result<Vec<FaultEvent>, PlanError>>()?;
-
-    let plan = FaultPlan { seed, events };
-    plan.validate().map_err(PlanError::new)?;
-    Ok(plan)
+    Ok((seed, tables))
 }
 
 /// Drop a `#` comment, respecting (single-line, non-escaping) quoted
@@ -282,7 +323,7 @@ fn convert_event(t: &TableData, line: usize) -> Result<FaultEvent, PlanError> {
         "straggler" => {
             check_keys(t, &["kind", "rank", "slowdown"], kind, line)?;
             Ok(FaultEvent::Straggler {
-                rank: t.require_rank("rank", kind, line)?,
+                rank: t.require_count("rank", kind, line)? as usize,
                 slowdown: t.require_num("slowdown", kind, line)?,
             })
         }
@@ -294,8 +335,8 @@ fn convert_event(t: &TableData, line: usize) -> Result<FaultEvent, PlanError> {
                 line,
             )?;
             Ok(FaultEvent::FlakyLink {
-                from: t.require_rank("from", kind, line)?,
-                to: t.require_rank("to", kind, line)?,
+                from: t.require_count("from", kind, line)? as usize,
+                to: t.require_count("to", kind, line)? as usize,
                 drop_prob: t.require_num("drop_prob", kind, line)?,
                 retransmit_latency_s: t.require_num("retransmit_latency_s", kind, line)?,
             })
@@ -366,7 +407,7 @@ fn convert_event(t: &TableData, line: usize) -> Result<FaultEvent, PlanError> {
         "crash" => {
             check_keys(t, &["kind", "rank", "at_s"], kind, line)?;
             Ok(FaultEvent::Crash {
-                rank: t.require_rank("rank", kind, line)?,
+                rank: t.require_count("rank", kind, line)? as usize,
                 at_s: t.require_num("at_s", kind, line)?,
             })
         }
@@ -380,14 +421,19 @@ fn convert_event(t: &TableData, line: usize) -> Result<FaultEvent, PlanError> {
     }
 }
 
-/// Reject keys the event kind does not understand — a typo in a plan
-/// must not silently become a no-op.
-fn check_keys(t: &TableData, allowed: &[&str], kind: &str, line: usize) -> Result<(), PlanError> {
+/// Reject keys the section's kind does not understand — a typo in a
+/// plan must not silently become a no-op.
+pub(crate) fn check_keys(
+    t: &TableData,
+    allowed: &[&str],
+    kind: &str,
+    line: usize,
+) -> Result<(), PlanError> {
     for key in t.entries.keys() {
         if !allowed.contains(&key.as_str()) {
             return Err(PlanError::at(
                 line,
-                format!("'{kind}' event does not take '{key}'"),
+                format!("'{kind}' {} does not take '{key}'", t.noun),
             ));
         }
     }

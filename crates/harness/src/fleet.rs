@@ -23,6 +23,14 @@
 //! from the shared registry ([`api::ENDPOINTS`]), the same table the
 //! single daemon dispatches through.
 //!
+//! The coordinator has no HTTP server of its own: it runs
+//! [`serve`](crate::serve)'s event loop in the coordinator role. The
+//! loop answers local routes inline and hands forwards and fan-outs to
+//! its pool, whose threads make the blocking worker exchanges, so the
+//! coordinator frames, limits, times out, admits and drains exactly
+//! like a worker daemon. Each worker address adds a daemon's default
+//! pool width (8 threads) and admission bound (64 requests).
+//!
 //! Fault handling:
 //!
 //! * a **worker registry** tracks liveness; a background prober hits
@@ -52,20 +60,18 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use spechpc_kernels::registry::all_benchmarks;
 
-use crate::api::{
-    self, resolve_cluster, ApiError, EndpointId, FleetClass, RunRequest, SuiteRequest,
-};
+use crate::api::{self, resolve_cluster, ApiError, Endpoint, EndpointId, RunRequest, SuiteRequest};
 use crate::cache::{self, RunKey};
 use crate::exec::PeerFetch;
 use crate::json::{parse_json, quote, Json};
 use crate::plan::PlanRequest;
-use crate::serve::{encode_response, error_body};
+use crate::serve::{Role, ServeConfig, Server, ShutdownHandle};
 
 /// FNV-1a 64-bit — the same hash the run cache addresses entries with,
 /// reused for ring placement so routing needs no second hash family.
@@ -215,12 +221,13 @@ fn write_request(
     keep_alive: bool,
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: fleet\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+    // One write, so one segment under TCP_NODELAY: a server woken by
+    // the head alone would parse a partial request.
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: fleet\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())
+    stream.write_all(request.as_bytes())
 }
 
 /// Read one `Content-Length`-framed response off a (possibly
@@ -231,7 +238,7 @@ fn write_request(
 /// if they were a response.
 fn read_response(stream: &mut TcpStream) -> Result<WireResponse, TransportError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
+    let mut chunk = [0u8; 16 * 1024];
     let header_end = loop {
         if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos;
@@ -591,12 +598,13 @@ const LATENCY_WINDOW: usize = 512;
 /// observations is noise.
 const HEDGE_MIN_SAMPLES: usize = 32;
 
-/// Shared coordinator state.
-struct FleetCtx {
+/// Shared coordinator state: the routing half of the coordinator role
+/// on [`serve`](crate::serve)'s event loop.
+pub(crate) struct FleetCtx {
     registry: WorkerRegistry,
     ring: HashRing,
-    shutdown: AtomicBool,
-    requests: AtomicU64,
+    /// Requests parsed by the coordinator's loop.
+    pub(crate) requests: AtomicU64,
     failovers: AtomicU64,
     routed: Vec<AtomicU64>,
     /// Hedged requests launched (second attempt actually fired).
@@ -615,10 +623,6 @@ struct FleetCtx {
 }
 
 impl FleetCtx {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || crate::serve::signalled()
-    }
-
     /// The next jitter draw in `[0, 1)` — lock-free: each caller
     /// advances a shared splitmix64 counter.
     fn jitter_unit(&self) -> f64 {
@@ -652,22 +656,17 @@ impl FleetCtx {
     }
 }
 
-/// Drain trigger detached from the [`Coordinator`]'s lifetime, mirroring
-/// [`ShutdownHandle`](crate::serve::ShutdownHandle).
-#[derive(Clone)]
-pub struct FleetShutdownHandle(Arc<FleetCtx>);
+/// Drain trigger detached from the [`Coordinator`]'s lifetime: the
+/// coordinator runs serve's loop, so it drains through the same handle.
+pub type FleetShutdownHandle = ShutdownHandle;
 
-impl FleetShutdownHandle {
-    /// Flip the drain latch (idempotent).
-    pub fn request_drain(&self) {
-        self.0.shutdown.store(true, Ordering::SeqCst);
-    }
-}
+/// Timeout of one health probe.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The coordinator daemon. Bind with [`Coordinator::bind`], then block
 /// on [`Coordinator::serve`] until drained.
 pub struct Coordinator {
-    listener: TcpListener,
+    server: Server,
     ctx: Arc<FleetCtx>,
 }
 
@@ -680,12 +679,22 @@ impl Coordinator {
             ));
         }
         let listener = TcpListener::bind(&config.addr)?;
+        // Each worker address adds one daemon's default pool width and
+        // admission bound: a forward holds a pool thread for as long
+        // as its worker takes, so the coordinator admits what its
+        // workers would.
+        let per_worker = ServeConfig::default();
+        let admitted = per_worker.queue_depth * config.workers.len();
+        let serve_config = ServeConfig::default()
+            .with_workers(per_worker.workers * config.workers.len())
+            .with_queue_depth(admitted)
+            .with_max_inflight(admitted)
+            .with_log_requests(false);
         let ring = HashRing::new(config.workers.len(), config.vnodes);
         let routed = config.workers.iter().map(|_| AtomicU64::new(0)).collect();
         let ctx = Arc::new(FleetCtx {
             registry: WorkerRegistry::new(config.workers),
             ring,
-            shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             routed,
@@ -698,35 +707,35 @@ impl Coordinator {
             request_timeout: Duration::from_secs_f64(config.request_timeout_s),
             probe_interval: Duration::from_secs_f64(config.probe_interval_s),
         });
-        Ok(Coordinator { listener, ctx })
+        let server = Server::with_role(listener, Role::Coordinator(Arc::clone(&ctx)), serve_config);
+        Ok(Coordinator { server, ctx })
     }
 
     /// The bound address (resolves port `0`).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.server.local_addr()
     }
 
     pub fn shutdown_handle(&self) -> FleetShutdownHandle {
-        FleetShutdownHandle(Arc::clone(&self.ctx))
+        self.server.shutdown_handle()
     }
 
-    /// Accept-and-route until the drain latch flips. Connections are
-    /// handled one thread each — the coordinator's work per request is
-    /// a forward, so the 10k-connection epoll machinery stays on the
-    /// workers where the simulations run.
+    /// Probe every worker, then run serve's event loop in the
+    /// coordinator role until the drain latch flips, with a background
+    /// prober keeping the registry current.
     pub fn serve(self) -> io::Result<()> {
-        let Coordinator { listener, ctx } = self;
-        listener.set_nonblocking(true)?;
-        ctx.registry.probe_all(Duration::from_secs(2));
+        let Coordinator { server, ctx } = self;
+        ctx.registry.probe_all(PROBE_TIMEOUT);
+        let drain = server.shutdown_handle();
         let prober = {
-            let ctx = Arc::clone(&ctx);
+            let drain = drain.clone();
             std::thread::spawn(move || {
-                while !ctx.draining() {
-                    ctx.registry.probe_all(Duration::from_secs(2));
+                while !drain.draining() {
+                    ctx.registry.probe_all(PROBE_TIMEOUT);
                     // Sleep in short slices so a drain isn't held up by
                     // a long probe interval.
                     let mut slept = Duration::ZERO;
-                    while slept < ctx.probe_interval && !ctx.draining() {
+                    while slept < ctx.probe_interval && !drain.draining() {
                         let step = (ctx.probe_interval - slept).min(Duration::from_millis(50));
                         std::thread::sleep(step);
                         slept += step;
@@ -734,152 +743,37 @@ impl Coordinator {
                 }
             })
         };
-        let mut handlers = Vec::new();
-        while !ctx.draining() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let ctx = Arc::clone(&ctx);
-                    handlers.push(std::thread::spawn(move || handle_conn(stream, &ctx)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-            handlers.retain(|h| !h.is_finished());
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
+        let served = server.serve();
+        // A loop that failed without draining must still stop the prober.
+        drain.request_drain();
         let _ = prober.join();
-        Ok(())
+        served
     }
 }
 
-/// One coordinator connection: parse framed requests, route, answer,
-/// keep alive until the client closes or the fleet drains.
-fn handle_conn(mut stream: TcpStream, ctx: &Arc<FleetCtx>) {
-    let _ = stream.set_read_timeout(Some(ctx.request_timeout + Duration::from_secs(5)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        // Read until one complete request is buffered.
-        let (method, path, body, keep_alive, consumed) = loop {
-            if let Some(parsed) = parse_buffered(&buf) {
-                break parsed;
-            }
-            match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => return,
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            }
-        };
-        buf.drain(..consumed);
-        let keep = keep_alive && !ctx.draining();
-        let (status, body, retry_after) = route(ctx, &method, &path, &body);
-        let bytes = encode_response(status, &body, retry_after, keep);
-        if stream.write_all(&bytes).is_err() || !keep {
-            return;
-        }
+/// A pooled coordinator route: forward to one worker, or fan out.
+/// The shared route table ([`api::ENDPOINTS`]) already chose the pool
+/// for this endpoint, the same table `serve` dispatches a daemon
+/// through.
+pub(crate) fn route(
+    ctx: &Arc<FleetCtx>,
+    ep: &Endpoint,
+    body: &str,
+) -> Result<WireResponse, ApiError> {
+    match ep.id {
+        EndpointId::Run => forward_run(ctx, body),
+        EndpointId::Plan => forward_plan(ctx, body),
+        EndpointId::Suite => fan_out_suite(ctx, body).map(|(status, body)| WireResponse {
+            status,
+            retry_after: None,
+            body,
+        }),
+        _ => Err(api::no_route(ep.method, ep.display_path)),
     }
 }
 
-/// Parse one buffered request, if complete:
-/// `(method, path, body, keep_alive, bytes_consumed)`. The coordinator
-/// accepts the same framing the workers emit (`Content-Length`, no
-/// chunked encoding).
-#[allow(clippy::type_complexity)]
-fn parse_buffered(buf: &[u8]) -> Option<(String, String, String, bool, usize)> {
-    let header_end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = String::from_utf8_lossy(&buf[..header_end]).to_string();
-    let mut lines = head.split("\r\n");
-    let mut start = lines.next().unwrap_or_default().split_whitespace();
-    let method = start.next().unwrap_or_default().to_string();
-    let target = start.next().unwrap_or_default().to_string();
-    let version = start.next().unwrap_or("HTTP/1.1").to_string();
-    let mut content_length = 0usize;
-    let mut connection = String::new();
-    for line in lines {
-        let Some((k, v)) = line.split_once(':') else {
-            continue;
-        };
-        let v = v.trim();
-        if k.eq_ignore_ascii_case("content-length") {
-            content_length = v.parse().unwrap_or(0);
-        } else if k.eq_ignore_ascii_case("connection") {
-            connection = v.to_ascii_lowercase();
-        }
-    }
-    let total = header_end + 4 + content_length;
-    if buf.len() < total {
-        return None;
-    }
-    let keep_alive = if version.eq_ignore_ascii_case("HTTP/1.0") {
-        connection.split(',').any(|t| t.trim() == "keep-alive")
-    } else {
-        !connection.split(',').any(|t| t.trim() == "close")
-    };
-    let path = target
-        .split_once('?')
-        .map(|(p, _)| p.to_string())
-        .unwrap_or(target);
-    let body = String::from_utf8_lossy(&buf[header_end + 4..total]).to_string();
-    Some((method, path, body, keep_alive, total))
-}
-
-/// Coordinator routing: `(status, body, relayed Retry-After)`. The
-/// shared route table ([`api::ENDPOINTS`]) decides whether a request is
-/// answered locally, forwarded to one worker, or fanned out — the same
-/// table `serve` dispatches through.
-fn route(ctx: &Arc<FleetCtx>, method: &str, path: &str, body: &str) -> (u16, String, Option<u32>) {
-    ctx.requests.fetch_add(1, Ordering::Relaxed);
-    let refused = |e: ApiError| {
-        let retry = matches!(e.status, 429 | 503).then_some(1);
-        (e.status, error_body(&e), retry)
-    };
-    let ep = api::endpoint_for(method, path);
-    // Coordinator-local endpoints answer even while draining, so
-    // operators can watch the drain complete.
-    if let Some(ep) = ep {
-        if ep.fleet == FleetClass::Local {
-            return match ep.id {
-                EndpointId::Health => (200, fleet_health_json(ctx), None),
-                EndpointId::Metrics => (200, fleet_metrics_json(ctx), None),
-                EndpointId::Capabilities => (200, api::capabilities_json(), None),
-                EndpointId::Shutdown => {
-                    ctx.shutdown.store(true, Ordering::SeqCst);
-                    (200, "{\"status\":\"draining\"}\n".to_string(), None)
-                }
-                _ => refused(api::no_route(method, path)),
-            };
-        }
-    }
-    if ctx.draining() {
-        return refused(ApiError::shutting_down());
-    }
-    match ep.map(|e| (e.fleet, e.id)) {
-        Some((FleetClass::Forward, id)) => {
-            let out = match id {
-                EndpointId::Run => forward_run(ctx, body),
-                EndpointId::Plan => forward_plan(ctx, body),
-                _ => Err(api::no_route(method, path)),
-            };
-            match out {
-                Ok(resp) => (resp.status, resp.body, resp.retry_after),
-                Err(e) => refused(e),
-            }
-        }
-        Some((FleetClass::FanOut, _)) => match fan_out_suite(ctx, body) {
-            Ok((status, body)) => (status, body, None),
-            Err(e) => refused(e),
-        },
-        _ => refused(api::no_route(method, path)),
-    }
-}
-
-fn fleet_health_json(ctx: &FleetCtx) -> String {
+/// The coordinator's `GET /v1/health`.
+pub(crate) fn health_json(ctx: &FleetCtx, draining: bool) -> String {
     let workers = (0..ctx.registry.len())
         .map(|w| {
             Json::Obj(vec![
@@ -893,12 +787,13 @@ fn fleet_health_json(ctx: &FleetCtx) -> String {
         ("status".into(), Json::from("ok")),
         ("role".into(), Json::from("coordinator")),
         ("workers".into(), Json::Arr(workers)),
-        ("draining".into(), Json::from(ctx.draining())),
+        ("draining".into(), Json::from(draining)),
     ])
     .render()
 }
 
-fn fleet_metrics_json(ctx: &FleetCtx) -> String {
+/// The coordinator's `GET /v1/metrics`.
+pub(crate) fn metrics_json(ctx: &FleetCtx) -> String {
     Json::Obj(vec![
         (
             "requests".into(),
@@ -1721,24 +1616,6 @@ mod tests {
             format!("{hash:016x}"),
             key.hash_hex(),
             "ring placement must follow cache placement"
-        );
-    }
-
-    #[test]
-    fn buffered_parser_frames_requests_and_keep_alive() {
-        let raw = b"POST /v1/run HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbodyGET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let (method, path, body, keep, consumed) = parse_buffered(raw).unwrap();
-        assert_eq!((method.as_str(), path.as_str()), ("POST", "/v1/run"));
-        assert_eq!(body, "body");
-        assert!(keep, "HTTP/1.1 defaults to keep-alive");
-        let rest = &raw[consumed..];
-        let (method, path, body, keep, _) = parse_buffered(rest).unwrap();
-        assert_eq!((method.as_str(), path.as_str()), ("GET", "/v1/health"));
-        assert!(body.is_empty());
-        assert!(!keep, "explicit close wins");
-        assert!(
-            parse_buffered(&raw[..10]).is_none(),
-            "partials stay partial"
         );
     }
 

@@ -1,4 +1,5 @@
-//! `spechpc serve` — the simulation-as-a-service daemon.
+//! `spechpc serve` — the simulation-as-a-service daemon, and the one
+//! HTTP server of the crate.
 //!
 //! A dependency-free HTTP/1.1 server hand-rolled over
 //! [`std::net::TcpListener`] (the same way [`faultcfg`](crate::faultcfg)
@@ -8,13 +9,21 @@
 //! amortize their warm-up instead of re-opening the cache per
 //! invocation.
 //!
-//! Since PR 6 the connection plane is a **nonblocking event loop** over
-//! the raw-syscall readiness binding in [`epoll`](crate::epoll): one
-//! loop thread owns every socket, parses requests incrementally from a
-//! slab of per-connection state machines, and dispatches the simulating
-//! routes into a resident worker pool. Keep-alive and pipelining are
-//! supported, so thousands of idle clients cost a slab slot each rather
-//! than a thread each.
+//! The connection plane is a **nonblocking event loop** over the
+//! raw-syscall readiness binding in [`epoll`](crate::epoll): one loop
+//! thread owns every socket, parses requests incrementally from a slab
+//! of per-connection state machines, and dispatches the slow routes into
+//! a resident worker pool. Keep-alive and pipelining are supported, so
+//! thousands of idle clients cost a slab slot each rather than a thread
+//! each.
+//!
+//! **One loop, two roles.** The loop serves either a worker daemon
+//! ([`Server::bind`], which owns an [`Executor`]) or the [`fleet`]
+//! coordinator, which owns a worker registry and a hash ring. The role
+//! decides two things only: which routes go to the pool (the registry's
+//! [`ServeClass`] for a daemon, its [`FleetClass`] for a coordinator),
+//! and what the handlers do. Framing, limits, deadlines, admission and
+//! drain are the same code for both.
 //!
 //! Routes (all bodies JSON; the authoritative table is
 //! [`api::ENDPOINTS`], which this module dispatches through —
@@ -63,9 +72,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::api::{
-    self, dispatch_run, dispatch_suite, parse_class, ApiError, EndpointId, RunRequest, SuiteRequest,
+    self, dispatch_run, dispatch_suite, parse_class, ApiError, Endpoint, EndpointId, FleetClass,
+    RunRequest, ServeClass, SuiteRequest,
 };
 use crate::exec::Executor;
+use crate::fleet::{self, FleetCtx};
 use crate::json::Json;
 use crate::obs;
 use crate::plan::{dispatch_plan, PlanRequest};
@@ -228,9 +239,27 @@ pub fn install_signal_handlers() {
     }
 }
 
+/// What the loop serves: a worker daemon's executor, or a fleet
+/// coordinator's routing state.
+pub(crate) enum Role {
+    Daemon(Executor),
+    Coordinator(Arc<FleetCtx>),
+}
+
+impl Role {
+    /// Does `ep` run on the worker pool rather than inline on the loop
+    /// thread? Decided by the shared route table ([`api::ENDPOINTS`]).
+    fn pooled(&self, ep: &Endpoint) -> bool {
+        match self {
+            Role::Daemon(_) => ep.serve == ServeClass::Sim,
+            Role::Coordinator(_) => matches!(ep.fleet, FleetClass::Forward | FleetClass::FanOut),
+        }
+    }
+}
+
 /// Shared state the event loop and every worker see.
 struct Ctx {
-    exec: Executor,
+    role: Role,
     shutdown: AtomicBool,
     sim_inflight: AtomicUsize,
     open_conns: AtomicUsize,
@@ -253,7 +282,7 @@ impl Ctx {
     }
 }
 
-/// RAII slot on the simulating routes: acquired on the loop thread at
+/// RAII slot on the pooled routes: acquired on the loop thread at
 /// dispatch time (so saturation is decided before queueing), released
 /// by the worker when the response is encoded (even on panic — the
 /// guard lives across the `catch_unwind`).
@@ -299,19 +328,24 @@ impl Server {
                 eprintln!("spechpc serve: cache scrub quarantined {swept} torn entries");
             }
         }
+        Ok(Server::with_role(listener, Role::Daemon(exec), config))
+    }
+
+    /// A server for `role` on an already-bound listener.
+    pub(crate) fn with_role(listener: TcpListener, role: Role, config: ServeConfig) -> Server {
         let ctx = Arc::new(Ctx {
-            exec,
+            role,
             shutdown: AtomicBool::new(false),
             sim_inflight: AtomicUsize::new(0),
             open_conns: AtomicUsize::new(0),
             max_inflight: config.effective_max_inflight(),
             log_requests: config.log_requests,
         });
-        Ok(Server {
+        Server {
             listener,
             ctx,
             config,
-        })
+        }
     }
 
     /// The bound address (resolves port `0`).
@@ -568,11 +602,10 @@ fn panic_to_error(p: Box<dyn std::any::Any + Send>) -> ApiError {
 // Routing
 // ---------------------------------------------------------------------------
 
-/// Does this request go to the worker pool (simulating routes) rather
-/// than being answered inline on the loop thread? Decided by the shared
-/// route table ([`api::ENDPOINTS`]), not local string matching.
-fn is_sim_route(req: &HttpRequest) -> bool {
-    api::endpoint_for(&req.method, &req.path).is_some_and(|e| e.serve == api::ServeClass::Sim)
+/// Does this request go to the worker pool rather than being answered
+/// inline on the loop thread?
+fn is_pooled(ctx: &Ctx, req: &HttpRequest) -> bool {
+    api::endpoint_for(&req.method, &req.path).is_some_and(|e| ctx.role.pooled(e))
 }
 
 /// Fast routes, answered inline on the loop thread: cheap, allocation-
@@ -580,18 +613,39 @@ fn is_sim_route(req: &HttpRequest) -> bool {
 /// backlog even under saturation. Unknown routes land here too (404).
 fn route_fast(ctx: &Ctx, req: &HttpRequest) -> Result<(u16, String), ApiError> {
     let ep = api::endpoint_for(&req.method, &req.path)
-        .filter(|e| e.serve == api::ServeClass::Fast)
+        .filter(|e| !ctx.role.pooled(e))
         .ok_or_else(|| api::no_route(&req.method, &req.path))?;
-    match ep.id {
-        EndpointId::Metrics => Ok((200, metrics_json(ctx))),
-        EndpointId::Health => Ok((200, health_json(ctx))),
-        EndpointId::Capabilities => Ok((200, api::capabilities_json())),
-        EndpointId::CacheEntry => cache_entry(ctx, ep.pattern.trailing(&req.path)),
-        EndpointId::Shutdown => {
+    match (ep.id, &ctx.role) {
+        (EndpointId::Metrics, Role::Daemon(exec)) => Ok((200, metrics_json(exec))),
+        (EndpointId::Metrics, Role::Coordinator(fleet)) => Ok((200, fleet::metrics_json(fleet))),
+        (EndpointId::Health, Role::Daemon(_)) => Ok((200, health_json(ctx))),
+        (EndpointId::Health, Role::Coordinator(fleet)) => {
+            Ok((200, fleet::health_json(fleet, ctx.draining())))
+        }
+        (EndpointId::Capabilities, _) => Ok((200, api::capabilities_json())),
+        (EndpointId::CacheEntry, Role::Daemon(exec)) => {
+            cache_entry(exec, ep.pattern.trailing(&req.path))
+        }
+        (EndpointId::Shutdown, _) => {
             ctx.shutdown.store(true, Ordering::SeqCst);
             Ok((200, "{\"status\":\"draining\"}\n".to_string()))
         }
         _ => Err(api::no_route(&req.method, &req.path)),
+    }
+}
+
+/// Pooled routes, executed on a worker thread under a [`SimSlot`]:
+/// `(status, body, Retry-After)`. A coordinator relays its worker's
+/// `Retry-After` verbatim; errors raised here take the loop's own
+/// load-scaled hint instead.
+fn route_pooled(ctx: &Ctx, req: &HttpRequest) -> Result<(u16, String, Option<u32>), ApiError> {
+    let ep = api::endpoint_for(&req.method, &req.path)
+        .filter(|e| ctx.role.pooled(e))
+        .ok_or_else(|| api::no_route(&req.method, &req.path))?;
+    match &ctx.role {
+        Role::Daemon(exec) => route_sim(exec, ep, req).map(|(status, body)| (status, body, None)),
+        Role::Coordinator(fleet) => fleet::route(fleet, ep, &req.body)
+            .map(|resp| (resp.status, resp.body, resp.retry_after)),
     }
 }
 
@@ -601,7 +655,7 @@ fn route_fast(ctx: &Ctx, req: &HttpRequest) -> Result<(u16, String), ApiError> {
 /// byte-identical to a local one. Served inline on the loop thread
 /// (memory scan or one small file read); `404` for unknown keys and
 /// for daemons running `--no-cache`.
-fn cache_entry(ctx: &Ctx, hash: &str) -> Result<(u16, String), ApiError> {
+fn cache_entry(exec: &Executor, hash: &str) -> Result<(u16, String), ApiError> {
     // The hash is used as a file name: accept only the exact shape
     // `RunKey::hash_hex` emits (16 lowercase hex digits) so a crafted
     // path can never traverse outside the cache directory.
@@ -614,42 +668,39 @@ fn cache_entry(ctx: &Ctx, hash: &str) -> Result<(u16, String), ApiError> {
             "cache key must be 16 lowercase hex digits",
         ));
     }
-    match ctx.exec.cache().and_then(|c| c.entry_by_hash(hash)) {
+    match exec.cache().and_then(|c| c.entry_by_hash(hash)) {
         Some(text) => Ok((200, text)),
         None => Err(ApiError::not_found(format!("no cache entry {hash}"))),
     }
 }
 
-/// Simulating routes, executed on a worker thread under a [`SimSlot`].
-fn route_sim(ctx: &Ctx, req: &HttpRequest) -> Result<(u16, String), ApiError> {
-    let ep = api::endpoint_for(&req.method, &req.path)
-        .filter(|e| e.serve == api::ServeClass::Sim)
-        .ok_or_else(|| api::no_route(&req.method, &req.path))?;
+/// A daemon's simulating routes.
+fn route_sim(exec: &Executor, ep: &Endpoint, req: &HttpRequest) -> Result<(u16, String), ApiError> {
     match ep.id {
         EndpointId::Run => {
             let run = RunRequest::from_json(&req.body)?;
-            let resp = dispatch_run(&ctx.exec, &run)?;
+            let resp = dispatch_run(exec, &run)?;
             Ok((200, resp.to_json()))
         }
         EndpointId::Suite => {
             let suite = SuiteRequest::from_json(&req.body)?;
-            let resp = dispatch_suite(&ctx.exec, &suite)?;
+            let resp = dispatch_suite(exec, &suite)?;
             let status = if resp.report.is_complete() { 200 } else { 207 };
             Ok((status, resp.to_json()))
         }
         EndpointId::Plan => {
             let plan = PlanRequest::from_json(&req.body)?;
-            let resp = dispatch_plan(&ctx.exec, &plan)?;
+            let resp = dispatch_plan(exec, &plan)?;
             Ok((200, resp.to_json()))
         }
-        EndpointId::Profile => profile(ctx, ep.pattern.trailing(&req.path), &req.query),
+        EndpointId::Profile => profile(exec, ep.pattern.trailing(&req.path), &req.query),
         _ => Err(api::no_route(&req.method, &req.path)),
     }
 }
 
 /// `GET /v1/profile/{benchmark}?cluster=a&class=tiny&n=8` — the
 /// Fig.-2-style MPI breakdown of one (cached) run as JSON tables.
-fn profile(ctx: &Ctx, benchmark: &str, query: &str) -> Result<(u16, String), ApiError> {
+fn profile(exec: &Executor, benchmark: &str, query: &str) -> Result<(u16, String), ApiError> {
     let mut cluster = "a".to_string();
     let mut class = "tiny".to_string();
     let mut nranks = 0usize;
@@ -671,7 +722,7 @@ fn profile(ctx: &Ctx, benchmark: &str, query: &str) -> Result<(u16, String), Api
         }
     }
     let run = RunRequest::new(benchmark, parse_class(&class)?, nranks).with_cluster(cluster);
-    let resp = dispatch_run(&ctx.exec, &run)?;
+    let resp = dispatch_run(exec, &run)?;
     let r = &resp.result;
     let label = format!("{}/{}/{}@{}", r.benchmark, r.class, r.nranks, r.cluster);
     let table_err = |e: crate::report::ReportError| ApiError::internal(e.to_string());
@@ -723,8 +774,8 @@ fn health_json(ctx: &Ctx) -> String {
     .render()
 }
 
-fn metrics_json(ctx: &Ctx) -> String {
-    let m = ctx.exec.metrics();
+fn metrics_json(exec: &Executor) -> String {
+    let m = exec.metrics();
     Json::Obj(vec![
         ("runs_executed".into(), Json::from(m.runs_executed)),
         ("peer_hits".into(), Json::from(m.peer_hits)),
@@ -778,8 +829,7 @@ mod ev {
     use std::net::TcpStream;
     use std::os::fd::AsRawFd;
     use std::panic::AssertUnwindSafe;
-    use std::sync::mpsc::{self, TrySendError};
-    use std::sync::Mutex;
+    use std::sync::{Condvar, Mutex};
     use std::time::Duration;
 
     /// Poller token of the listen socket.
@@ -846,7 +896,7 @@ mod ev {
         }
     }
 
-    /// One simulating request travelling to the worker pool.
+    /// One pooled request travelling to the worker pool.
     struct Job {
         conn: usize,
         gen: u64,
@@ -864,6 +914,79 @@ mod ev {
         close: bool,
     }
 
+    /// The bounded dispatch queue between the loop and the pool, shaped
+    /// like the completion queue: a push wakes exactly one idle worker.
+    struct JobQueue {
+        state: Mutex<Jobs>,
+        ready: Condvar,
+        depth: usize,
+    }
+
+    struct Jobs {
+        queue: VecDeque<Job>,
+        closed: bool,
+    }
+
+    /// Why [`JobQueue::push`] handed a job back (boxed: the refusal
+    /// path is cold and a job is large).
+    enum Refused {
+        Full(Box<Job>),
+        Closed(Box<Job>),
+    }
+
+    impl JobQueue {
+        fn new(depth: usize) -> JobQueue {
+            JobQueue {
+                state: Mutex::new(Jobs {
+                    queue: VecDeque::new(),
+                    closed: false,
+                }),
+                ready: Condvar::new(),
+                depth,
+            }
+        }
+
+        // A push or pop is one VecDeque call under the lock, so a guard
+        // poisoned by a panicking holder still guards a valid queue.
+        fn lock(&self) -> std::sync::MutexGuard<'_, Jobs> {
+            self.state.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        fn push(&self, job: Job) -> Result<(), Refused> {
+            let mut jobs = self.lock();
+            if jobs.closed {
+                return Err(Refused::Closed(Box::new(job)));
+            }
+            if jobs.queue.len() >= self.depth {
+                return Err(Refused::Full(Box::new(job)));
+            }
+            jobs.queue.push_back(job);
+            drop(jobs);
+            self.ready.notify_one();
+            Ok(())
+        }
+
+        /// Block until a job is queued; `None` once the queue is closed
+        /// and empty.
+        fn pop(&self) -> Option<Job> {
+            let mut jobs = self.lock();
+            loop {
+                if let Some(job) = jobs.queue.pop_front() {
+                    return Some(job);
+                }
+                if jobs.closed {
+                    return None;
+                }
+                jobs = self.ready.wait(jobs).unwrap_or_else(|e| e.into_inner());
+            }
+        }
+
+        fn close(&self) {
+            self.lock().closed = true;
+            self.ready.notify_all();
+        }
+    }
+
     fn append_response(ctx: &Ctx, conn: &mut Conn, status: u16, body: &str, keep: bool) {
         let bytes = encode_response(status, body, ctx.retry_after(status), keep);
         conn.out.extend_from_slice(&bytes);
@@ -877,7 +1000,7 @@ mod ev {
         conns: Vec<Option<Conn>>,
         free: Vec<usize>,
         gen_counter: u64,
-        tx: Option<mpsc::SyncSender<Job>>,
+        jobs: Option<Arc<JobQueue>>,
         completions: Arc<Mutex<VecDeque<Completion>>>,
         ctx: Arc<Ctx>,
         max_conns: usize,
@@ -893,17 +1016,16 @@ mod ev {
         listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
         let wake = WakePipe::new()?;
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
+        let jobs = Arc::new(JobQueue::new(config.queue_depth.max(1)));
         let completions: Arc<Mutex<VecDeque<Completion>>> = Arc::new(Mutex::new(VecDeque::new()));
         let mut workers = Vec::with_capacity(config.workers.max(1));
         for _ in 0..config.workers.max(1) {
-            let rx = Arc::clone(&rx);
+            let jobs = Arc::clone(&jobs);
             let ctx = Arc::clone(&ctx);
             let completions = Arc::clone(&completions);
             let waker = wake.waker();
             workers.push(std::thread::spawn(move || {
-                worker_loop(ctx, &rx, &completions, waker)
+                worker_loop(ctx, &jobs, &completions, waker)
             }));
         }
 
@@ -915,7 +1037,7 @@ mod ev {
             conns: Vec::new(),
             free: Vec::new(),
             gen_counter: 0,
-            tx: Some(tx),
+            jobs: Some(jobs),
             completions,
             ctx,
             max_conns: config.max_conns.max(1),
@@ -955,37 +1077,37 @@ mod ev {
         }
 
         // Drain epilogue: the dispatch queue is already empty (no
-        // connection survived with work queued), so dropping the sender
-        // lets every worker's recv() return Err and the pool exit.
-        drop(lp.tx.take());
+        // connection survived with work queued), so closing it lets
+        // every worker's pop() return None and the pool exit.
+        if let Some(jobs) = lp.jobs.take() {
+            jobs.close();
+        }
         for w in workers {
             let _ = w.join();
         }
-        if let Some(dir) = &config.metrics_dir {
-            let _ = obs::write_metrics_csv(dir, "serve", &lp.ctx.exec.metrics());
-        }
-        if lp.ctx.log_requests {
-            let m = lp.ctx.exec.metrics();
-            eprintln!(
-                "[serve] drained: {} run(s) executed, {} cache hit(s), bye",
-                m.runs_executed,
-                m.cache.hits_mem + m.cache.hits_disk
-            );
+        if let Role::Daemon(exec) = &lp.ctx.role {
+            if let Some(dir) = &config.metrics_dir {
+                let _ = obs::write_metrics_csv(dir, "serve", &exec.metrics());
+            }
+            if lp.ctx.log_requests {
+                let m = exec.metrics();
+                eprintln!(
+                    "[serve] drained: {} run(s) executed, {} cache hit(s), bye",
+                    m.runs_executed,
+                    m.cache.hits_mem + m.cache.hits_disk
+                );
+            }
         }
         Ok(())
     }
 
     fn worker_loop(
         ctx: Arc<Ctx>,
-        rx: &Mutex<mpsc::Receiver<Job>>,
+        jobs: &JobQueue,
         completions: &Mutex<VecDeque<Completion>>,
         waker: Waker,
     ) {
-        loop {
-            let job = match rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
-                Ok(j) => j,
-                Err(_) => return, // sender dropped: queue drained
-            };
+        while let Some(job) = jobs.pop() {
             let Job {
                 conn,
                 gen,
@@ -996,16 +1118,16 @@ mod ev {
             } = job;
             // A handler panic must never take a worker down: catch at
             // the dispatch boundary and degrade to a 500.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| route_sim(&ctx, &req)))
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| route_pooled(&ctx, &req)))
                 .unwrap_or_else(|p| Err(panic_to_error(p)));
-            let (status, body) = match outcome {
-                Ok((status, body)) => (status, body),
-                Err(e) => (e.status, error_body(&e)),
+            let (status, body, retry_after) = match outcome {
+                Ok(reply) => reply,
+                Err(e) => (e.status, error_body(&e), ctx.retry_after(e.status)),
             };
             if ctx.log_requests {
                 log_line(&ctx, &req.method, &req.path, status, body.len(), t0);
             }
-            let bytes = encode_response(status, &body, ctx.retry_after(status), keep_alive);
+            let bytes = encode_response(status, &body, retry_after, keep_alive);
             // Release the slot before publishing the completion so the
             // in-flight gauge never over-reports past the response.
             drop(slot);
@@ -1167,12 +1289,15 @@ mod ev {
                             Some(Instant::now())
                         };
                         conn.served += 1;
+                        if let Role::Coordinator(fleet) = &self.ctx.role {
+                            fleet.requests.fetch_add(1, Ordering::Relaxed);
+                        }
                         let cap = self.keepalive_requests;
                         let keep = req.keep_alive
                             && !self.ctx.draining()
                             && !conn.read_closed
                             && (cap == 0 || conn.served < cap);
-                        if is_sim_route(&req) {
+                        if is_pooled(&self.ctx, &req) {
                             match self.try_dispatch(idx, conn, req, keep) {
                                 Ok(()) => conn.busy = true,
                                 Err(refused) => {
@@ -1228,7 +1353,7 @@ mod ev {
             self.flush(conn)
         }
 
-        /// Admission-checked hand-off of one simulating request to the
+        /// Admission-checked hand-off of one pooled request to the
         /// worker pool. On refusal the request is handed back (boxed:
         /// the refusal path is cold and the pair is large) so the
         /// caller can log and answer it.
@@ -1254,21 +1379,21 @@ mod ev {
                 req,
                 slot,
             };
-            // A missing or disconnected channel means the worker pool
-            // is gone (torn down during drain, or every worker died).
-            // Either way the daemon must degrade to a typed refusal and
-            // drain — never panic the event loop, which would abort
-            // every open connection mid-response.
-            let Some(tx) = self.tx.as_ref() else {
+            // A missing or closed queue means the worker pool is gone
+            // (torn down during drain). Either way the daemon must
+            // degrade to a typed refusal and drain — never panic the
+            // event loop, which would abort every open connection
+            // mid-response.
+            let Some(jobs) = self.jobs.as_ref() else {
                 return Err(Box::new((job.req, ApiError::shutting_down())));
             };
-            match tx.try_send(job) {
+            match jobs.push(job) {
                 Ok(()) => Ok(()),
-                Err(TrySendError::Full(job)) => Err(Box::new((
+                Err(Refused::Full(job)) => Err(Box::new((
                     job.req,
                     ApiError::saturated("dispatch queue full"),
                 ))),
-                Err(TrySendError::Disconnected(job)) => {
+                Err(Refused::Closed(job)) => {
                     // Nothing will ever complete a queued job again:
                     // flip the drain latch so the loop winds down
                     // gracefully instead of refusing forever.
@@ -1447,12 +1572,12 @@ mod ev {
         /// An `EventLoop` wired to nothing: just enough state to
         /// exercise `try_dispatch`'s refusal paths without running the
         /// readiness loop.
-        fn bench_loop(tx: Option<mpsc::SyncSender<Job>>) -> (EventLoop, Conn) {
+        fn bench_loop(jobs: Option<Arc<JobQueue>>) -> (EventLoop, Conn) {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
             let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
             let (accepted, _) = listener.accept().expect("accept");
             let ctx = Arc::new(Ctx {
-                exec: Executor::new(RunConfig::default(), ExecConfig::default()),
+                role: Role::Daemon(Executor::new(RunConfig::default(), ExecConfig::default())),
                 shutdown: AtomicBool::new(false),
                 sim_inflight: AtomicUsize::new(0),
                 open_conns: AtomicUsize::new(1),
@@ -1467,7 +1592,7 @@ mod ev {
                 conns: Vec::new(),
                 free: Vec::new(),
                 gen_counter: 0,
-                tx,
+                jobs,
                 completions: Arc::new(Mutex::new(VecDeque::new())),
                 ctx,
                 max_conns: 8,
@@ -1507,9 +1632,9 @@ mod ev {
 
         #[test]
         fn dispatch_on_dead_channel_refuses_and_latches_drain() {
-            let (tx, rx) = mpsc::sync_channel::<Job>(1);
-            drop(rx); // every worker died
-            let (mut lp, conn) = bench_loop(Some(tx));
+            let jobs = Arc::new(JobQueue::new(1));
+            jobs.close(); // the pool is gone
+            let (mut lp, conn) = bench_loop(Some(jobs));
             let err = lp.try_dispatch(0, &conn, run_req(), true).unwrap_err();
             let (_, e) = *err;
             assert_eq!((e.status, e.code.as_str()), (503, "shutting_down"));
@@ -1522,8 +1647,8 @@ mod ev {
 
         #[test]
         fn dispatch_on_full_queue_refuses_with_429() {
-            let (tx, _rx) = mpsc::sync_channel::<Job>(0); // rendezvous: always full
-            let (mut lp, conn) = bench_loop(Some(tx));
+            let jobs = Arc::new(JobQueue::new(0)); // no room: always full
+            let (mut lp, conn) = bench_loop(Some(jobs));
             let err = lp.try_dispatch(0, &conn, run_req(), true).unwrap_err();
             let (_, e) = *err;
             assert_eq!(e.status, 429);

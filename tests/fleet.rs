@@ -265,3 +265,107 @@ fn peer_cache_fetch_replays_other_workers_results_byte_identically() {
     hb.request_drain();
     jb.join().unwrap().unwrap();
 }
+
+/// Send `req` verbatim and read until the server closes; returns
+/// (status, body). A server that closes without answering fails the
+/// test.
+fn exchange(addr: SocketAddr, req: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(req.as_bytes()).expect("send request");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read response");
+    let text = String::from_utf8_lossy(&raw).to_string();
+    let status = text
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {text:?}"));
+    let body = text.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    (status, body.to_string())
+}
+
+#[test]
+fn coordinator_refuses_unframeable_requests_like_a_worker() {
+    let (worker, wh, wj) = spawn_worker(Vec::new());
+    let (fleet, fh, fj) = spawn_coordinator(vec![worker.to_string()], 0.05);
+
+    let health = |header: &str| {
+        format!(
+            "GET /v1/health HTTP/1.1\r\nHost: loopback\r\n{header}\r\nConnection: close\r\n\r\n"
+        )
+    };
+    let cases = [
+        (
+            health(&format!("X-Pad: {}", "y".repeat(17 * 1024))),
+            431,
+            "headers_too_large",
+        ),
+        (
+            health("Content-Length: 18446744073709551615"),
+            400,
+            "bad_request",
+        ),
+        (health("Content-Length: banana"), 400, "bad_request"),
+        (health("Transfer-Encoding: chunked"), 400, "bad_request"),
+    ];
+    for (req, want_status, want_code) in &cases {
+        let (status, body) = exchange(fleet, req);
+        let head: String = req.chars().take(80).collect();
+        assert_eq!(status, *want_status, "{head:?}: {body}");
+        assert!(
+            body.contains(&format!("\"{want_code}\"")),
+            "{head:?}: {body}"
+        );
+    }
+    // The coordinator is still serving after every refusal.
+    let (status, _) = http(fleet, "GET", "/v1/health", "");
+    assert_eq!(status, 200);
+
+    fh.request_drain();
+    fj.join().unwrap().unwrap();
+    wh.request_drain();
+    wj.join().unwrap().unwrap();
+}
+
+#[test]
+fn drain_does_not_wait_for_an_idle_keepalive_client() {
+    let (worker, wh, wj) = spawn_worker(Vec::new());
+    let (fleet, fh, fj) = spawn_coordinator(vec![worker.to_string()], 0.05);
+
+    // One keep-alive exchange, then the client goes quiet with the
+    // socket still open.
+    let mut idle = TcpStream::connect(fleet).expect("connect");
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    idle.write_all(b"GET /v1/health HTTP/1.1\r\nHost: loopback\r\n\r\n")
+        .expect("send request");
+    let mut head = Vec::new();
+    let mut buf = [0u8; 4096];
+    while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+        let n = idle.read(&mut buf).expect("read response");
+        assert!(n > 0, "the coordinator closed a keep-alive connection");
+        head.extend_from_slice(&buf[..n]);
+    }
+    let head = String::from_utf8_lossy(&head).to_string();
+    assert!(
+        head.starts_with("HTTP/1.1 200") && head.contains("Connection: keep-alive"),
+        "{head}"
+    );
+
+    fh.request_drain();
+    let drained = Instant::now();
+    while !fj.is_finished() {
+        assert!(
+            drained.elapsed() < Duration::from_secs(5),
+            "serve() still running 5 s after the drain request"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    fj.join().unwrap().unwrap();
+    drop(idle);
+    wh.request_drain();
+    wj.join().unwrap().unwrap();
+}
