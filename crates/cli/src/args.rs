@@ -176,35 +176,6 @@ pub enum Command {
         /// `--validate`: parse + describe the plan, then exit.
         validate: bool,
     },
-    /// Synthetic keep-alive load against a daemon or coordinator.
-    Loadgen {
-        /// `--addr host:port`: target.
-        addr: String,
-        /// `--clients N`: concurrent keep-alive connections.
-        clients: Option<usize>,
-        /// `--requests N`: requests per client.
-        requests: Option<usize>,
-        /// Request shape: benchmark/cluster/class/ranks of the replayed
-        /// grid point.
-        benchmark: String,
-        cluster: ClusterChoice,
-        class: WorkloadClass,
-        nranks: Option<usize>,
-        /// `--timeout-s S`: per-request timeout.
-        timeout_s: Option<f64>,
-    },
-    BenchSnapshot {
-        /// Fewer iterations (CI smoke mode).
-        quick: bool,
-        /// Compare against a committed snapshot instead of writing.
-        check: Option<String>,
-        /// Output path (default `BENCH_engine.json` /
-        /// `BENCH_service.json`).
-        out: Option<String>,
-        /// `--service`: snapshot the service path (requests/s, latency
-        /// percentiles, cache-hit ratio) instead of the engine.
-        service: bool,
-    },
     Help,
 }
 
@@ -281,22 +252,6 @@ COMMANDS:
                                  --validate)
         --chaos-seed N           override the plan's seed
         --validate               parse + describe the plan, then exit
-    loadgen [benchmark]          synthetic keep-alive load against a daemon or
-                                 coordinator; prints requests/s and p50/p99
-        --addr HOST:PORT         target                [default: 127.0.0.1:8722]
-        --clients N              concurrent connections         [default: 32]
-        --requests N             requests per client            [default: 64]
-        --cluster a|b  --class C  -n N    shape of the replayed run request
-        --timeout-s S            per-request timeout            [default: 60]
-    bench-snapshot               measure engine throughput + suite wall time
-                                 and write the perf-trajectory file
-        --out FILE               snapshot path        [default: BENCH_engine.json]
-        --check FILE             compare against FILE instead of writing;
-                                 non-zero exit on >30% normalized regression
-        --quick                  fewer iterations (CI smoke mode)
-        --service                snapshot the service path instead (requests/s,
-                                 p50/p99, cache-hit ratio) through a live
-                                 daemon; default out BENCH_service.json
     help                         show this message
 
 EXECUTION (run/suite/score/figures/profile):
@@ -325,9 +280,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 
     // Collect options (--key value / -n value), valueless flags, and
     // positionals.
-    const FLAGS: [&str; 7] = [
-        "no-cache", "metrics", "quick", "service", "validate", "no-hedge", "json",
-    ];
+    const FLAGS: [&str; 5] = ["no-cache", "metrics", "validate", "no-hedge", "json"];
     let mut positional = Vec::new();
     let mut options = std::collections::BTreeMap::new();
     let mut flags = std::collections::BTreeSet::new();
@@ -565,25 +518,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 validate,
             })
         }
-        "loadgen" => Ok(Command::Loadgen {
-            addr: options
-                .get("addr")
-                .cloned()
-                .unwrap_or_else(|| "127.0.0.1:8722".into()),
-            clients: usize_opt("clients")?,
-            requests: usize_opt("requests")?,
-            benchmark: positional.first().cloned().unwrap_or_else(|| "lbm".into()),
-            cluster,
-            class,
-            nranks,
-            timeout_s: secs_opt("timeout-s")?,
-        }),
-        "bench-snapshot" => Ok(Command::BenchSnapshot {
-            quick: flags.contains("quick"),
-            check: options.get("check").cloned(),
-            out: options.get("out").cloned(),
-            service: flags.contains("service"),
-        }),
         "help" | "-h" | "--help" => Ok(Command::Help),
         other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
     }
@@ -788,59 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_bench_snapshot() {
-        assert_eq!(
-            parse(&v(&["bench-snapshot"])).unwrap(),
-            Command::BenchSnapshot {
-                quick: false,
-                check: None,
-                out: None,
-                service: false,
-            }
-        );
-        assert_eq!(
-            parse(&v(&[
-                "bench-snapshot",
-                "--quick",
-                "--check",
-                "BENCH_engine.json"
-            ]))
-            .unwrap(),
-            Command::BenchSnapshot {
-                quick: true,
-                check: Some("BENCH_engine.json".into()),
-                out: None,
-                service: false,
-            }
-        );
-        assert_eq!(
-            parse(&v(&["bench-snapshot", "--out", "snap.json"])).unwrap(),
-            Command::BenchSnapshot {
-                quick: false,
-                check: None,
-                out: Some("snap.json".into()),
-                service: false,
-            }
-        );
-        assert_eq!(
-            parse(&v(&[
-                "bench-snapshot",
-                "--service",
-                "--quick",
-                "--check",
-                "BENCH_service.json"
-            ]))
-            .unwrap(),
-            Command::BenchSnapshot {
-                quick: true,
-                check: Some("BENCH_service.json".into()),
-                out: None,
-                service: true,
-            }
-        );
-    }
-
-    #[test]
     fn parses_serve() {
         assert_eq!(
             parse(&v(&["serve"])).unwrap(),
@@ -981,53 +862,6 @@ mod tests {
         assert!(parse(&v(&["chaos", "plans/chaos-ci.toml"])).is_err());
         assert!(parse(&v(&["chaos"])).is_err());
         assert!(parse(&v(&["chaos", "p.toml", "--validate", "--chaos-seed", "x"])).is_err());
-    }
-
-    #[test]
-    fn parses_loadgen() {
-        assert_eq!(
-            parse(&v(&["loadgen"])).unwrap(),
-            Command::Loadgen {
-                addr: "127.0.0.1:8722".into(),
-                clients: None,
-                requests: None,
-                benchmark: "lbm".into(),
-                cluster: ClusterChoice::A,
-                class: WorkloadClass::Tiny,
-                nranks: None,
-                timeout_s: None,
-            }
-        );
-        assert_eq!(
-            parse(&v(&[
-                "loadgen",
-                "tealeaf",
-                "--addr",
-                "127.0.0.1:8700",
-                "--clients",
-                "8",
-                "--requests",
-                "100",
-                "--cluster",
-                "b",
-                "--class",
-                "small",
-                "-n",
-                "16",
-            ]))
-            .unwrap(),
-            Command::Loadgen {
-                addr: "127.0.0.1:8700".into(),
-                clients: Some(8),
-                requests: Some(100),
-                benchmark: "tealeaf".into(),
-                cluster: ClusterChoice::B,
-                class: WorkloadClass::Small,
-                nranks: Some(16),
-                timeout_s: None,
-            }
-        );
-        assert!(parse(&v(&["loadgen", "--clients", "0"])).is_err());
     }
 
     #[test]

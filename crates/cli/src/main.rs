@@ -361,77 +361,6 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             println!("cache key digest: {}", p.canonical());
             Ok(())
         }
-        Command::BenchSnapshot {
-            quick,
-            check,
-            out,
-            service,
-        } => {
-            use spechpc::harness::snapshot;
-            let mode = if quick { "quick" } else { "full" };
-            if service {
-                // Service-path trajectory: requests/s and latency
-                // percentiles through a live in-process daemon, same
-                // shape as the engine snapshot below.
-                println!("measuring service snapshot ({mode} mode)…");
-                let snap = snapshot::measure_service(quick).map_err(internal)?;
-                println!("{}", snapshot::render_service(&snap));
-                if let Some(path) = check {
-                    let committed =
-                        snapshot::read_service(std::path::Path::new(&path)).map_err(internal)?;
-                    if let Err(first) =
-                        snapshot::check_service(&snap, &committed, snapshot::SERVICE_TOLERANCE)
-                    {
-                        eprintln!("below tolerance, re-measuring: {first}");
-                        let retry = snapshot::measure_service(false).map_err(internal)?;
-                        println!("{}", snapshot::render_service(&retry));
-                        snapshot::check_service(&retry, &committed, snapshot::SERVICE_TOLERANCE)
-                            .map_err(internal)?;
-                    }
-                    println!(
-                        "ok: within {:.0}% of committed {path}",
-                        snapshot::SERVICE_TOLERANCE * 100.0
-                    );
-                } else {
-                    let path = out.unwrap_or_else(|| "BENCH_service.json".into());
-                    let path = std::path::Path::new(&path);
-                    snapshot::write_service(path, &snap).map_err(internal)?;
-                    println!("snapshot: written to {}", path.display());
-                }
-                return Ok(());
-            }
-            println!("measuring perf snapshot ({mode} mode)…");
-            let mut snap = snapshot::measure(quick).map_err(internal)?;
-            println!("{}", snapshot::render(&snap));
-            if let Some(path) = check {
-                let committed = snapshot::read(std::path::Path::new(&path)).map_err(internal)?;
-                // A loaded CI host can blow a single minimum; re-measure
-                // once (full iterations) before declaring a regression.
-                if let Err(first) = snapshot::check(&snap, &committed, snapshot::DEFAULT_TOLERANCE)
-                {
-                    eprintln!("below tolerance, re-measuring: {first}");
-                    let retry = snapshot::measure(false).map_err(internal)?;
-                    println!("{}", snapshot::render(&retry));
-                    snapshot::check(&retry, &committed, snapshot::DEFAULT_TOLERANCE)
-                        .map_err(internal)?;
-                }
-                println!(
-                    "ok: within {:.0}% of committed {path}",
-                    snapshot::DEFAULT_TOLERANCE * 100.0
-                );
-            } else {
-                let path = out.unwrap_or_else(|| "BENCH_engine.json".into());
-                let path = std::path::Path::new(&path);
-                // Keep the pre-rewrite baseline block of an existing
-                // trajectory file: it documents where we came from.
-                if let Ok(prev) = snapshot::read(path) {
-                    snap.baseline = prev.baseline;
-                }
-                snapshot::write(path, &snap).map_err(internal)?;
-                println!("snapshot: written to {}", path.display());
-            }
-            Ok(())
-        }
         Command::Dvfs { benchmark, cluster } => {
             let cl = api::resolve_cluster(cluster_key(cluster))?;
             let bench = benchmark_by_name(&benchmark)
@@ -637,35 +566,6 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             proxy
                 .serve()
                 .map_err(|e| ApiError::internal(format!("chaos: {e}")))?;
-            Ok(())
-        }
-        Command::Loadgen {
-            addr,
-            clients,
-            requests,
-            benchmark,
-            cluster,
-            class,
-            nranks,
-            timeout_s,
-        } => {
-            let body = RunRequest::new(&benchmark, class, nranks.unwrap_or(0))
-                .with_cluster(cluster_key(cluster))
-                .to_json();
-            let mut cfg = fleet::LoadgenConfig::default()
-                .with_addr(addr)
-                .with_request("POST", "/v1/run", body);
-            if let Some(c) = clients {
-                cfg = cfg.with_clients(c);
-            }
-            if let Some(r) = requests {
-                cfg = cfg.with_requests_per_client(r);
-            }
-            if let Some(t) = timeout_s {
-                cfg = cfg.with_timeout_s(t);
-            }
-            let report = fleet::run_loadgen(&cfg);
-            println!("{}", report.render());
             Ok(())
         }
     }

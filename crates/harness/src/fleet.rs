@@ -52,10 +52,6 @@
 //! executor's peer-fetch hook ([`peer_fetcher`]) asks each peer's
 //! `GET /v1/cache/{hash}` before simulating, so a result computed
 //! anywhere is served everywhere.
-//!
-//! [`run_loadgen`] is the synthetic-load client fleet (`spechpc
-//! loadgen`): N keep-alive connections hammering one address, reporting
-//! requests/s and latency percentiles.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -158,7 +154,7 @@ impl HashRing {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal blocking HTTP client (coordinator → worker, peer fetch, loadgen)
+// Minimal blocking HTTP client (coordinator → worker, peer fetch)
 // ---------------------------------------------------------------------------
 
 /// A decoded upstream response: status, relayed `Retry-After`, body.
@@ -213,29 +209,21 @@ fn resolve_addr(addr: &str) -> io::Result<SocketAddr> {
         .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("cannot resolve {addr}")))
 }
 
-fn write_request(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
+fn write_request(stream: &mut TcpStream, method: &str, path: &str, body: &str) -> io::Result<()> {
     // One write, so one segment under TCP_NODELAY: a server woken by
     // the head alone would parse a partial request.
     let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: fleet\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: fleet\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(request.as_bytes())
 }
 
-/// Read one `Content-Length`-framed response off a (possibly
-/// keep-alive) stream, enforcing integrity: the status line must parse,
-/// `Content-Length` must be a plausible number, and the body must
-/// arrive complete. A violation is a typed
-/// [`TransportError::Integrity`] — partial bytes are never returned as
-/// if they were a response.
+/// Read one `Content-Length`-framed response off a stream, enforcing
+/// integrity: the status line must parse, `Content-Length` must be a
+/// plausible number, and the body must arrive complete. A violation is
+/// a typed [`TransportError::Integrity`] — partial bytes are never
+/// returned as if they were a response.
 fn read_response(stream: &mut TcpStream) -> Result<WireResponse, TransportError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 16 * 1024];
@@ -332,7 +320,7 @@ pub(crate) fn one_shot(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    write_request(&mut stream, method, path, body, false)?;
+    write_request(&mut stream, method, path, body)?;
     read_response(&mut stream)
 }
 
@@ -597,6 +585,15 @@ const LATENCY_WINDOW: usize = 512;
 /// Samples required before hedging activates — a p99 from a handful of
 /// observations is noise.
 const HEDGE_MIN_SAMPLES: usize = 32;
+
+/// `sorted` percentile by nearest-rank on an ascending slice.
+fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)] * 1e3
+}
 
 /// Shared coordinator state: the routing half of the coordinator role
 /// on [`serve`](crate::serve)'s event loop.
@@ -1347,207 +1344,6 @@ pub fn peer_fetcher(peers: Vec<String>) -> PeerFetch {
         }
         None
     })
-}
-
-// ---------------------------------------------------------------------------
-// Load generator (`spechpc loadgen`)
-// ---------------------------------------------------------------------------
-
-/// One synthetic-load campaign: `clients` keep-alive connections each
-/// sending `requests_per_client` identical requests.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct LoadgenConfig {
-    /// Target address (worker or coordinator).
-    pub addr: String,
-    /// Concurrent keep-alive client connections.
-    pub clients: usize,
-    /// Requests per client.
-    pub requests_per_client: usize,
-    /// Request method + path + body.
-    pub method: String,
-    pub path: String,
-    pub body: String,
-    /// Per-request timeout in seconds.
-    pub timeout_s: f64,
-}
-
-impl Default for LoadgenConfig {
-    fn default() -> Self {
-        LoadgenConfig {
-            addr: "127.0.0.1:8722".to_string(),
-            clients: 32,
-            requests_per_client: 64,
-            method: "POST".to_string(),
-            path: "/v1/run".to_string(),
-            body: String::new(),
-            timeout_s: 60.0,
-        }
-    }
-}
-
-impl LoadgenConfig {
-    pub fn with_addr(mut self, addr: impl Into<String>) -> Self {
-        self.addr = addr.into();
-        self
-    }
-
-    pub fn with_clients(mut self, clients: usize) -> Self {
-        self.clients = clients.max(1);
-        self
-    }
-
-    pub fn with_requests_per_client(mut self, requests: usize) -> Self {
-        self.requests_per_client = requests.max(1);
-        self
-    }
-
-    pub fn with_request(
-        mut self,
-        method: impl Into<String>,
-        path: impl Into<String>,
-        body: impl Into<String>,
-    ) -> Self {
-        self.method = method.into();
-        self.path = path.into();
-        self.body = body.into();
-        self
-    }
-
-    pub fn with_timeout_s(mut self, secs: f64) -> Self {
-        self.timeout_s = secs.max(0.1);
-        self
-    }
-}
-
-/// What a loadgen campaign measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadgenReport {
-    pub sent: usize,
-    pub ok: usize,
-    pub non_2xx: usize,
-    pub transport_errors: usize,
-    pub elapsed_s: f64,
-    pub requests_per_s: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-}
-
-impl LoadgenReport {
-    /// One-line human summary.
-    pub fn render(&self) -> String {
-        format!(
-            "{} requests in {:.2} s → {:.0} req/s · ok {} · non-2xx {} · transport errors {} · \
-             p50 {:.2} ms · p99 {:.2} ms",
-            self.sent,
-            self.elapsed_s,
-            self.requests_per_s,
-            self.ok,
-            self.non_2xx,
-            self.transport_errors,
-            self.p50_ms,
-            self.p99_ms
-        )
-    }
-}
-
-/// `sorted` percentile by nearest-rank on an ascending slice.
-fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)] * 1e3
-}
-
-/// Run one synthetic-load campaign: every client opens one keep-alive
-/// connection and pipelines `requests_per_client` request/response
-/// exchanges, reconnecting (and counting a transport error) if the
-/// server closes it. Latency is measured per exchange.
-pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
-    let timeout = Duration::from_secs_f64(cfg.timeout_s);
-    let t0 = Instant::now();
-    let mut per_client: Vec<(Vec<f64>, usize, usize, usize)> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.clients);
-        for _ in 0..cfg.clients {
-            handles.push(scope.spawn(|| {
-                let mut latencies = Vec::with_capacity(cfg.requests_per_client);
-                let (mut ok, mut non_2xx, mut transport) = (0usize, 0usize, 0usize);
-                let mut conn: Option<TcpStream> = None;
-                for _ in 0..cfg.requests_per_client {
-                    let stream = match conn.take() {
-                        Some(s) => s,
-                        None => {
-                            match resolve_addr(&cfg.addr)
-                                .and_then(|a| TcpStream::connect_timeout(&a, timeout))
-                            {
-                                Ok(s) => {
-                                    let _ = s.set_nodelay(true);
-                                    let _ = s.set_read_timeout(Some(timeout));
-                                    let _ = s.set_write_timeout(Some(timeout));
-                                    s
-                                }
-                                Err(_) => {
-                                    transport += 1;
-                                    continue;
-                                }
-                            }
-                        }
-                    };
-                    let mut stream = stream;
-                    let t = Instant::now();
-                    let exchange =
-                        write_request(&mut stream, &cfg.method, &cfg.path, &cfg.body, true)
-                            .map_err(TransportError::Io)
-                            .and_then(|()| read_response(&mut stream));
-                    match exchange {
-                        Ok(resp) => {
-                            latencies.push(t.elapsed().as_secs_f64());
-                            if (200..300).contains(&resp.status) {
-                                ok += 1;
-                            } else {
-                                non_2xx += 1;
-                            }
-                            conn = Some(stream);
-                        }
-                        Err(_) => transport += 1,
-                    }
-                }
-                (latencies, ok, non_2xx, transport)
-            }));
-        }
-        for h in handles {
-            if let Ok(r) = h.join() {
-                per_client.push(r);
-            }
-        }
-    });
-    let elapsed_s = t0.elapsed().as_secs_f64();
-    let mut latencies: Vec<f64> = Vec::new();
-    let (mut ok, mut non_2xx, mut transport_errors) = (0, 0, 0);
-    for (lat, o, n, t) in per_client {
-        latencies.extend(lat);
-        ok += o;
-        non_2xx += n;
-        transport_errors += t;
-    }
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let sent = cfg.clients * cfg.requests_per_client;
-    LoadgenReport {
-        sent,
-        ok,
-        non_2xx,
-        transport_errors,
-        elapsed_s,
-        requests_per_s: if elapsed_s > 0.0 {
-            (ok + non_2xx) as f64 / elapsed_s
-        } else {
-            0.0
-        },
-        p50_ms: percentile_ms(&latencies, 50.0),
-        p99_ms: percentile_ms(&latencies, 99.0),
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 //!
 //! The workspace carries no external dependencies, so everything that
 //! speaks JSON in-tree goes through this module: the content-addressed
-//! run cache ([`cache`](crate::cache)), the perf-trajectory snapshot
-//! ([`snapshot`](crate::snapshot)), and the service API vocabulary
+//! run cache ([`cache`](crate::cache)) and the service API vocabulary
 //! ([`api`](crate::api)) that the `spechpc serve` daemon exchanges with
 //! its clients.
 //!
@@ -15,6 +14,10 @@
 //! * **deterministic rendering** — [`Json::render`] emits object fields
 //!   in insertion order with no ambient state, so the same value always
 //!   serializes to the same bytes.
+//!
+//! The parser recurses once per array or object, so it rejects documents
+//! nested deeper than [`MAX_DEPTH`]: a request body of a few kilobytes of
+//! `[` must get a typed `400`, not overflow the thread's stack.
 
 /// A JSON value. Numbers are `f64` (like JavaScript); `null` decodes to
 /// NaN through [`Json::num`] so non-finite floats survive a `null`
@@ -230,9 +233,15 @@ pub fn quote(s: &str) -> String {
     out
 }
 
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. The
+/// golden wire fixtures (`tests/golden/`) nest 6 levels at most.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -240,6 +249,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -260,8 +270,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Option<Json> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return None;
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Some(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -574,6 +595,20 @@ mod tests {
             let back = text.parse::<f64>().unwrap();
             assert_eq!(x.to_bits(), back.to_bits(), "{text}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_json(&nested(MAX_DEPTH)).is_some());
+        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_none());
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(parse_json(&objects(MAX_DEPTH)).is_some());
+        assert!(parse_json(&objects(MAX_DEPTH + 1)).is_none());
+        // Far past the cap, unterminated: rejected without recursing
+        // once per byte (which would overflow the test thread's stack).
+        assert!(parse_json(&"[".repeat(1_000_000)).is_none());
+        assert!(parse_json(&"{\"a\":".repeat(1_000_000)).is_none());
     }
 
     #[test]

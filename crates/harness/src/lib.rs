@@ -32,7 +32,6 @@ pub mod plan;
 pub mod report;
 pub mod runner;
 pub mod serve;
-pub mod snapshot;
 pub mod suite;
 
 pub use api::{ApiError, RunRequest, RunResponse, SuiteRequest, SuiteResponse};
@@ -41,8 +40,7 @@ pub use chaos::{load_chaos_plan, parse_chaos_plan, ChaosPlan, ChaosProxy, ChaosS
 pub use error::HarnessError;
 pub use exec::{ExecConfig, ExecMetrics, Executor, GridFailure, GridReport, RunSpec};
 pub use fleet::{
-    peer_fetcher, run_loadgen, Coordinator, FleetConfig, FleetShutdownHandle, HashRing,
-    LoadgenConfig, LoadgenReport, WorkerRegistry,
+    peer_fetcher, Coordinator, FleetConfig, FleetShutdownHandle, HashRing, WorkerRegistry,
 };
 pub use plan::{dispatch_plan, PlanJob, PlanRequest, PlanResponse, PlanVariant};
 pub use runner::{RunConfig, RunResult, SimRunner};

@@ -1815,4 +1815,205 @@ mod tests {
         assert_eq!(retry_after_of(200, 8, 8), None);
         assert_eq!(retry_after_of(404, 8, 8), None);
     }
+
+    /// Seeded property tests of [`parse_request`]. Each case builds a
+    /// request from random parts, so the expected parse is known.
+    mod prop {
+        use super::*;
+        use spechpc_kernels::common::rng::Rng;
+
+        fn below(rng: &mut Rng, n: usize) -> usize {
+            (rng.next_u64() % n as u64) as usize
+        }
+
+        fn pick<'a>(rng: &mut Rng, from: &[&'a str]) -> &'a str {
+            from[below(rng, from.len())]
+        }
+
+        /// `min` to `min + spread - 1` characters drawn from `alphabet`.
+        fn text(rng: &mut Rng, alphabet: &[char], min: usize, spread: usize) -> String {
+            let len = min + below(rng, spread);
+            (0..len)
+                .map(|_| alphabet[below(rng, alphabet.len())])
+                .collect()
+        }
+
+        /// A valid request and the fields it must parse back to.
+        struct Sample {
+            raw: Vec<u8>,
+            method: String,
+            path: String,
+            query: String,
+            body: String,
+            keep_alive: bool,
+        }
+
+        fn sample(rng: &mut Rng) -> Sample {
+            let path_chars: Vec<char> = "abcxyz019-_.~/%{}".chars().collect();
+            let query_chars: Vec<char> = "abcxyz019-_.~/%=&?".chars().collect();
+            let value: Vec<char> = "aZ09 ;,=-/:\"\t".chars().collect();
+            let body_chars: Vec<char> = "a{}[]\":,0 \r\né∑🙂".chars().collect();
+            let method = pick(rng, &["GET", "POST", "PUT", "DELETE", "HEAD", "PATCH"]);
+            let path = format!("/{}", text(rng, &path_chars, 0, 24));
+            let query = match below(rng, 3) {
+                0 => String::new(),
+                _ => text(rng, &query_chars, 1, 24),
+            };
+            let mut body = match below(rng, 8) {
+                0 => String::new(),
+                1 => text(rng, &body_chars, 2048, 4096),
+                _ => text(rng, &body_chars, 0, 96),
+            };
+            if below(rng, 4) == 0 {
+                // The body's own blank lines must not end the request.
+                body.push_str("\r\n\r\nGET / HTTP/1.1\r\n\r\n");
+            }
+            let version = pick(rng, &["HTTP/1.0", "HTTP/1.1"]);
+            let connection = pick(
+                rng,
+                &[
+                    "",
+                    "close",
+                    "keep-alive",
+                    "Keep-Alive",
+                    "Upgrade, close",
+                    "keep-alive, TE",
+                ],
+            );
+            let keep_alive = {
+                let has = |t: &str| {
+                    connection
+                        .to_ascii_lowercase()
+                        .split(',')
+                        .any(|c| c.trim() == t)
+                };
+                if version == "HTTP/1.0" {
+                    has("keep-alive")
+                } else {
+                    !has("close")
+                }
+            };
+            let target = if query.is_empty() {
+                path.clone()
+            } else {
+                format!("{path}?{query}")
+            };
+            let mut headers = vec![format!("Host: {}", text(rng, &value, 0, 12))];
+            for i in 0..below(rng, 4) {
+                headers.push(format!("X-Extra-{i}: {}", text(rng, &value, 0, 40)));
+            }
+            if !connection.is_empty() {
+                headers.push(format!("Connection: {connection}"));
+            }
+            if !body.is_empty() || below(rng, 2) == 0 {
+                let name = pick(rng, &["Content-Length", "content-length", "CONTENT-LENGTH"]);
+                let space = pick(rng, &["", " ", "   "]);
+                headers.push(format!("{name}:{space}{}{space}", body.len()));
+            }
+            // Header order is free.
+            for i in (1..headers.len()).rev() {
+                headers.swap(i, below(rng, i + 1));
+            }
+            let raw = format!(
+                "{method} {target} {version}\r\n{}\r\n\r\n{body}",
+                headers.join("\r\n")
+            )
+            .into_bytes();
+            Sample {
+                raw,
+                method: method.to_string(),
+                path,
+                query,
+                body,
+                keep_alive,
+            }
+        }
+
+        /// What must hold for any bytes: a `Complete` never claims more
+        /// bytes than the buffer holds, and a refusal is a 400 or 431.
+        fn check_invariants(buf: &[u8]) {
+            match parse_request(buf) {
+                Parsed::Complete(_, n) => assert!(n <= buf.len(), "consumed {n} of {}", buf.len()),
+                Parsed::Partial => {}
+                Parsed::Bad(e) => assert!(matches!(e.status, 400 | 431), "{e}"),
+            }
+        }
+
+        #[test]
+        fn prop_random_requests_parse_back_field_for_field() {
+            let mut rng = Rng::seed_from_u64(0x5e12_e001);
+            for case in 0..400 {
+                let s = sample(&mut rng);
+                let mut buf = s.raw.clone();
+                // A pipelined successor must be left in the buffer.
+                if below(&mut rng, 2) == 0 {
+                    buf.extend_from_slice(&sample(&mut rng).raw);
+                }
+                let (req, consumed) = complete(parse_request(&buf));
+                assert_eq!(consumed, s.raw.len(), "case {case}");
+                assert_eq!(req.method, s.method, "case {case}");
+                assert_eq!(req.path, s.path, "case {case}");
+                assert_eq!(req.query, s.query, "case {case}");
+                assert_eq!(req.body, s.body, "case {case}");
+                assert_eq!(req.keep_alive, s.keep_alive, "case {case}");
+            }
+        }
+
+        #[test]
+        fn prop_every_strict_prefix_is_partial() {
+            let mut rng = Rng::seed_from_u64(0x5e12_e002);
+            for case in 0..120 {
+                let s = sample(&mut rng);
+                for cut in 0..s.raw.len() {
+                    assert!(
+                        matches!(parse_request(&s.raw[..cut]), Parsed::Partial),
+                        "case {case}: prefix of {cut} bytes is not Partial"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn prop_mutated_requests_never_panic() {
+            let mut rng = Rng::seed_from_u64(0x5e12_e003);
+            for _ in 0..600 {
+                let s = sample(&mut rng);
+                let mut buf = s.raw.clone();
+                let header_end = find_header_end(&buf).expect("a sample has a header block");
+                let request_line_end = buf.windows(2).position(|w| w == b"\r\n").unwrap();
+                match below(&mut rng, 4) {
+                    0 => {
+                        for _ in 0..1 + below(&mut rng, 4) {
+                            let i = below(&mut rng, buf.len());
+                            buf[i] = rng.next_u64() as u8;
+                        }
+                    }
+                    1 => buf.truncate(below(&mut rng, buf.len())),
+                    2 => {
+                        let dup = format!("\r\nContent-Length: {}", below(&mut rng, 64));
+                        buf.splice(request_line_end..request_line_end, dup.bytes());
+                    }
+                    _ => {
+                        // Last header wins, so this one decides: past
+                        // the body cap, or past usize.
+                        let huge = pick(
+                            &mut rng,
+                            &["1048577", "18446744073709551615", "99999999999999999999999"],
+                        );
+                        let over = format!("\r\ncontent-length: {huge}");
+                        buf.splice(header_end..header_end, over.bytes());
+                        match parse_request(&buf) {
+                            Parsed::Bad(e) => assert_eq!(e.status, 400, "{e}"),
+                            _ => panic!("Content-Length {huge} was not refused"),
+                        }
+                    }
+                }
+                check_invariants(&buf);
+                // The event loop parses after every read, at any split.
+                for _ in 0..4 {
+                    check_invariants(&buf[..below(&mut rng, buf.len() + 1)]);
+                }
+            }
+        }
+    }
 }

@@ -330,6 +330,27 @@ fn coordinator_refuses_unframeable_requests_like_a_worker() {
     wj.join().unwrap().unwrap();
 }
 
+/// The coordinator decodes a `/v1/run` body to route it, so a deeply
+/// nested body must be its typed 400 too, not a stack overflow.
+#[test]
+fn coordinator_answers_deeply_nested_json_with_a_typed_400() {
+    let (worker, wh, wj) = spawn_worker(Vec::new());
+    let (fleet, fh, fj) = spawn_coordinator(vec![worker.to_string()], 0.05);
+
+    let (status, body) = http(fleet, "POST", "/v1/run", &"[".repeat(20_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"bad_request\""), "{body}");
+    let (status, body) = http(fleet, "GET", "/v1/health", "");
+    assert_eq!(status, 200, "{body}");
+    let (_, metrics) = http(fleet, "GET", "/v1/metrics", "");
+    assert_eq!(json_u64(&metrics, "workers_alive"), 1, "{metrics}");
+
+    fh.request_drain();
+    fj.join().unwrap().unwrap();
+    wh.request_drain();
+    wj.join().unwrap().unwrap();
+}
+
 #[test]
 fn drain_does_not_wait_for_an_idle_keepalive_client() {
     let (worker, wh, wj) = spawn_worker(Vec::new());

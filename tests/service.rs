@@ -589,6 +589,26 @@ fn oversized_headers_are_refused_with_431() {
     join.join().unwrap().unwrap();
 }
 
+/// 20 KB of `[` fits the body cap many times over. The parser caps its
+/// nesting depth, so the body is a typed 400 and the daemon lives on
+/// (unbounded recursion would overflow a pool thread's stack and abort
+/// the process).
+#[test]
+fn deeply_nested_json_bodies_are_a_typed_400() {
+    let (addr, _, join) = spawn_server(executor(), serve_config());
+    let bomb = "[".repeat(20_000);
+    for path in ["/v1/run", "/v1/plan"] {
+        let (status, _, body) = http(addr, "POST", path, &bomb);
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains("\"bad_request\""), "{path}: {body}");
+    }
+    let (status, _, _) = http(addr, "GET", "/v1/health", "");
+    assert_eq!(status, 200);
+    let (status, _, _) = http(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    join.join().unwrap().unwrap();
+}
+
 #[test]
 fn slow_loris_is_reaped_by_the_read_deadline() {
     let cfg = serve_config().with_read_timeout_s(0.2);
