@@ -290,12 +290,11 @@ impl RunRequest {
     /// The grid point this request names, with `nranks == 0` resolved
     /// against the cluster's full node.
     pub fn spec(&self, cluster: &ClusterSpec) -> RunSpec {
-        let nranks = if self.nranks == 0 {
-            cluster.node.cores()
-        } else {
-            self.nranks
-        };
-        RunSpec::new(self.benchmark.clone(), self.class, nranks)
+        RunSpec::new(
+            self.benchmark.clone(),
+            self.class,
+            ranks_or_full_node(self.nranks, cluster),
+        )
     }
 
     /// Serialize as the `POST /v1/run` body.
@@ -379,6 +378,16 @@ impl SuiteRequest {
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.config = self.config.with_faults(faults);
         self
+    }
+
+    /// The suite this request names, with `nranks == 0` resolved against
+    /// the cluster's full node — the one point list a daemon runs and a
+    /// fleet coordinator shards.
+    pub fn suite(&self, cluster: &ClusterSpec) -> Suite {
+        Suite {
+            class: self.class,
+            nranks: ranks_or_full_node(self.nranks, cluster),
+        }
     }
 
     /// Serialize as the `POST /v1/suite` body.
@@ -662,42 +671,63 @@ impl SuiteResponse {
     /// Serialize as the `POST /v1/suite` body (status 200 when
     /// complete, 207 when partial).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"cluster\": {},\n",
-            quote(&self.report.cluster)
-        ));
-        s.push_str(&format!(
-            "  \"class\": {},\n",
-            quote(&self.report.class.to_string())
-        ));
-        s.push_str(&format!("  \"complete\": {},\n", self.report.is_complete()));
-        s.push_str("  \"results\": [");
-        for (i, r) in self.report.results.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('\n');
-            s.push_str(&cache::encode_result(r));
-        }
-        s.push_str("],\n  \"failures\": [");
-        for (i, f) in self.report.failures.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('\n');
-            let e = ApiError::from(f.error.clone());
-            s.push_str(&format!(
-                "    {{ \"label\": {}, \"error\": {}, \"message\": {} }}",
-                quote(&f.label),
-                quote(&e.code),
-                quote(&e.message)
-            ));
-        }
-        s.push_str("]\n}\n");
-        s
+        let results: Vec<String> = self
+            .report
+            .results
+            .iter()
+            .map(cache::encode_result)
+            .collect();
+        let failures: Vec<(String, String, String)> = self
+            .report
+            .failures
+            .iter()
+            .map(|f| {
+                let e = ApiError::from(f.error.clone());
+                (f.label.clone(), e.code, e.message)
+            })
+            .collect();
+        suite_body(&self.report.cluster, self.report.class, &results, &failures)
     }
+}
+
+/// The `POST /v1/suite` body from cache-encoded results and
+/// `(label, code, message)` failures, both in grid order. A daemon's
+/// [`SuiteResponse`] and a fleet coordinator's reassembled shards are
+/// written here, so the two answer the same bytes.
+pub(crate) fn suite_body(
+    cluster: &str,
+    class: WorkloadClass,
+    results: &[impl AsRef<str>],
+    failures: &[(String, String, String)],
+) -> String {
+    let mut s = String::with_capacity(4096);
+    s.push_str("{\n");
+    s.push_str(&format!("  \"cluster\": {},\n", quote(cluster)));
+    s.push_str(&format!("  \"class\": {},\n", quote(&class.to_string())));
+    s.push_str(&format!("  \"complete\": {},\n", failures.is_empty()));
+    s.push_str("  \"results\": [");
+    for (i, r) in results.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push('\n');
+        s.push_str(r.as_ref());
+    }
+    s.push_str("],\n  \"failures\": [");
+    for (i, (label, code, message)) in failures.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push('\n');
+        s.push_str(&format!(
+            "    {{ \"label\": {}, \"error\": {}, \"message\": {} }}",
+            quote(label),
+            quote(code),
+            quote(message)
+        ));
+    }
+    s.push_str("]\n}\n");
+    s
 }
 
 // ---------------------------------------------------------------------------
@@ -719,18 +749,18 @@ pub fn dispatch_run(exec: &Executor, req: &RunRequest) -> Result<RunResponse, Ap
 /// Execute one suite request against a resident executor.
 pub fn dispatch_suite(exec: &Executor, req: &SuiteRequest) -> Result<SuiteResponse, ApiError> {
     let cluster = resolve_cluster(&req.cluster)?;
-    let nranks = if req.nranks == 0 {
+    let forked = exec.with_run_config(req.config.clone());
+    let report = req.suite(&cluster).run_with(&forked, &cluster);
+    Ok(SuiteResponse { report })
+}
+
+/// `nranks`, with `0` meaning one full node of `cluster`.
+fn ranks_or_full_node(nranks: usize, cluster: &ClusterSpec) -> usize {
+    if nranks == 0 {
         cluster.node.cores()
     } else {
-        req.nranks
-    };
-    let forked = exec.with_run_config(req.config.clone());
-    let suite = Suite {
-        class: req.class,
-        nranks,
-    };
-    let report = suite.run_with(&forked, &cluster);
-    Ok(SuiteResponse { report })
+        nranks
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ use spechpc_power::rapl::JobPower;
 use spechpc_simmpi::profile::{Profile, RankPhases, SizeBucket};
 use spechpc_simmpi::trace::{Breakdown, EventKind, Timeline};
 
+use crate::hash;
 use crate::json::{fmt_f64 as jf, parse_json, quote as jstr, Json};
 use crate::runner::{RunConfig, RunResult};
 
@@ -108,18 +109,13 @@ impl RunKey {
     /// digits — the cache file name, and the address fleet peers use
     /// against `GET /v1/cache/{hash}`.
     pub fn hash_hex(&self) -> String {
-        fnv_hex(&self.canonical())
+        hash_hex_of(&self.canonical())
     }
 }
 
 /// FNV-1a 64-bit over `s`, rendered as 16 lowercase hex digits.
-fn fnv_hex(s: &str) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    format!("{h:016x}")
+fn hash_hex_of(s: &str) -> String {
+    format!("{:016x}", hash::fnv1a(s.bytes()))
 }
 
 /// Counters describing how a [`RunCache`] behaved — the LIKWID-counter
@@ -157,16 +153,6 @@ impl CacheMetrics {
     /// Total lookups observed.
     pub fn lookups(&self) -> u64 {
         self.hits_mem + self.hits_disk + self.misses + self.corrupt
-    }
-
-    /// Hit fraction over all lookups (0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let n = self.lookups();
-        if n == 0 {
-            0.0
-        } else {
-            (self.hits_mem + self.hits_disk) as f64 / n as f64
-        }
     }
 }
 
@@ -312,7 +298,7 @@ impl RunCache {
         {
             let mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
             for (canonical, result) in mem.iter() {
-                if fnv_hex(canonical) == hash {
+                if hash_hex_of(canonical) == hash {
                     return Some(encode_entry(canonical, result));
                 }
             }
@@ -398,7 +384,7 @@ fn entry_is_sound(path: &Path, stem: &str) -> bool {
     let Some(key) = root.str_of("key") else {
         return false;
     };
-    fnv_hex(&key) == stem && decode_entry(&text, &key).is_some()
+    hash_hex_of(&key) == stem && decode_entry(&text, &key).is_some()
 }
 
 /// Write via a sibling temp file + `fsync` + rename so neither
@@ -886,7 +872,6 @@ mod tests {
         assert_eq!(m.hits_disk, 0);
         assert_eq!(m.corrupt, 0);
         assert_eq!(m.lookups(), 2);
-        assert!((m.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -72,6 +72,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::faultcfg::{self, check_keys, PlanError, TableData};
+use crate::hash::mix64;
 
 // ---------------------------------------------------------------------------
 // Plan model
@@ -328,16 +329,6 @@ impl ConnSchedule {
 // ---------------------------------------------------------------------------
 // Stateless hashing (the determinism core)
 // ---------------------------------------------------------------------------
-
-/// splitmix64 finalizer — the same mixer the fleet's hash ring uses.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d049bb133111eb);
-    x ^= x >> 31;
-    x
-}
 
 /// Stateless draw for `(seed, conn, event)` — mirrors the simulation
 /// fault layer's per-`(seed, rank, op)` construction, so chaos runs

@@ -27,14 +27,6 @@ pub enum HarnessError {
 }
 
 impl HarnessError {
-    /// Whether a retry could plausibly succeed. Simulation errors are
-    /// deterministic — the same inputs fail the same way — and so are
-    /// panics; only a wall-clock timeout can be an artifact of host
-    /// contention rather than of the run itself.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, HarnessError::Timeout { .. })
-    }
-
     /// The rank an injected crash blamed, if this error is one.
     pub fn failed_rank(&self) -> Option<usize> {
         match self {
@@ -79,22 +71,6 @@ impl From<SimError> for HarnessError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn only_timeouts_are_transient() {
-        assert!(HarnessError::Timeout {
-            label: "x".into(),
-            limit_s: 1.0
-        }
-        .is_transient());
-        assert!(!HarnessError::Sim(SimError::Cancelled).is_transient());
-        assert!(!HarnessError::UnknownBenchmark { name: "hpl".into() }.is_transient());
-        assert!(!HarnessError::Panic {
-            label: "x".into(),
-            message: "boom".into()
-        }
-        .is_transient());
-    }
 
     #[test]
     fn display_and_blame_are_informative() {

@@ -17,8 +17,8 @@
 //! * **graceful degradation**: a failed grid point (injected rank
 //!   crash, deadlock, worker panic, per-run timeout) never takes the
 //!   grid down. Panics are caught at the run boundary, a per-run
-//!   wall-clock budget cancels runaway simulations cooperatively,
-//!   transient failures retry with bounded backoff, and
+//!   wall-clock budget cancels runaway simulations cooperatively
+//!   (a timed-out point fails; nothing is retried), and
 //!   [`Executor::run_all`] always returns a [`GridReport`] carrying
 //!   the completed results plus a per-spec failure report.
 //!
@@ -68,10 +68,6 @@ pub struct ExecConfig {
     /// the engine's cancellation token and reported as
     /// [`HarnessError::Timeout`].
     pub timeout_s: f64,
-    /// Bounded retries for transient failures (timeouts — simulation
-    /// errors are deterministic and never retried). Retry `i` backs
-    /// off `10 · 2^(i-1)` ms before re-running.
-    pub retries: u32,
 }
 
 impl ExecConfig {
@@ -96,12 +92,6 @@ impl ExecConfig {
     /// Builder: per-run wall-clock budget in seconds (`0.0` = off).
     pub fn with_timeout_s(mut self, timeout_s: f64) -> Self {
         self.timeout_s = timeout_s;
-        self
-    }
-
-    /// Builder: bounded retries for transient failures.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
         self
     }
 
@@ -210,8 +200,7 @@ impl GridReport {
 /// the LIKWID counters the paper's §4.2 methodology leans on).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecMetrics {
-    /// Simulations actually constructed and run (cache hits excluded;
-    /// retries count each attempt).
+    /// Simulations actually constructed and run (cache hits excluded).
     pub runs_executed: u64,
     /// Cache behaviour; all-zero when the executor runs uncached.
     pub cache: CacheMetrics,
@@ -224,11 +213,6 @@ pub struct ExecMetrics {
     /// Results served from a fleet peer's cache instead of simulating
     /// locally (zero without [`Executor::with_peer_fetch`]).
     pub peer_hits: u64,
-    /// Engine runs that reused a template-derived
-    /// [`Prepass`](spechpc_simmpi::engine::Prepass) instead of
-    /// re-walking their concatenated programs — two per simulation (the
-    /// warm-up and the full run share one per-step analysis).
-    pub prepass_reuses: u64,
 }
 
 impl ExecMetrics {
@@ -245,9 +229,6 @@ struct ExecCounters {
     per_worker: Mutex<Vec<u64>>,
     point_wall: Mutex<Vec<(String, f64)>>,
     peer_hits: AtomicU64,
-    /// Shared with every [`SimRunner`] this executor constructs (behind
-    /// its own [`Arc`] so watchdog-thread runners can hold it too).
-    prepass_reuses: Arc<AtomicU64>,
 }
 
 /// Parallel, memoizing, fault-tolerant run executor (see the module
@@ -261,7 +242,6 @@ pub struct Executor {
     runner: SimRunner,
     jobs: usize,
     timeout_s: f64,
-    retries: u32,
     cache: Option<Arc<RunCache>>,
     counters: Arc<ExecCounters>,
     peer_fetch: Option<PeerFetch>,
@@ -277,15 +257,12 @@ impl Executor {
                 None => RunCache::in_memory(),
             }))
         };
-        let counters = Arc::new(ExecCounters::default());
         Executor {
             jobs: exec.effective_jobs(),
             timeout_s: exec.timeout_s,
-            retries: exec.retries,
-            runner: SimRunner::new(run_config)
-                .with_prepass_counter(Arc::clone(&counters.prepass_reuses)),
+            runner: SimRunner::new(run_config),
             cache,
-            counters,
+            counters: Arc::new(ExecCounters::default()),
             peer_fetch: None,
         }
     }
@@ -323,11 +300,9 @@ impl Executor {
     /// hash to distinct [`RunKey`]s, so sharing the store is safe.)
     pub fn with_run_config(&self, run_config: RunConfig) -> Executor {
         Executor {
-            runner: SimRunner::new(run_config)
-                .with_prepass_counter(Arc::clone(&self.counters.prepass_reuses)),
+            runner: SimRunner::new(run_config),
             jobs: self.jobs,
             timeout_s: self.timeout_s,
-            retries: self.retries,
             cache: self.cache.clone(),
             counters: Arc::clone(&self.counters),
             peer_fetch: self.peer_fetch.clone(),
@@ -344,8 +319,9 @@ impl Executor {
         )
     }
 
-    /// `benchmark/class/nranks@cluster` — the label metrics rows carry.
-    fn label_of(cluster: &ClusterSpec, spec: &RunSpec) -> String {
+    /// `benchmark/class/nranks@cluster` — the label metrics rows and
+    /// suite failures carry.
+    pub(crate) fn label_of(cluster: &ClusterSpec, spec: &RunSpec) -> String {
         format!(
             "{}/{}/{}@{}",
             spec.benchmark, spec.class, spec.nranks, cluster.name
@@ -396,16 +372,7 @@ impl Executor {
                 }
             }
         }
-        let mut attempt: u32 = 0;
-        let result = loop {
-            match self.simulate(cluster, spec) {
-                Err(e) if e.is_transient() && attempt < self.retries => {
-                    attempt += 1;
-                    std::thread::sleep(backoff(attempt));
-                }
-                other => break other,
-            }
-        }?;
+        let result = self.simulate(cluster, spec)?;
         if cacheable {
             if let Some(cache) = &self.cache {
                 cache.put(&self.key_of(cluster, spec), &result);
@@ -414,7 +381,7 @@ impl Executor {
         Ok(result)
     }
 
-    /// One supervised simulation attempt: panics are caught at this
+    /// One supervised simulation: panics are caught at this
     /// boundary, and with a timeout configured the run executes on a
     /// watchdog thread that is cancelled cooperatively when over
     /// budget.
@@ -460,12 +427,10 @@ impl Executor {
         let spec = spec.clone();
         let flag = Arc::clone(&cancel);
         let thread_label = label.clone();
-        let reuses = Arc::clone(&self.counters.prepass_reuses);
         std::thread::spawn(move || {
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let bench = resolve(&spec.benchmark)?;
                 SimRunner::new(config)
-                    .with_prepass_counter(reuses)
                     .run_cancellable(&cluster, &*bench, spec.class, spec.nranks, Some(flag))
                     .map_err(HarnessError::from)
             }));
@@ -497,8 +462,7 @@ impl Executor {
         cluster: &ClusterSpec,
         spec: &RunSpec,
     ) -> Result<RunResult, HarnessError> {
-        let traced = SimRunner::new(self.runner.config.clone().with_trace(true))
-            .with_prepass_counter(Arc::clone(&self.counters.prepass_reuses));
+        let traced = SimRunner::new(self.runner.config.clone().with_trace(true));
         let bench = resolve(&spec.benchmark)?;
         let t0 = Instant::now();
         let outcome = traced
@@ -531,7 +495,6 @@ impl Executor {
                 .unwrap_or_else(|e| e.into_inner())
                 .clone(),
             peer_hits: self.counters.peer_hits.load(Ordering::Relaxed),
-            prepass_reuses: self.counters.prepass_reuses.load(Ordering::Relaxed),
         }
     }
 
@@ -636,12 +599,6 @@ impl Executor {
             .collect();
         self.run_all(cluster, &specs).into_results()
     }
-}
-
-/// Backoff before transient-failure retry `attempt` (1-based):
-/// `10 · 2^(attempt-1)` ms, capped at 640 ms.
-fn backoff(attempt: u32) -> Duration {
-    Duration::from_millis(10u64 << (attempt - 1).min(6))
 }
 
 /// Resolve a registry name to its benchmark, or a typed failure.
@@ -836,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn timeouts_cancel_and_retry_with_bounded_attempts() {
+    fn timeouts_cancel_and_are_not_retried() {
         let cluster = presets::cluster_a();
         // No simulation finishes in a nanosecond.
         let exec = Executor::new(
@@ -844,14 +801,13 @@ mod tests {
             ExecConfig::default()
                 .with_jobs(1)
                 .with_no_cache(true)
-                .with_timeout_s(1e-9)
-                .with_retries(2),
+                .with_timeout_s(1e-9),
         );
         let spec = RunSpec::new("lbm", WorkloadClass::Tiny, 16);
         let err = exec.run_one(&cluster, &spec).unwrap_err();
         assert!(matches!(err, HarnessError::Timeout { .. }), "{err}");
-        // Transient failure: the initial attempt plus both retries ran.
-        assert_eq!(exec.metrics().runs_executed, 3);
+        // One attempt, no retry.
+        assert_eq!(exec.metrics().runs_executed, 1);
     }
 
     #[test]
@@ -863,9 +819,6 @@ mod tests {
         exec.run_one(&cluster, &spec).unwrap(); // memory hit
         let m = exec.metrics();
         assert_eq!(m.runs_executed, 1);
-        // One simulation = one template analysis reused twice (warm-up
-        // and full run); the cache hit re-simulates nothing.
-        assert_eq!(m.prepass_reuses, 2);
         assert_eq!(m.cache.hits_mem, 1);
         assert_eq!(m.cache.misses, 1);
         assert_eq!(m.point_wall_s.len(), 2);
@@ -911,8 +864,6 @@ mod tests {
         assert!(exec.run_all(&cluster, &specs).is_complete());
         let m = exec.metrics();
         assert_eq!(m.runs_executed, specs.len() as u64);
-        // Every grid point reuses its template prepass twice.
-        assert_eq!(m.prepass_reuses, 2 * specs.len() as u64);
         assert_eq!(
             m.per_worker_runs.iter().sum::<u64>(),
             specs.len() as u64,

@@ -60,40 +60,16 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use spechpc_kernels::registry::all_benchmarks;
-
 use crate::api::{self, resolve_cluster, ApiError, Endpoint, EndpointId, RunRequest, SuiteRequest};
 use crate::cache::{self, RunKey};
-use crate::exec::PeerFetch;
-use crate::json::{parse_json, quote, Json};
+use crate::exec::{Executor, PeerFetch};
+use crate::hash::{fnv1a, mix64};
+use crate::json::{parse_json, Json};
 use crate::plan::PlanRequest;
 use crate::serve::{Role, ServeConfig, Server, ShutdownHandle};
 
-/// FNV-1a 64-bit — the same hash the run cache addresses entries with,
-/// reused for ring placement so routing needs no second hash family.
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// splitmix64 finalizer. FNV alone distributes the similar short
-/// strings of vnode labels poorly across the high bits; ring points and
-/// routed keys both pass through this mix so placement is uniform.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d049bb133111eb);
-    x ^= x >> 31;
-    x
-}
-
-/// Exponential backoff between full failover sweeps, mirroring the
-/// executor's transient-retry schedule: 10 ms, 20, 40, … capped 640 ms.
+/// Exponential backoff between full failover sweeps: 10 ms, 20, 40, …
+/// capped at 640 ms.
 fn backoff(attempt: u32) -> Duration {
     Duration::from_millis((10u64 << (attempt.saturating_sub(1)).min(6)).min(640))
 }
@@ -121,7 +97,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(workers * vnodes);
         for w in 0..workers {
             for v in 0..vnodes {
-                points.push((mix64(fnv64(&format!("worker{w}#vnode{v}"))), w));
+                points.push((mix64(fnv1a(format!("worker{w}#vnode{v}").bytes())), w));
             }
         }
         points.sort_unstable();
@@ -857,7 +833,7 @@ fn key_hash_of(req: &RunRequest) -> Result<u64, ApiError> {
         spec.nranks,
         &req.config,
     );
-    Ok(fnv64(&key.canonical()))
+    Ok(fnv1a(key.canonical().bytes()))
 }
 
 /// Forward one `POST /v1/run` body to the key's worker: hedged across
@@ -882,7 +858,7 @@ fn forward_run(ctx: &Arc<FleetCtx>, body: &str) -> Result<WireResponse, ApiError
 /// plans at the coordinator without spending a forward.
 fn forward_plan(ctx: &Arc<FleetCtx>, body: &str) -> Result<WireResponse, ApiError> {
     let req = PlanRequest::from_json(body)?;
-    let hash = fnv64(&req.to_json());
+    let hash = fnv1a(req.to_json().bytes());
     forward_with_failover(ctx, hash, "POST", EndpointId::Plan.path(), body)
 }
 
@@ -1139,35 +1115,17 @@ type PointOutcome = Result<String, (String, String)>;
 fn fan_out_suite(ctx: &Arc<FleetCtx>, body: &str) -> Result<(u16, String), ApiError> {
     let req = SuiteRequest::from_json(body)?;
     let cluster = resolve_cluster(&req.cluster)?;
-    let nranks = if req.nranks == 0 {
-        cluster.node.cores()
-    } else {
-        req.nranks
-    };
-    let points: Vec<SuitePoint> = all_benchmarks()
-        .iter()
-        .filter(|b| match req.class {
-            spechpc_kernels::common::config::WorkloadClass::Medium
-            | spechpc_kernels::common::config::WorkloadClass::Large => {
-                b.meta().supports_medium_large
-            }
-            _ => true,
-        })
-        .map(|b| {
-            let run = RunRequest::new(b.meta().name, req.class, nranks)
+    let points: Vec<SuitePoint> = req
+        .suite(&cluster)
+        .specs()
+        .into_iter()
+        .map(|spec| {
+            let run = RunRequest::new(spec.benchmark.clone(), spec.class, spec.nranks)
                 .with_cluster(req.cluster.clone())
                 .with_config(req.config.clone());
-            let label = format!(
-                "{}/{}/{}@{}",
-                b.meta().name,
-                req.class,
-                nranks,
-                cluster.name
-            );
-            let key_hash = key_hash_of(&run).expect("cluster already resolved");
             SuitePoint {
-                label,
-                key_hash,
+                label: Executor::label_of(&cluster, &spec),
+                key_hash: key_hash_of(&run).expect("cluster already resolved"),
                 body: run.to_json(),
             }
         })
@@ -1244,7 +1202,7 @@ fn fan_out_suite(ctx: &Arc<FleetCtx>, body: &str) -> Result<(u16, String), ApiEr
 
     // Reassemble the exact SuiteResponse byte format.
     let mut results: Vec<&str> = Vec::new();
-    let mut failures: Vec<(&str, String, String)> = Vec::new();
+    let mut failures: Vec<(String, String, String)> = Vec::new();
     let collected: Vec<PointOutcome> = outcomes
         .into_iter()
         .map(|slot| {
@@ -1269,49 +1227,22 @@ fn fan_out_suite(ctx: &Arc<FleetCtx>, body: &str) -> Result<(u16, String), ApiEr
                 match inner {
                     Some(encoded) => results.push(encoded),
                     None => failures.push((
-                        &points[i].label,
+                        points[i].label.clone(),
                         "bad_upstream".to_string(),
                         "worker sent an unparseable run payload".to_string(),
                     )),
                 }
             }
             Err((code, message)) => {
-                failures.push((&points[i].label, code.clone(), message.clone()))
+                failures.push((points[i].label.clone(), code.clone(), message.clone()))
             }
         }
     }
-    let complete = failures.is_empty();
-    let mut s = String::with_capacity(4096);
-    s.push_str("{\n");
-    s.push_str(&format!("  \"cluster\": {},\n", quote(&cluster.name)));
-    s.push_str(&format!(
-        "  \"class\": {},\n",
-        quote(&req.class.to_string())
-    ));
-    s.push_str(&format!("  \"complete\": {complete},\n"));
-    s.push_str("  \"results\": [");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('\n');
-        s.push_str(r);
-    }
-    s.push_str("],\n  \"failures\": [");
-    for (i, (label, code, message)) in failures.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('\n');
-        s.push_str(&format!(
-            "    {{ \"label\": {}, \"error\": {}, \"message\": {} }}",
-            quote(label),
-            quote(code),
-            quote(message)
-        ));
-    }
-    s.push_str("]\n}\n");
-    Ok((if complete { 200 } else { 207 }, s))
+    let status = if failures.is_empty() { 200 } else { 207 };
+    Ok((
+        status,
+        api::suite_body(&cluster.name, req.class, &results, &failures),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1354,7 +1285,13 @@ mod tests {
     #[test]
     fn ring_routing_is_deterministic_and_covers_every_worker() {
         let ring = HashRing::new(3, 64);
-        for key in [0u64, 1, u64::MAX, 0xdeadbeef, fnv64("v3|lbm|ClusterA")] {
+        for key in [
+            0u64,
+            1,
+            u64::MAX,
+            0xdeadbeef,
+            fnv1a("v3|lbm|ClusterA".bytes()),
+        ] {
             let order = ring.preference(key);
             assert_eq!(order.len(), 3, "every worker appears once");
             let mut sorted = order.clone();
@@ -1368,7 +1305,9 @@ mod tests {
     fn ring_spreads_keys_and_mostly_survives_resize() {
         let ring = HashRing::new(4, 64);
         let mut counts = [0usize; 4];
-        let keys: Vec<u64> = (0..1000).map(|i| fnv64(&format!("key{i}"))).collect();
+        let keys: Vec<u64> = (0..1000)
+            .map(|i| fnv1a(format!("key{i}").bytes()))
+            .collect();
         for &k in &keys {
             counts[ring.preference(k)[0]] += 1;
         }

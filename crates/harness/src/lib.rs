@@ -26,6 +26,7 @@ pub mod exec;
 pub mod experiments;
 pub mod faultcfg;
 pub mod fleet;
+pub mod hash;
 pub mod json;
 pub mod obs;
 pub mod plan;

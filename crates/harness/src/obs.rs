@@ -7,6 +7,12 @@
 //! turns both into the aligned text tables of [`report`](crate::report)
 //! and into CSV files, so `cli profile` and `--metrics` share one code
 //! path.
+//!
+//! The executor metrics are named once, in [`metrics_json`]: the
+//! daemon's `GET /v1/metrics` object. The `--metrics` table and CSV
+//! (printed by the CLI, flushed by `serve` on drain) are that object
+//! run through [`flatten`], so `cache.hits_mem` is the row
+//! `cache_hits_mem` and the three views cannot drift apart.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -14,6 +20,7 @@ use std::path::{Path, PathBuf};
 use spechpc_simmpi::profile::{Profile, Regime};
 
 use crate::exec::ExecMetrics;
+use crate::json::Json;
 use crate::report::{fmt, pct, ReportError, Table};
 
 /// Per-rank phase-split table — the Fig.-2-style MPI time breakdown.
@@ -104,60 +111,80 @@ pub fn profile_matrix_table(title: &str, p: &Profile, top: usize) -> Result<Tabl
     Ok(t)
 }
 
-/// Executor/cache counters as one table.
+/// The daemon's `GET /v1/metrics` object — the one place the executor
+/// and cache metrics are named. The `--metrics` table and CSV are this
+/// object run through [`flatten`].
+pub fn metrics_json(m: &ExecMetrics) -> Json {
+    let c = &m.cache;
+    Json::Obj(vec![
+        ("runs_executed".into(), Json::from(m.runs_executed)),
+        ("peer_hits".into(), Json::from(m.peer_hits)),
+        (
+            "cache".into(),
+            Json::Obj(vec![
+                ("hits_mem".into(), Json::from(c.hits_mem)),
+                ("hits_disk".into(), Json::from(c.hits_disk)),
+                ("misses".into(), Json::from(c.misses)),
+                ("corrupt".into(), Json::from(c.corrupt)),
+                ("quarantined".into(), Json::from(c.quarantined)),
+                ("torn_quarantined".into(), Json::from(c.torn_quarantined)),
+                ("stores".into(), Json::from(c.stores)),
+            ]),
+        ),
+        (
+            "per_worker_runs".into(),
+            Json::Arr(m.per_worker_runs.iter().map(|&r| Json::from(r)).collect()),
+        ),
+        ("points_timed".into(), Json::from(m.point_wall_s.len())),
+        ("total_wall_s".into(), Json::from(m.total_wall_s())),
+    ])
+}
+
+/// `(path, value)` rows of a JSON object in document order: nested keys
+/// join with `_` and array items take their index, so `cache.hits_mem`
+/// becomes `cache_hits_mem` and `per_worker_runs[0]` `per_worker_runs_0`.
+/// Values are the leaves' JSON renderings.
+pub fn flatten(v: &Json) -> Vec<(String, String)> {
+    fn walk(path: &str, v: &Json, out: &mut Vec<(String, String)>) {
+        let child = |k: &str| match path {
+            "" => k.to_string(),
+            _ => format!("{path}_{k}"),
+        };
+        match v {
+            Json::Obj(fields) => {
+                for (k, x) in fields {
+                    walk(&child(k), x, out);
+                }
+            }
+            Json::Arr(items) => {
+                for (i, x) in items.iter().enumerate() {
+                    walk(&child(&i.to_string()), x, out);
+                }
+            }
+            leaf => out.push((path.to_string(), leaf.render())),
+        }
+    }
+    let mut out = Vec::new();
+    walk("", v, &mut out);
+    out
+}
+
+/// Executor/cache counters as one `metric`/`value` table.
 pub fn metrics_table(title: &str, m: &ExecMetrics) -> Result<Table, ReportError> {
     let mut t = Table::new(title, &["metric", "value"]);
-    let kv = |t: &mut Table, k: &str, v: String| t.row(vec![k.to_string(), v]);
-    kv(&mut t, "runs executed", m.runs_executed.to_string())?;
-    kv(&mut t, "peer cache hits", m.peer_hits.to_string())?;
-    kv(&mut t, "prepass reuses", m.prepass_reuses.to_string())?;
-    kv(&mut t, "cache hits (memory)", m.cache.hits_mem.to_string())?;
-    kv(&mut t, "cache hits (disk)", m.cache.hits_disk.to_string())?;
-    kv(&mut t, "cache misses", m.cache.misses.to_string())?;
-    kv(&mut t, "cache corrupt entries", m.cache.corrupt.to_string())?;
-    kv(
-        &mut t,
-        "cache entries quarantined",
-        m.cache.quarantined.to_string(),
-    )?;
-    kv(
-        &mut t,
-        "cache torn entries scrubbed",
-        m.cache.torn_quarantined.to_string(),
-    )?;
-    kv(&mut t, "cache stores", m.cache.stores.to_string())?;
-    kv(&mut t, "cache hit rate", pct(m.cache.hit_rate() * 100.0))?;
-    for (w, runs) in m.per_worker_runs.iter().enumerate() {
-        kv(&mut t, &format!("worker {w} runs"), runs.to_string())?;
+    for (name, value) in flatten(&metrics_json(m)) {
+        t.row(vec![name, value])?;
     }
-    kv(
-        &mut t,
-        "grid points timed",
-        m.point_wall_s.len().to_string(),
-    )?;
-    kv(&mut t, "total wall s", format!("{:.3}", m.total_wall_s()))?;
     Ok(t)
 }
 
-/// Executor/cache counters as CSV (one `metric,value` pair per line,
-/// then one `wall_s,<label>,<seconds>` line per timed grid point).
+/// Executor/cache counters as CSV: one `metric,value` line per metric,
+/// then the per-point ledger, one `wall_s,<label>,<seconds>` line per
+/// timed grid point.
 pub fn metrics_to_csv(m: &ExecMetrics) -> String {
     let mut out = String::from("metric,value\n");
-    out.push_str(&format!("runs_executed,{}\n", m.runs_executed));
-    out.push_str(&format!("peer_hits,{}\n", m.peer_hits));
-    out.push_str(&format!("prepass_reuses,{}\n", m.prepass_reuses));
-    out.push_str(&format!("cache_hits_mem,{}\n", m.cache.hits_mem));
-    out.push_str(&format!("cache_hits_disk,{}\n", m.cache.hits_disk));
-    out.push_str(&format!("cache_misses,{}\n", m.cache.misses));
-    out.push_str(&format!("cache_corrupt,{}\n", m.cache.corrupt));
-    out.push_str(&format!("cache_quarantined,{}\n", m.cache.quarantined));
-    out.push_str(&format!(
-        "cache_torn_quarantined,{}\n",
-        m.cache.torn_quarantined
-    ));
-    out.push_str(&format!("cache_stores,{}\n", m.cache.stores));
-    for (w, runs) in m.per_worker_runs.iter().enumerate() {
-        out.push_str(&format!("worker_{w}_runs,{runs}\n"));
+    for (name, value) in flatten(&metrics_json(m)) {
+        out.push_str(&format!("{name},{value}\n"));
     }
     out.push_str("\nwall_s,label,seconds\n");
     for (label, secs) in &m.point_wall_s {
@@ -235,30 +262,84 @@ mod tests {
         assert_eq!(t1.rows.len(), 1);
     }
 
-    #[test]
-    fn metrics_render_as_table_and_csv() {
-        let m = ExecMetrics {
+    fn sample_metrics() -> ExecMetrics {
+        ExecMetrics {
             runs_executed: 3,
-            peer_hits: 0,
-            prepass_reuses: 6,
+            peer_hits: 5,
             cache: CacheMetrics {
                 hits_mem: 2,
                 hits_disk: 1,
                 misses: 3,
-                corrupt: 0,
-                quarantined: 0,
-                torn_quarantined: 0,
+                corrupt: 7,
+                quarantined: 6,
+                torn_quarantined: 4,
                 stores: 3,
             },
             per_worker_runs: vec![4, 2],
             point_wall_s: vec![("lbm/tiny/4@ClusterA".into(), 0.0123)],
-        };
+        }
+    }
+
+    #[test]
+    fn metrics_render_as_table_and_csv() {
+        let m = sample_metrics();
         let t = metrics_table("metrics", &m).unwrap();
-        assert!(t.render().contains("cache hits (memory)"));
+        assert!(t.render().contains("cache_hits_mem"));
         let csv = metrics_to_csv(&m);
         assert!(csv.contains("cache_hits_mem,2"));
-        assert!(csv.contains("worker_1_runs,2"));
+        assert!(csv.contains("per_worker_runs_1,2"));
         assert!(csv.contains("wall_s,lbm/tiny/4@ClusterA,0.012300"));
+    }
+
+    #[test]
+    fn table_and_csv_rows_are_the_flattened_metrics_object() {
+        let m = sample_metrics();
+        // The daemon's `GET /v1/metrics` body, byte for byte.
+        let body = metrics_json(&m).render();
+        assert_eq!(
+            body,
+            "{\"runs_executed\":3,\"peer_hits\":5,\"cache\":{\"hits_mem\":2,\"hits_disk\":1,\
+             \"misses\":3,\"corrupt\":7,\"quarantined\":6,\"torn_quarantined\":4,\"stores\":3},\
+             \"per_worker_runs\":[4,2],\"points_timed\":1,\"total_wall_s\":0.0123}"
+        );
+        let rows = flatten(&crate::json::parse_json(&body).unwrap());
+        let names: Vec<&str> = rows.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "runs_executed",
+                "peer_hits",
+                "cache_hits_mem",
+                "cache_hits_disk",
+                "cache_misses",
+                "cache_corrupt",
+                "cache_quarantined",
+                "cache_torn_quarantined",
+                "cache_stores",
+                "per_worker_runs_0",
+                "per_worker_runs_1",
+                "points_timed",
+                "total_wall_s",
+            ]
+        );
+        let table: Vec<(String, String)> = metrics_table("m", &m)
+            .unwrap()
+            .rows
+            .into_iter()
+            .map(|r| (r[0].clone(), r[1].clone()))
+            .collect();
+        assert_eq!(table, rows);
+        let csv = metrics_to_csv(&m);
+        let csv_rows: Vec<(String, String)> = csv
+            .lines()
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .map(|l| {
+                let (k, v) = l.split_once(',').unwrap();
+                (k.to_string(), v.to_string())
+            })
+            .collect();
+        assert_eq!(csv_rows, rows);
     }
 
     #[test]

@@ -15,6 +15,8 @@ use spechpc_simmpi::profile::Profile;
 use spechpc_simmpi::program::Program;
 use spechpc_simmpi::trace::{Breakdown, Timeline};
 
+use crate::hash::fnv1a;
+
 /// Busy fraction of a core spinning inside an MPI call (Intel MPI
 /// busy-waits; §4.2.2 observes that minisweep's MPI waiting still draws
 /// power, unlike lbm's memory-stalled slow execution).
@@ -151,44 +153,23 @@ impl RunResult {
 /// Deterministic per-(run, repetition) runtime jitter of ±1 %,
 /// modelling the system noise behind the paper's min/max bars.
 fn jitter(benchmark: &str, nranks: usize, rep: usize) -> f64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in benchmark
-        .bytes()
-        .chain(nranks.to_le_bytes())
-        .chain(rep.to_le_bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
+    let h = fnv1a(
+        benchmark
+            .bytes()
+            .chain(nranks.to_le_bytes())
+            .chain(rep.to_le_bytes()),
+    );
     1.0 + ((h % 2001) as f64 / 1000.0 - 1.0) * 0.01
 }
 
 /// The simulation runner.
 pub struct SimRunner {
     pub config: RunConfig,
-    /// Optional counter of engine runs that *reused* a template-derived
-    /// [`Prepass`] instead of re-walking their concatenated programs
-    /// (two per [`SimRunner::run`]: the warm-up and the full run). The
-    /// executor plumbs its metrics counter in here.
-    prepass_reuses: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
 }
 
 impl SimRunner {
     pub fn new(config: RunConfig) -> Self {
-        SimRunner {
-            config,
-            prepass_reuses: None,
-        }
-    }
-
-    /// Builder: count prepass reuses into `counter` (see the
-    /// `prepass_reuses` field).
-    pub fn with_prepass_counter(
-        mut self,
-        counter: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    ) -> Self {
-        self.prepass_reuses = Some(counter);
-        self
+        SimRunner { config }
     }
 
     /// Run `benchmark` at `class` scale with `nranks` compactly pinned
@@ -259,9 +240,6 @@ impl SimRunner {
         let warm_prepass = step_prepass.scaled(self.config.warmup_steps);
         let full_prepass =
             step_prepass.scaled(self.config.warmup_steps + self.config.measured_steps);
-        if let Some(counter) = &self.prepass_reuses {
-            counter.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-        }
 
         let sim_cfg = SimConfig::default()
             .with_trace(self.config.trace)

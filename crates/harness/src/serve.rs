@@ -616,7 +616,9 @@ fn route_fast(ctx: &Ctx, req: &HttpRequest) -> Result<(u16, String), ApiError> {
         .filter(|e| !ctx.role.pooled(e))
         .ok_or_else(|| api::no_route(&req.method, &req.path))?;
     match (ep.id, &ctx.role) {
-        (EndpointId::Metrics, Role::Daemon(exec)) => Ok((200, metrics_json(exec))),
+        (EndpointId::Metrics, Role::Daemon(exec)) => {
+            Ok((200, obs::metrics_json(&exec.metrics()).render()))
+        }
         (EndpointId::Metrics, Role::Coordinator(fleet)) => Ok((200, fleet::metrics_json(fleet))),
         (EndpointId::Health, Role::Daemon(_)) => Ok((200, health_json(ctx))),
         (EndpointId::Health, Role::Coordinator(fleet)) => {
@@ -770,36 +772,6 @@ fn health_json(ctx: &Ctx) -> String {
             Json::from(ctx.open_conns.load(Ordering::SeqCst)),
         ),
         ("draining".into(), Json::from(ctx.draining())),
-    ])
-    .render()
-}
-
-fn metrics_json(exec: &Executor) -> String {
-    let m = exec.metrics();
-    Json::Obj(vec![
-        ("runs_executed".into(), Json::from(m.runs_executed)),
-        ("peer_hits".into(), Json::from(m.peer_hits)),
-        (
-            "cache".into(),
-            Json::Obj(vec![
-                ("hits_mem".into(), Json::from(m.cache.hits_mem)),
-                ("hits_disk".into(), Json::from(m.cache.hits_disk)),
-                ("misses".into(), Json::from(m.cache.misses)),
-                ("corrupt".into(), Json::from(m.cache.corrupt)),
-                ("quarantined".into(), Json::from(m.cache.quarantined)),
-                (
-                    "torn_quarantined".into(),
-                    Json::from(m.cache.torn_quarantined),
-                ),
-                ("stores".into(), Json::from(m.cache.stores)),
-            ]),
-        ),
-        (
-            "per_worker_runs".into(),
-            Json::Arr(m.per_worker_runs.iter().map(|&r| Json::from(r)).collect()),
-        ),
-        ("points_timed".into(), Json::from(m.point_wall_s.len())),
-        ("total_wall_s".into(), Json::from(m.total_wall_s())),
     ])
     .render()
 }
@@ -1086,16 +1058,12 @@ mod ev {
             let _ = w.join();
         }
         if let Role::Daemon(exec) = &lp.ctx.role {
+            let m = exec.metrics();
             if let Some(dir) = &config.metrics_dir {
-                let _ = obs::write_metrics_csv(dir, "serve", &exec.metrics());
+                let _ = obs::write_metrics_csv(dir, "serve", &m);
             }
             if lp.ctx.log_requests {
-                let m = exec.metrics();
-                eprintln!(
-                    "[serve] drained: {} run(s) executed, {} cache hit(s), bye",
-                    m.runs_executed,
-                    m.cache.hits_mem + m.cache.hits_disk
-                );
+                eprintln!("[serve] drained, bye: {}", obs::metrics_json(&m).render());
             }
         }
         Ok(())

@@ -25,6 +25,19 @@ impl Suite {
         }
     }
 
+    /// The suite's grid points in Table 1 order: every benchmark that
+    /// ships the workload class, at `nranks`.
+    pub fn specs(&self) -> Vec<RunSpec> {
+        all_benchmarks()
+            .iter()
+            .filter(|b| match self.class {
+                WorkloadClass::Medium | WorkloadClass::Large => b.meta().supports_medium_large,
+                _ => true,
+            })
+            .map(|b| RunSpec::new(b.meta().name, self.class, self.nranks))
+            .collect()
+    }
+
     /// Run every benchmark of the suite (skipping those that do not
     /// ship the requested workload class).
     ///
@@ -41,15 +54,7 @@ impl Suite {
     /// injected fault plan) land in [`SuiteReport::failures`] while the
     /// survivors fill [`SuiteReport::results`].
     pub fn run_with(&self, exec: &Executor, cluster: &ClusterSpec) -> SuiteReport {
-        let specs: Vec<RunSpec> = all_benchmarks()
-            .iter()
-            .filter(|b| match self.class {
-                WorkloadClass::Medium | WorkloadClass::Large => b.meta().supports_medium_large,
-                _ => true,
-            })
-            .map(|b| RunSpec::new(b.meta().name, self.class, self.nranks))
-            .collect();
-        let grid = exec.run_all(cluster, &specs);
+        let grid = exec.run_all(cluster, &self.specs());
         SuiteReport {
             cluster: cluster.name.clone(),
             class: self.class,

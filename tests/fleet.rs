@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use spechpc::harness::fleet::{peer_fetcher, Coordinator, FleetConfig, FleetShutdownHandle};
 use spechpc::prelude::*;
+use spechpc::simmpi::faults::{FaultEvent, FaultPlan};
 
 /// A small resident executor: in-memory cache, few workers.
 fn executor() -> Executor {
@@ -164,6 +165,47 @@ fn coordinator_is_byte_identical_to_a_single_daemon() {
     // second simulation.
     let (_, got_again) = http(fleet, "POST", "/v1/run", &run_body("lbm", 4));
     assert_eq!(got_again, want_run);
+
+    fleet_handle.request_drain();
+    fleet_join.join().unwrap().unwrap();
+    solo_handle.request_drain();
+    solo_join.join().unwrap().unwrap();
+    for (_, h, j) in workers {
+        h.request_drain();
+        j.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn partial_suite_is_byte_identical_through_the_coordinator() {
+    // Rank 3 crashes 1 s into the simulation: the two benchmarks that
+    // finish sooner complete, the other seven fail with `rank_failed`.
+    let crash = FaultPlan {
+        seed: 1,
+        events: vec![FaultEvent::Crash { rank: 3, at_s: 1.0 }],
+    };
+    let body = SuiteRequest::new(WorkloadClass::Tiny)
+        .with_cluster("a")
+        .with_nranks(4)
+        .with_config(RunConfig::default().with_repetitions(1).with_trace(false))
+        .with_faults(crash)
+        .to_json();
+
+    let (solo, solo_handle, solo_join) = spawn_worker(Vec::new());
+    let (status, want) = http(solo, "POST", "/v1/suite", &body);
+    assert_eq!(status, 207, "{want}");
+    assert!(want.contains("\"benchmark\": \"tealeaf\""), "{want}");
+    assert!(want.contains("\"error\": \"rank_failed\""), "{want}");
+
+    let workers: Vec<_> = (0..2).map(|_| spawn_worker(Vec::new())).collect();
+    let addrs: Vec<String> = workers.iter().map(|(a, _, _)| a.to_string()).collect();
+    let (fleet, fleet_handle, fleet_join) = spawn_coordinator(addrs, 0.05);
+    let (status, got) = http(fleet, "POST", "/v1/suite", &body);
+    assert_eq!(status, 207, "{got}");
+    assert_eq!(
+        got, want,
+        "a partial suite must reassemble byte-identically"
+    );
 
     fleet_handle.request_drain();
     fleet_join.join().unwrap().unwrap();
