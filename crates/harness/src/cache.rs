@@ -1012,6 +1012,45 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Fault-free keys are pinned byte for byte: they name every cache
+    /// entry (and the frozen benchmark digest), so a change here would
+    /// invalidate results that did not change.
+    #[test]
+    fn fault_free_key_is_pinned() {
+        let key = RunKey::new("ClusterB", "hpgmgfv", "small", 832, &RunConfig::default());
+        assert_eq!(
+            key.canonical(),
+            "v3|hpgmgfv|ClusterB|small|n=832|w=2|m=3|r=3|f=none"
+        );
+        assert_eq!(key.hash_hex(), hash_hex_of(&key.canonical()));
+    }
+
+    /// A flaky-link plan keys as `flaky2(…)`: its results changed when
+    /// the warm-up became the prefix of the one simulated run, so its
+    /// entries under the old `flaky(…)` key must not replay.
+    #[test]
+    fn flaky_link_keys_moved_with_their_results() {
+        use spechpc_simmpi::faults::{FaultEvent, FaultPlan};
+        let cfg = RunConfig::default().with_faults(FaultPlan {
+            seed: 7,
+            events: vec![FaultEvent::FlakyLink {
+                from: 0,
+                to: 1,
+                drop_prob: 0.35,
+                retransmit_latency_s: 5e-6,
+            }],
+        });
+        let key = RunKey::new("ClusterA", "minisweep", "tiny", 59, &cfg).canonical();
+        assert_ne!(
+            key,
+            "v3|minisweep|ClusterA|tiny|n=59|w=2|m=3|r=3|f=seed=7|flaky(from=0,to=1,p=0.35,rtx=5e-6)"
+        );
+        assert_eq!(
+            key,
+            "v3|minisweep|ClusterA|tiny|n=59|w=2|m=3|r=3|f=seed=7|flaky2(from=0,to=1,p=0.35,rtx=5e-6)"
+        );
+    }
+
     #[test]
     fn key_separates_fault_plans() {
         use spechpc_simmpi::faults::{FaultEvent, FaultPlan, RankSet};

@@ -609,6 +609,13 @@ pub struct Placement {
 /// Pure and deterministic: ties break by index, time advances by
 /// `total_cmp`. Returns one [`Placement`] per input job, input order.
 ///
+/// A count of waiting jobs per width lets a pass skip the shadow walk
+/// and the backfill scan when no waiting job is narrow enough for the
+/// free nodes: such a scan would find nothing, so skipping it cannot
+/// change a placement. Deep backlogs of wide jobs then cost one lookup
+/// of the narrowest waiting width per pass, whatever the cluster's
+/// size, instead of a walk of the whole queue.
+///
 /// # Panics
 /// If `total_nodes == 0`, a job is wider than the cluster, or any
 /// time is negative/non-finite. [`evaluate_plan`] validates first and
@@ -639,6 +646,17 @@ pub fn easy_schedule(jobs: &[SchedJob], total_nodes: usize) -> Vec<Placement> {
         jobs.len()
     ];
     let mut queue: VecDeque<usize> = VecDeque::new();
+    // Waiting jobs per width, the head included.
+    let mut waiting: BTreeMap<usize, usize> = BTreeMap::new();
+    let unwait = |waiting: &mut BTreeMap<usize, usize>, width: usize| {
+        let n = waiting
+            .get_mut(&width)
+            .expect("a waiting job's width is counted");
+        *n -= 1;
+        if *n == 0 {
+            waiting.remove(&width);
+        }
+    };
     let mut running: Vec<(f64, usize)> = Vec::new(); // (end, job index)
     let mut free = total_nodes;
     let mut next = 0usize;
@@ -660,6 +678,7 @@ pub fn easy_schedule(jobs: &[SchedJob], total_nodes: usize) -> Vec<Placement> {
     loop {
         while next < order.len() && jobs[order[next]].arrival_s <= now {
             queue.push_back(order[next]);
+            *waiting.entry(jobs[order[next]].nodes).or_default() += 1;
             next += 1;
         }
         // Scheduling pass: start FCFS heads, then try one backfill, and
@@ -672,10 +691,14 @@ pub fn easy_schedule(jobs: &[SchedJob], total_nodes: usize) -> Vec<Placement> {
                     break;
                 }
                 queue.pop_front();
+                unwait(&mut waiting, jobs[head].nodes);
                 start(head, now, &mut placed, &mut running, &mut free);
                 progressed = true;
             }
-            if let Some(&head) = queue.front() {
+            // The head is blocked, so its width exceeds `free`: unless
+            // the narrowest waiting job fits, no job behind it does.
+            let narrowest_fits = || waiting.keys().next().is_some_and(|&w| w <= free);
+            if let Some(&head) = queue.front().filter(|_| narrowest_fits()) {
                 // Shadow time: walk running jobs by completion until the
                 // head's width is available. (The head is blocked, so
                 // something is running: an idle cluster always fits it.)
@@ -701,6 +724,7 @@ pub fn easy_schedule(jobs: &[SchedJob], total_nodes: usize) -> Vec<Placement> {
                     let harmless = now + jobs[j].duration_s <= shadow || jobs[j].nodes <= extra;
                     if fits && harmless {
                         queue.remove(qi);
+                        unwait(&mut waiting, jobs[j].nodes);
                         start(j, now, &mut placed, &mut running, &mut free);
                         progressed = true;
                         break;

@@ -4,15 +4,14 @@
 use spechpc_analysis::counters::CounterSample;
 use spechpc_kernels::common::benchmark::Benchmark;
 use spechpc_kernels::common::config::WorkloadClass;
-use spechpc_kernels::common::model::NodeModel;
+use spechpc_kernels::common::model::{ComputeTimes, NodeModel};
 use spechpc_machine::cluster::ClusterSpec;
 use spechpc_power::energy::{energy_to_solution, EnergyBreakdown};
 use spechpc_power::rapl::{JobPower, PowerState, RaplModel};
-use spechpc_simmpi::engine::{Engine, Prepass, SimConfig, SimError};
+use spechpc_simmpi::engine::{Engine, Prepass, SimConfig, SimError, SimResult, WarmupCut};
 use spechpc_simmpi::faults::FaultPlan;
 use spechpc_simmpi::netmodel::NetModel;
 use spechpc_simmpi::profile::Profile;
-use spechpc_simmpi::program::Program;
 use spechpc_simmpi::trace::{Breakdown, Timeline};
 
 use crate::hash::fnv1a;
@@ -41,11 +40,12 @@ pub struct RunConfig {
     /// default (timelines dominate memory on large sweeps); the Fig.-2
     /// inset and CSV-export paths request tracing explicitly.
     pub trace: bool,
-    /// Seeded fault-injection plan applied to the simulated runs
+    /// Seeded fault-injection plan applied to the simulated run
     /// ([`FaultPlan::none()`] by default — the engine's zero-cost off
-    /// path). The warm-up and full runs share the plan, so the
-    /// deterministic warm-prefix subtraction still applies; a crash
-    /// inside the warm-up region fails the run like any other crash.
+    /// path). The warm-up is the prefix of the one simulated run, so
+    /// the measured region subtracts the very draws the warm-up made;
+    /// a crash inside the warm-up region fails the run like any other
+    /// crash.
     pub faults: FaultPlan,
     /// Partition threads for the engine's scheduler
     /// ([`SimConfig::threads`]). `1` (the default) runs every rank on
@@ -199,69 +199,50 @@ impl SimRunner {
         assert!(nranks > 0, "need at least one rank");
         let sig = benchmark.signature(class);
         let model = NodeModel::new(cluster, nranks);
-        let penalties = benchmark.penalties(class, nranks);
-        let ct = model.compute_times(&sig, &penalties);
+        let ct = model.compute_times(&sig, &benchmark.penalties(class, nranks));
         let step_progs = benchmark.step_programs(class, &ct);
         assert_eq!(step_progs.len(), nranks);
 
-        // Warm-up region: W steps + global synchronization.
-        let warm: Vec<Program> = step_progs
-            .iter()
-            .map(|p| {
-                let mut prog = Program::new();
-                for _ in 0..self.config.warmup_steps {
-                    prog.ops.extend_from_slice(&p.ops);
-                }
-                prog.push(spechpc_simmpi::program::Op::Barrier);
-                prog
-            })
-            .collect();
-        // Full program: warm-up + measured steps.
-        let full: Vec<Program> = warm
-            .iter()
-            .zip(&step_progs)
-            .map(|(w, p)| {
-                let mut prog = w.clone();
-                for _ in 0..self.config.measured_steps {
-                    prog.ops.extend_from_slice(&p.ops);
-                }
-                prog
-            })
-            .collect();
-
-        // Both simulated programs are concatenations of the same step
-        // template, so one fused validate/range/count walk over the
-        // template serves them both: the warm-up run (`W × step +
-        // Barrier` — collectives post no point-to-point requests) is
-        // described by `scaled(W)`, the full run by `scaled(W + M)`.
-        // Suite sweeps repeat this per grid point, saving two
-        // program-length walks per point.
+        // One pass over `W×step + Barrier + M×step`, replayed from the
+        // step template: the engine reports the state at the warm-up
+        // barrier, which is what a run of the warm-up alone would end
+        // in, so the measured region is the difference.
         let step_prepass = Prepass::analyze(&step_progs)?;
-        let warm_prepass = step_prepass.scaled(self.config.warmup_steps);
-        let full_prepass =
-            step_prepass.scaled(self.config.warmup_steps + self.config.measured_steps);
-
         let sim_cfg = SimConfig::default()
             .with_trace(self.config.trace)
             .with_faults(self.config.faults.clone())
             .with_threads(self.config.threads);
-        let net_warm = NetModel::compact(cluster, nranks);
-        let warm_cfg = SimConfig::default()
-            .with_faults(self.config.faults.clone())
-            .with_threads(self.config.threads);
-        let mut warm_engine = Engine::new(warm_cfg, net_warm, warm);
-        if let Some(c) = &cancel {
-            warm_engine = warm_engine.with_cancel(c.clone());
+        let mut engine = Engine::new(sim_cfg, NetModel::compact(cluster, nranks), step_progs);
+        if let Some(c) = cancel {
+            engine = engine.with_cancel(c);
         }
-        let warm_result = warm_engine.run_prevalidated(&warm_prepass)?;
-        let net_full = NetModel::compact(cluster, nranks);
-        let mut full_engine = Engine::new(sim_cfg, net_full, full);
-        if let Some(c) = &cancel {
-            full_engine = full_engine.with_cancel(c.clone());
-        }
-        let full_result = full_engine.run_prevalidated(&full_prepass)?;
+        let (full, cut) = engine.run_replayed(
+            &step_prepass,
+            self.config.warmup_steps,
+            self.config.measured_steps,
+        )?;
+        Ok(self.result_from(benchmark, class, &model, &ct, full, &cut))
+    }
 
-        let measured = (full_result.makespan - warm_result.makespan).max(1e-12);
+    /// The [`RunResult`] of `full`, an engine run of `benchmark`'s step
+    /// template at `class` (with this runner's warm-up and measured
+    /// steps) whose compute times `ct` come from `model`, measured from
+    /// its warm-up state `cut`: the measured region is `full − cut`.
+    /// [`SimRunner::run`] is [`Engine::run_replayed`] followed by this
+    /// step.
+    pub fn result_from(
+        &self,
+        benchmark: &dyn Benchmark,
+        class: WorkloadClass,
+        model: &NodeModel,
+        ct: &ComputeTimes,
+        full: SimResult,
+        cut: &WarmupCut,
+    ) -> RunResult {
+        let cluster = model.cluster();
+        let nranks = model.nranks();
+        let sig = benchmark.signature(class);
+        let measured = (full.makespan - cut.finish).max(1e-12);
         let base_step = measured / self.config.measured_steps as f64;
 
         // Repetition statistics via the deterministic jitter model.
@@ -285,13 +266,11 @@ impl SimRunner {
             l2_bytes: ct.effective_l2_bytes * sig.steps as f64,
         };
 
-        // Breakdown of the measured region: the warm-up prefix of the
-        // full run is identical (deterministic) to the warm-only run, so
-        // its per-kind times subtract out exactly.
-        let breakdown = subtract_breakdown(&full_result.breakdown(), &warm_result.breakdown());
-        // Same subtraction for the online profile: isolate the measured
-        // region's phase split, histograms and communication matrix.
-        let profile = full_result.profile.saturating_sub(&warm_result.profile);
+        // Breakdown and profile of the measured region: the warm-up
+        // prefix's per-kind times, phase split, histograms and
+        // communication matrix subtract out exactly.
+        let breakdown = subtract_breakdown(&full.breakdown(), &cut.breakdown());
+        let profile = full.profile.saturating_sub(&cut.profile);
 
         // Power: compute-phase utilization from the node model, MPI
         // phases busy-wait at MPI_SPIN_UTILIZATION.
@@ -304,7 +283,7 @@ impl SimRunner {
                 (t_comp * ct.utilization[r] + t_mpi * MPI_SPIN_UTILIZATION) / step_mean.max(1e-30);
             util.push(u.clamp(0.0, 1.0));
         }
-        let dram = model.dram_utilization(&ct, step_mean);
+        let dram = model.dram_utilization(ct, step_mean);
         let rapl = RaplModel::new(cluster);
         let state = PowerState {
             heat: sig.heat,
@@ -314,7 +293,7 @@ impl SimRunner {
         let power = rapl.job_power(&pinning, &state);
         let energy = energy_to_solution(power, runtime);
 
-        Ok(RunResult {
+        RunResult {
             benchmark: name.to_string(),
             cluster: cluster.name.clone(),
             class: class.to_string(),
@@ -328,9 +307,9 @@ impl SimRunner {
             breakdown,
             power,
             energy,
-            timeline: full_result.timeline,
+            timeline: full.timeline,
             profile,
-        })
+        }
     }
 
     /// Strong-scaling sweep over process counts.
@@ -348,8 +327,8 @@ impl SimRunner {
     }
 }
 
-/// Per-kind difference `full − warm` (both from deterministic runs
-/// sharing the warm-up prefix).
+/// Per-kind difference `full − warm` (the warm-up prefix's times are a
+/// prefix of the full run's).
 fn subtract_breakdown(full: &Breakdown, warm: &Breakdown) -> Breakdown {
     let mut b = Breakdown::default();
     for (kind, secs) in &full.seconds {

@@ -3,7 +3,12 @@
 //! ## Semantics
 //!
 //! * **Point-to-point matching** is FIFO per `(source, destination, tag)`
-//!   channel (MPI non-overtaking rule).
+//!   (MPI's non-overtaking rule). Channels are keyed by the rank pair
+//!   alone: each holds the pair's pending sends and pending receives in
+//!   posting order (MPI's unexpected and posted queues), and a new
+//!   posting takes the first entry of the other list with its tag.
+//!   Workloads that give every halo fragment its own tag therefore touch
+//!   one channel per neighbour, not one per fragment.
 //! * **Eager protocol** (below the interconnect's threshold): a send
 //!   completes locally after the sender overhead `o`; the message arrives
 //!   at `post + wire_time`; the receive completes at
@@ -39,6 +44,29 @@
 //!
 //! The engine is deterministic: completion times depend only on the
 //! programs and the network model, never on host scheduling.
+//!
+//! ## Replayed step templates and the warm-up cut
+//!
+//! Every rank walks its program as a sequence of *segments*.
+//! [`Engine::run`] walks each program once. [`Engine::run_replayed`]
+//! treats the programs as a step template: each rank walks it `W`
+//! times, then a warm-up `Barrier`, then `M` more times, exactly as if
+//! the `W×step + Barrier + M×step` program had been concatenated, but
+//! without materializing it. The run-wide program counter and request
+//! id are arithmetic in the repetition index, so fault draws keyed by
+//! them (os-noise per `(rank, pc)`, flaky links per request id) and
+//! error payloads are those of the concatenated run. Request slots are
+//! reused from one repetition to the next: a step template closes every
+//! request it opens, so the only posting that can outlive its step is
+//! an eager send still queued at its receiver, and that one carries its
+//! run-wide id with it and never writes its slot again.
+//!
+//! While replaying, the scheduler records a [`WarmupCut`]: the finish
+//! time of the warm-up barrier, each rank's breakdown and profile row
+//! as it leaves the barrier, and the cross-rank profile views (message
+//! histograms, communication matrix) when the barrier finishes. No
+//! rank can post past the barrier before it finishes, so the cut equals
+//! the final state of a run of `W×step + Barrier` alone, bit for bit.
 //!
 //! ## One step loop for every partition count
 //!
@@ -248,16 +276,45 @@ pub struct SimResult {
 impl SimResult {
     /// Aggregate [`Breakdown`](crate::trace::Breakdown) over all ranks from the online counters.
     pub fn breakdown(&self) -> crate::trace::Breakdown {
-        let mut b = crate::trace::Breakdown::default();
-        for rank in &self.per_rank_breakdown {
-            for (i, &kind) in EventKind::ALL.iter().enumerate() {
-                if rank[i] > 0.0 {
-                    *b.seconds.entry(kind).or_insert(0.0) += rank[i];
-                    b.total += rank[i];
-                }
+        breakdown_of(&self.per_rank_breakdown)
+    }
+}
+
+/// Sum per-rank breakdown rows into one [`Breakdown`](crate::trace::Breakdown),
+/// in rank order.
+fn breakdown_of(rows: &[[f64; EventKind::COUNT]]) -> crate::trace::Breakdown {
+    let mut b = crate::trace::Breakdown::default();
+    for rank in rows {
+        for (i, &kind) in EventKind::ALL.iter().enumerate() {
+            if rank[i] > 0.0 {
+                *b.seconds.entry(kind).or_insert(0.0) += rank[i];
+                b.total += rank[i];
             }
         }
-        b
+    }
+    b
+}
+
+/// The state of a [`Engine::run_replayed`] run at its warm-up barrier:
+/// what a run of the `W×step + Barrier` prefix alone would have
+/// returned, bit for bit (see the module docs).
+#[derive(Debug, Clone)]
+pub struct WarmupCut {
+    /// Finish time of the warm-up barrier; every rank leaves it then.
+    pub finish: f64,
+    /// Each rank's breakdown row as it left the barrier.
+    pub per_rank_breakdown: Vec<[f64; EventKind::COUNT]>,
+    /// The profile at the barrier: each rank's phase row as it left,
+    /// and the message histograms and communication matrix when it
+    /// finished (empty if profiling was disabled).
+    pub profile: Profile,
+}
+
+impl WarmupCut {
+    /// Aggregate breakdown of the warm-up prefix, summed as
+    /// [`SimResult::breakdown`] sums a whole run.
+    pub fn breakdown(&self) -> crate::trace::Breakdown {
+        breakdown_of(&self.per_rank_breakdown)
     }
 }
 
@@ -373,10 +430,8 @@ impl Prepass {
         self.p2p_ops.len()
     }
 
-    /// Request-arena layout: rank `r` owns the contiguous slot range
-    /// `starts[r]..starts[r + 1]`. Every partition indexes the same
-    /// layout, so request ids — and the flaky-link draws keyed by
-    /// them — do not depend on the partition count.
+    /// Request-arena layout: rank `r` owns the contiguous range
+    /// `starts[r]..starts[r + 1]` (prefix sums of the post counts).
     fn arena_starts(&self) -> Vec<usize> {
         let mut starts = Vec::with_capacity(self.p2p_ops.len() + 1);
         let mut acc = 0;
@@ -406,6 +461,11 @@ pub(crate) trait ProfileSink: Send {
     fn message(&mut self, from: usize, to: usize, bytes: usize, regime: Regime);
     /// Fold in the sink of a partition owning the ranks `owned`.
     fn absorb(&mut self, part: Self, owned: Range<usize>);
+    /// Copy `rank`'s phase row into the warm-up cut's sink `cut`.
+    fn cut_rank(&self, cut: &mut Self, rank: usize);
+    /// Copy the cross-rank views (histograms, communication matrix)
+    /// into the warm-up cut's sink `cut`.
+    fn cut_global(&self, cut: &mut Self);
     fn finish(self) -> Profile;
 }
 
@@ -427,6 +487,14 @@ impl ProfileSink for LiveProfile {
     fn absorb(&mut self, part: Self, owned: Range<usize>) {
         self.0.absorb_partition(&part.0, owned.start, owned.end);
     }
+    fn cut_rank(&self, cut: &mut Self, rank: usize) {
+        cut.0.per_rank[rank] = self.0.per_rank[rank];
+    }
+    fn cut_global(&self, cut: &mut Self) {
+        cut.0.eager_hist.clone_from(&self.0.eager_hist);
+        cut.0.rendezvous_hist.clone_from(&self.0.rendezvous_hist);
+        cut.0.comm_matrix.clone_from(&self.0.comm_matrix);
+    }
     fn finish(self) -> Profile {
         self.0
     }
@@ -444,6 +512,8 @@ impl ProfileSink for NoProfile {
     #[inline]
     fn message(&mut self, _from: usize, _to: usize, _bytes: usize, _regime: Regime) {}
     fn absorb(&mut self, _part: Self, _owned: Range<usize>) {}
+    fn cut_rank(&self, _cut: &mut Self, _rank: usize) {}
+    fn cut_global(&self, _cut: &mut Self) {}
     fn finish(self) -> Profile {
         Profile::default()
     }
@@ -464,8 +534,9 @@ pub(crate) trait FaultHook: Sync {
     const ENABLED: bool;
     /// Perturbed duration of a compute op (`base` when off).
     fn compute_seconds(&self, rank: usize, pc: usize, clock: f64, base: f64) -> f64;
-    /// Extra wire latency of the message with sender request `ireq`.
-    fn wire_extra(&self, from: usize, to: usize, ireq: IReq) -> f64;
+    /// Extra wire latency of the message whose send has run-wide
+    /// request id `id`.
+    fn wire_extra(&self, from: usize, to: usize, id: usize) -> f64;
     /// Simulated time at which `rank` dies (`INFINITY` = never).
     fn crash_at(&self, rank: usize) -> f64;
     /// Whether cooperative cancellation was requested.
@@ -482,7 +553,7 @@ impl FaultHook for NoFaults {
         base
     }
     #[inline]
-    fn wire_extra(&self, _from: usize, _to: usize, _ireq: IReq) -> f64 {
+    fn wire_extra(&self, _from: usize, _to: usize, _id: usize) -> f64 {
         0.0
     }
     #[inline]
@@ -502,8 +573,8 @@ impl FaultHook for ActiveFaults {
         ActiveFaults::compute_seconds(self, rank, pc, clock, base)
     }
     #[inline]
-    fn wire_extra(&self, from: usize, to: usize, ireq: IReq) -> f64 {
-        ActiveFaults::wire_extra(self, from, to, ireq)
+    fn wire_extra(&self, from: usize, to: usize, id: usize) -> f64 {
+        ActiveFaults::wire_extra(self, from, to, id)
     }
     #[inline]
     fn crash_at(&self, rank: usize) -> f64 {
@@ -559,24 +630,23 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-/// `(from, to, tag)` channel key.
-type ChannelKey = (usize, usize, u32);
-
-/// Channel storage: a dense slab plus a hash index resolving keys to
-/// slab slots. The hash index is consulted only on a rank's memo miss
-/// (see [`ChanMemo`]); steady-state communication patterns (rings,
-/// halos) hit the memo and never hash.
+/// Channel storage: a dense slab of rank-pair channels plus a hash
+/// index resolving `(from, to)` to slab slots. The hash index is
+/// consulted only on a rank's memo miss (see [`ChanMemo`]); steady-state
+/// patterns (rings, halos) hit the memo and never hash. Tags play no
+/// part in the key, so the table holds one entry per communicating
+/// pair however many tags the pair uses.
 #[derive(Default)]
 struct Channels {
     store: Vec<Channel>,
-    index: HashMap<ChannelKey, u32, BuildHasherDefault<FxHasher>>,
+    index: HashMap<(usize, usize), u32, BuildHasherDefault<FxHasher>>,
 }
 
 impl Channels {
-    /// Slot of channel `(from, to, tag)`, creating it on first use.
-    fn slot(&mut self, np: &NetParams, from: usize, to: usize, tag: u32) -> u32 {
+    /// Slot of channel `from → to`, creating it on first use.
+    fn slot(&mut self, np: &NetParams, from: usize, to: usize) -> u32 {
         use std::collections::hash_map::Entry;
-        match self.index.entry((from, to, tag)) {
+        match self.index.entry((from, to)) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 let idx = self.store.len() as u32;
@@ -595,37 +665,35 @@ impl Channels {
         np: &NetParams,
         memo: &mut ChanMemo,
         peer: usize,
-        (from, to, tag): ChannelKey,
+        from: usize,
+        to: usize,
     ) -> u32 {
-        if memo.peer == peer && memo.tag == tag {
+        if memo.peer == peer {
             return memo.idx;
         }
-        let idx = self.slot(np, from, to, tag);
-        *memo = ChanMemo { peer, tag, idx };
+        let idx = self.slot(np, from, to);
+        *memo = ChanMemo { peer, idx };
         idx
     }
 }
 
 /// One-slot memo of the channel a rank last used on each side. MPI
 /// programs repeat their communication pattern across iterations, so
-/// the memo turns almost every channel lookup into two integer
-/// compares.
+/// the memo turns almost every channel lookup into one integer compare.
 #[derive(Debug, Clone, Copy)]
 struct ChanMemo {
     peer: usize,
-    tag: u32,
     idx: u32,
 }
 
 impl ChanMemo {
     const EMPTY: ChanMemo = ChanMemo {
         peer: usize::MAX,
-        tag: 0,
         idx: 0,
     };
 }
 
-/// Internal request id (separate namespace from user [`ReqId`]s).
+/// Internal request slot (separate namespace from user [`ReqId`]s).
 pub(crate) type IReq = usize;
 
 /// Sentinel for an unoccupied user-request slot.
@@ -651,6 +719,13 @@ struct Req {
 }
 
 impl Req {
+    /// The state of a freshly posted receive.
+    const PENDING_RECV: Req = Req {
+        done_at: 0.0,
+        class: ReqClass::Recv,
+        done: false,
+    };
+
     #[inline]
     fn complete(&mut self, at: f64) {
         self.done_at = at;
@@ -701,31 +776,35 @@ impl NetParams {
     }
 }
 
-/// A send posting. The sender's arena request id travels with it, so
-/// rendezvous completions and flaky-link draws key the same way in
-/// whichever partition the channel lives.
+/// A send posting. The sender's request slot (for a rendezvous
+/// completion) and its run-wide request id (the key of flaky-link
+/// draws) travel with it, so both key the same way in whichever
+/// partition the channel lives.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SendPost {
     time: f64,
     bytes: usize,
     ireq: IReq,
+    id: usize,
+    tag: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct RecvPost {
     time: f64,
     ireq: IReq,
+    tag: u32,
 }
 
-/// FIFO with two inline slots and a heap spill area. A channel's
-/// backlog spans only the current rendezvous window, so the steady
-/// state of every point-to-point pattern fits inline and a run's
-/// channels never heap-allocate; deeper backlogs (bursts of
-/// non-blocking posts) spill to a `Vec` in push order. Inline entries
-/// are always older than spilled ones, so popping inline-first
-/// preserves FIFO order.
+/// A channel's pending postings of one side, in posting order: two
+/// inline slots and a heap spill area. A pair's backlog spans only the
+/// current rendezvous window, so the steady state of every
+/// point-to-point pattern fits inline and a run's channels never
+/// heap-allocate; deeper backlogs (bursts of non-blocking posts) spill
+/// to a `Vec` in push order. Inline entries are always older than
+/// spilled ones, so scanning inline-first visits postings oldest first.
 #[derive(Debug)]
-struct Fifo<T> {
+struct Pending<T> {
     inline: [Option<T>; 2],
     head: u8,
     len: u8,
@@ -733,9 +812,9 @@ struct Fifo<T> {
     spill_head: usize,
 }
 
-impl<T> Default for Fifo<T> {
+impl<T> Default for Pending<T> {
     fn default() -> Self {
-        Fifo {
+        Pending {
             inline: [None, None],
             head: 0,
             len: 0,
@@ -745,55 +824,60 @@ impl<T> Default for Fifo<T> {
     }
 }
 
-impl<T: Copy> Fifo<T> {
-    #[inline]
-    fn spill_pending(&self) -> bool {
-        self.spill_head < self.spill.len()
-    }
+impl<T: Copy> Pending<T> {
     #[inline]
     fn push(&mut self, t: T) {
         // Once anything has spilled, newer items must follow it there
         // until the spill drains, or they would overtake it.
-        if self.len < 2 && !self.spill_pending() {
+        if self.len < 2 && self.spill_head == self.spill.len() {
             self.inline[((self.head + self.len) & 1) as usize] = Some(t);
             self.len += 1;
         } else {
             self.spill.push(t);
         }
     }
+
+    /// Remove and return the oldest posting that `hit` accepts; the
+    /// others keep their order.
     #[inline]
-    fn pop(&mut self) -> T {
-        if self.len > 0 {
-            let t = self.inline[self.head as usize]
-                .take()
-                .expect("occupied slot");
-            self.head = (self.head + 1) & 1;
-            self.len -= 1;
-            t
-        } else {
-            let t = self.spill[self.spill_head];
-            self.spill_head += 1;
-            if self.spill_head == self.spill.len() {
-                self.spill.clear();
-                self.spill_head = 0;
+    fn take(&mut self, hit: impl Fn(&T) -> bool) -> Option<T> {
+        for k in 0..self.len {
+            let i = ((self.head + k) & 1) as usize;
+            if self.inline[i].as_ref().is_some_and(&hit) {
+                // Removing the older slot advances the head; removing
+                // the younger one (k = 1) leaves the older in place.
+                if k == 0 {
+                    self.head = (self.head + 1) & 1;
+                }
+                self.len -= 1;
+                return self.inline[i].take();
             }
-            t
         }
-    }
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0 && !self.spill_pending()
+        let pos = self.spill[self.spill_head..].iter().position(hit)?;
+        let t = if pos == 0 {
+            self.spill_head += 1;
+            self.spill[self.spill_head - 1]
+        } else {
+            self.spill.remove(self.spill_head + pos)
+        };
+        if self.spill_head == self.spill.len() {
+            self.spill.clear();
+            self.spill_head = 0;
+        }
+        Some(t)
     }
 }
 
-/// One `(from, to, tag)` message channel, owned by the partition of
-/// the receiver `to`. The wire parameters of the rank pair are resolved
-/// once at channel creation, so matching never consults the pinning
-/// tables.
+/// The message channel of one rank pair `from → to`, owned by the
+/// partition of the receiver `to`: the sends still waiting for a
+/// receive (MPI's unexpected queue) and the receives still waiting for
+/// a send (its posted queue). At most one of the two holds entries of
+/// any one tag. The pair's wire parameters are resolved once at channel
+/// creation, so matching never consults the pinning tables.
 #[derive(Debug)]
 struct Channel {
-    sends: Fifo<SendPost>,
-    recvs: Fifo<RecvPost>,
+    sends: Pending<SendPost>,
+    recvs: Pending<RecvPost>,
     wire_lat: f64,
     wire_denom: f64,
     same_node: bool,
@@ -803,8 +887,8 @@ impl Channel {
     fn new(np: &NetParams, from: usize, to: usize) -> Self {
         let same_node = np.node_of[from] == np.node_of[to];
         Channel {
-            sends: Fifo::default(),
-            recvs: Fifo::default(),
+            sends: Pending::default(),
+            recvs: Pending::default(),
             wire_lat: if same_node {
                 np.lat_intra
             } else {
@@ -865,29 +949,111 @@ enum Blocked {
     Collective { start: f64, kind: EventKind },
 }
 
-struct RankState {
-    pc: usize,
+struct RankState<'a> {
+    /// The op list the rank is walking: a repetition of its program, or
+    /// the warm-up barrier (see [`Replay`]).
+    seg: &'a [Op],
+    /// Index of the rank's next op in `seg`.
+    at: usize,
+    /// Run-wide program counter of `seg[0]`.
+    base: usize,
+    /// Repetitions of the program started so far.
+    reps: usize,
+    /// Whether the rank has reached the warm-up barrier.
+    cut_reached: bool,
     clock: f64,
     blocked: Option<Blocked>,
     /// The rank will never run again: it finished its program or
     /// crashed (a crash is reported before any outcome that reads
     /// `done`).
     done: bool,
-    /// Next free slot in the rank's range of the shared request arena.
+    /// Next free slot in the rank's range of the shared request arena;
+    /// the range restarts with every repetition.
     req_next: usize,
     /// One past the last slot of that range (bounds the posts the
     /// validation prepass counted for this rank).
     req_end: usize,
-    /// Memo of the last send-side channel (`(to, tag)` → slot).
+    /// Run-wide request id of slot `s` in the current repetition, minus
+    /// `s`.
+    id_offset: usize,
+    /// Memo of the last send-side channel (`to` → slot).
     send_memo: ChanMemo,
-    /// Memo of the last receive-side channel (`(from, tag)` → slot).
+    /// Memo of the last receive-side channel (`from` → slot).
     recv_memo: ChanMemo,
-    /// User request id → internal request id, as a slot vector indexed
-    /// by [`ReqId`] (program validation guarantees every `Wait` follows
-    /// its creation, so a `Wait` always finds its slot occupied).
+    /// User request id → internal request slot, as a slot vector
+    /// indexed by [`ReqId`] (program validation guarantees every
+    /// `Wait` follows its creation, so a `Wait` always finds its slot
+    /// occupied).
     user_reqs: Vec<IReq>,
     /// Rank-local collective sequence number.
     coll_seq: usize,
+}
+
+impl RankState<'_> {
+    /// Run-wide program counter of the rank's next op.
+    #[inline]
+    fn pc(&self) -> usize {
+        self.base + self.at
+    }
+}
+
+/// The warm-up barrier a replay inserts between the warm-up and the
+/// measured repetitions.
+static WARMUP_BARRIER: [Op; 1] = [Op::Barrier];
+
+/// How every rank walks its program: `before` repetitions, then the
+/// warm-up barrier if there is a cut, then `after` repetitions — and
+/// how its requests are numbered. [`Engine::run`] is one repetition
+/// without a cut.
+pub(crate) struct Replay {
+    before: usize,
+    /// Collective sequence number of the warm-up barrier, if inserted.
+    cut: Option<usize>,
+    after: usize,
+    /// Rank `r`'s request slots are `slots[r]..slots[r + 1]`, reused by
+    /// every repetition.
+    slots: Vec<usize>,
+}
+
+impl Replay {
+    /// Each program walked once, without a cut.
+    fn once(prepass: &Prepass) -> Self {
+        Replay {
+            before: 1,
+            cut: None,
+            after: 0,
+            slots: prepass.arena_starts(),
+        }
+    }
+
+    /// The step template `programs` walked `warmup` times, the warm-up
+    /// barrier, then `measured` more times.
+    fn warmed(programs: &[Program], step: &Prepass, warmup: usize, measured: usize) -> Self {
+        // A successful run enters the same collectives on every rank,
+        // so rank 0's count places the barrier for all of them.
+        let per_step = programs.first().map_or(0, |p| {
+            p.ops
+                .iter()
+                .filter(|op| collective_of(op).is_some())
+                .count()
+        });
+        Replay {
+            before: warmup,
+            cut: Some(warmup * per_step),
+            after: measured,
+            slots: step.arena_starts(),
+        }
+    }
+}
+
+/// The warm-up cut as a partition records it (see [`WarmupCut`]).
+struct Cut<P> {
+    /// Collective sequence number of the warm-up barrier.
+    seq: usize,
+    /// The barrier's finish, once this partition has learnt it.
+    finish: Option<f64>,
+    rows: Vec<[f64; EventKind::COUNT]>,
+    profile: P,
 }
 
 /// The scheduler's wake-list: ranks that may be able to make progress.
@@ -1045,6 +1211,19 @@ impl<'a> CollTable<'a> {
     }
 }
 
+/// The kind and payload of a collective op (`None` for any other op).
+fn collective_of(op: &Op) -> Option<(EventKind, usize)> {
+    Some(match *op {
+        Op::Allreduce { bytes } => (EventKind::Allreduce, bytes),
+        Op::Barrier => (EventKind::Barrier, 0),
+        Op::Bcast { bytes, .. } => (EventKind::Bcast, bytes),
+        Op::Reduce { bytes, .. } => (EventKind::Reduce, bytes),
+        Op::Allgather { bytes } => (EventKind::Allgather, bytes),
+        Op::Alltoall { bytes } => (EventKind::Alltoall, bytes),
+        _ => return None,
+    })
+}
+
 /// Name used in collective-mismatch diagnostics.
 fn collective_name(kind: EventKind) -> &'static str {
     match kind {
@@ -1071,7 +1250,7 @@ pub(crate) trait Boundary {
     /// into it).
     fn owns(&self, rank: usize) -> bool;
     /// Hand a send posting to the partition owning its receiver `to`.
-    fn forward_send(&mut self, from: usize, to: usize, tag: u32, post: SendPost);
+    fn forward_send(&mut self, from: usize, to: usize, post: SendPost);
     /// Hand the rendezvous completion of request `ireq` back to the
     /// partition owning its sender `rank`.
     fn forward_rdv_done(&mut self, rank: usize, ireq: IReq, done_at: f64);
@@ -1098,7 +1277,7 @@ impl Boundary for Solo<'_> {
     fn owns(&self, _rank: usize) -> bool {
         true
     }
-    fn forward_send(&mut self, _from: usize, _to: usize, _tag: u32, _post: SendPost) {
+    fn forward_send(&mut self, _from: usize, _to: usize, _post: SendPost) {
         unreachable!("a solo partition owns every rank")
     }
     fn forward_rdv_done(&mut self, _rank: usize, _ireq: IReq, _done_at: f64) {
@@ -1140,13 +1319,14 @@ struct Crash {
 /// numbering identical at every partition count.
 pub(crate) struct Scheduler<'a, P, F, B, const TRACE: bool> {
     programs: &'a [Program],
+    replay: &'a Replay,
     np: &'a NetParams,
     faults: &'a F,
     pub(crate) boundary: B,
     owned: Range<usize>,
-    ranks: Vec<RankState>,
+    ranks: Vec<RankState<'a>>,
     /// All internal requests in one flat arena; each rank owns the
-    /// contiguous range sized by its prepass post count.
+    /// contiguous slot range sized by its prepass post count.
     reqs: Vec<Req>,
     channels: Channels,
     ready: ReadyQueue,
@@ -1157,6 +1337,8 @@ pub(crate) struct Scheduler<'a, P, F, B, const TRACE: bool> {
     /// Online per-rank breakdown (kept even when full tracing is off).
     breakdown: Vec<[f64; EventKind::COUNT]>,
     profile: P,
+    /// The warm-up cut, when the replay inserts a warm-up barrier.
+    cut: Option<Cut<P>>,
     p2p_bytes: u64,
     internode_bytes: u64,
 }
@@ -1164,12 +1346,11 @@ pub(crate) struct Scheduler<'a, P, F, B, const TRACE: bool> {
 impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
     Scheduler<'a, P, F, B, TRACE>
 {
-    /// A scheduler executing the ranks `owned`, with rank `r`'s
-    /// requests at `arena[r]..arena[r + 1]`.
+    /// A scheduler executing the ranks `owned` as `replay` walks them.
     pub(crate) fn new(
         programs: &'a [Program],
+        replay: &'a Replay,
         np: &'a NetParams,
-        arena: &[usize],
         owned: Range<usize>,
         faults: &'a F,
         boundary: B,
@@ -1177,32 +1358,31 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
         let nranks = programs.len();
         let ranks = (0..nranks)
             .map(|r| RankState {
-                pc: 0,
+                seg: &[],
+                at: 0,
+                base: 0,
+                reps: 0,
+                cut_reached: false,
                 clock: 0.0,
                 blocked: None,
                 done: false,
-                req_next: arena[r],
-                req_end: arena[r + 1],
+                req_next: replay.slots[r],
+                req_end: replay.slots[r + 1],
+                id_offset: 0,
                 send_memo: ChanMemo::EMPTY,
                 recv_memo: ChanMemo::EMPTY,
                 user_reqs: Vec::new(),
                 coll_seq: 0,
             })
             .collect();
-        // Every slot starts as a pending `Recv`, which is exactly the
-        // state of a freshly posted receive.
-        let pending = Req {
-            done_at: 0.0,
-            class: ReqClass::Recv,
-            done: false,
-        };
         Scheduler {
             programs,
+            replay,
             np,
             faults,
             boundary,
             ranks,
-            reqs: vec![pending; arena[nranks]],
+            reqs: vec![Req::PENDING_RECV; replay.slots[nranks]],
             channels: Channels::default(),
             ready: ReadyQueue::new(nranks, owned.clone()),
             owned,
@@ -1211,6 +1391,12 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
             timeline: Timeline::new(nranks),
             breakdown: vec![[0.0; EventKind::COUNT]; nranks],
             profile: P::new(nranks),
+            cut: replay.cut.map(|seq| Cut {
+                seq,
+                finish: None,
+                rows: vec![[0.0; EventKind::COUNT]; nranks],
+                profile: P::new(nranks),
+            }),
             p2p_bytes: 0,
             internode_bytes: 0,
         }
@@ -1220,7 +1406,6 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
     /// is [`SimError::Cancelled`]; every other failure parks or retires
     /// ranks and is resolved by [`Scheduler::conclude`].
     pub(crate) fn drain(&mut self) -> Result<(), SimError> {
-        let programs = self.programs;
         while let Some(r) = self.ready.pop() {
             if self.ranks[r].done {
                 continue; // woken spuriously after finishing or crashing
@@ -1240,7 +1425,7 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
                         self.crashes.push(Crash {
                             at_s: state.clock,
                             rank: r,
-                            pc: state.pc,
+                            pc: state.pc(),
                         });
                         state.done = true;
                         break 'rank;
@@ -1270,16 +1455,20 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
                     None => {}
                 }
 
-                let (pc, clock) = (self.ranks[r].pc, self.ranks[r].clock);
-                let Some(&op) = programs[r].ops.get(pc) else {
-                    self.ranks[r].done = true;
-                    break 'rank;
+                let state = &self.ranks[r];
+                let clock = state.clock;
+                let Some(&op) = state.seg.get(state.at) else {
+                    if !self.next_segment(r) {
+                        self.ranks[r].done = true;
+                        break 'rank;
+                    }
+                    continue 'rank;
                 };
                 // Blocking point-to-point ops yield the requests they
                 // wait on.
                 let (set, kind) = match op {
                     Op::Compute { seconds } => {
-                        self.compute(r, pc, clock, seconds);
+                        self.compute(r, clock, seconds);
                         continue 'rank;
                     }
                     Op::Send { to, tag, bytes } => {
@@ -1320,21 +1509,8 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
                         debug_assert_ne!(ireq, NO_REQ, "validated: wait follows creation");
                         (ReqSet::one(ireq), EventKind::Wait)
                     }
-                    Op::Allreduce { .. }
-                    | Op::Barrier
-                    | Op::Bcast { .. }
-                    | Op::Reduce { .. }
-                    | Op::Allgather { .. }
-                    | Op::Alltoall { .. } => {
-                        let (kind, bytes) = match op {
-                            Op::Allreduce { bytes } => (EventKind::Allreduce, bytes),
-                            Op::Barrier => (EventKind::Barrier, 0),
-                            Op::Bcast { bytes, .. } => (EventKind::Bcast, bytes),
-                            Op::Reduce { bytes, .. } => (EventKind::Reduce, bytes),
-                            Op::Allgather { bytes } => (EventKind::Allgather, bytes),
-                            Op::Alltoall { bytes } => (EventKind::Alltoall, bytes),
-                            _ => unreachable!(),
-                        };
+                    _ => {
+                        let (kind, bytes) = collective_of(&op).expect("only collectives remain");
                         let seq = self.ranks[r].coll_seq;
                         // The last entrant finishes the collective and
                         // unblocks inline; everyone else parks.
@@ -1366,14 +1542,49 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
         Ok(())
     }
 
+    /// Move rank `r`, whose segment is exhausted, to its next one: the
+    /// warm-up barrier once `before` repetitions are done, otherwise the
+    /// next repetition of its program, which restarts the rank's
+    /// request slots and advances its run-wide request ids. Returns
+    /// `false` when the rank has walked everything.
+    #[cold]
+    fn next_segment(&mut self, r: usize) -> bool {
+        let replay = self.replay;
+        let state = &mut self.ranks[r];
+        state.base += state.at;
+        state.at = 0;
+        if replay.cut.is_some() && !state.cut_reached && state.reps == replay.before {
+            state.cut_reached = true;
+            state.seg = &WARMUP_BARRIER;
+            return true;
+        }
+        if state.reps == replay.before + replay.after {
+            return false;
+        }
+        // Run-wide request ids are those of the concatenated run: rank
+        // `r`'s first is `(before + after) × slots[r]` (the prefix sum
+        // of every rank's posts over all repetitions), and each
+        // repetition advances them by the rank's post count. Every
+        // partition numbers the same way, so request ids — and the
+        // flaky-link draws keyed by them — do not depend on the
+        // partition count.
+        let (slots, posts) = (replay.slots[r], replay.slots[r + 1] - replay.slots[r]);
+        state.seg = &self.programs[r].ops;
+        state.req_next = slots;
+        state.id_offset = slots * (replay.before + replay.after - 1) + state.reps * posts;
+        state.reps += 1;
+        true
+    }
+
     /// Execute a compute op of fault-free length `seconds`. Fault
     /// inflation (noise, straggler, throttle) stretches the op; the
     /// excess over the fault-free duration is attributed to
     /// `Phase::FaultStall` so variability studies can read the injected
     /// time directly.
     #[inline]
-    fn compute(&mut self, r: usize, pc: usize, clock: f64, seconds: f64) {
+    fn compute(&mut self, r: usize, clock: f64, seconds: f64) {
         let (total, stall) = if F::ENABLED {
+            let pc = self.ranks[r].pc();
             let t = self.faults.compute_seconds(r, pc, clock, seconds);
             (t, (t - seconds).max(0.0))
         } else {
@@ -1392,7 +1603,7 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
         }
         let state = &mut self.ranks[r];
         state.clock += total;
-        state.pc += 1;
+        state.at += 1;
     }
 
     /// If every request in `set` has completed, perform the full
@@ -1435,13 +1646,14 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
         let state = &mut self.ranks[r];
         state.clock = resume;
         state.blocked = None;
-        state.pc += 1;
+        state.at += 1;
         true
     }
 
     /// Unblock bookkeeping for a finished collective: the rank leaves
     /// at the common `finish` time and advances to its next collective
-    /// sequence number.
+    /// sequence number. Leaving the warm-up barrier records the rank's
+    /// rows of the cut.
     #[inline]
     fn unblock_collective(&mut self, r: usize, start: f64, finish: f64, kind: EventKind) {
         if TRACE {
@@ -1451,19 +1663,33 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
             self.breakdown[r][kind.index()] += finish - start;
             self.profile.phase(r, Phase::CollectiveWait, finish - start);
         }
+        if let Some(cut) = &mut self.cut {
+            if self.ranks[r].coll_seq == cut.seq {
+                cut.rows[r] = self.breakdown[r];
+                self.profile.cut_rank(&mut cut.profile, r);
+            }
+        }
         let state = &mut self.ranks[r];
         state.clock = finish;
         state.blocked = None;
         state.coll_seq += 1;
-        state.pc += 1;
+        state.at += 1;
     }
 
     /// Record collective `seq`'s finish and wake every owned rank —
     /// all of them entered it (except `running`, which re-examines its
-    /// state inline).
+    /// state inline). The warm-up barrier's finish takes the cut's
+    /// cross-rank views: every owned rank is parked in the barrier, so
+    /// none has posted past it yet.
     pub(crate) fn collective_finished(&mut self, seq: usize, finish: f64, running: usize) {
         debug_assert_eq!(self.coll_finish.len(), seq, "collectives finish in order");
         self.coll_finish.push(finish);
+        if let Some(cut) = &mut self.cut {
+            if seq == cut.seq {
+                cut.finish = Some(finish);
+                self.profile.cut_global(&mut cut.profile);
+            }
+        }
         for r in self.owned.clone() {
             self.ready.wake(r, running);
         }
@@ -1480,10 +1706,10 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
             state.user_reqs.resize(slot + 1, NO_REQ);
         }
         state.user_reqs[slot] = ireq;
-        state.pc += 1;
+        state.at += 1;
     }
 
-    /// Take the next request of `rank`'s arena range.
+    /// Take the next request slot of `rank`'s arena range.
     #[inline]
     fn next_req(&mut self, rank: usize) -> IReq {
         let state = &mut self.ranks[rank];
@@ -1494,9 +1720,9 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
     }
 
     /// Post a send: create its request (eager sends complete locally
-    /// after the sender overhead, receiver or not), append the posting
-    /// to its channel — or forward it to the partition owning the
-    /// receiver — and account the message.
+    /// after the sender overhead, receiver or not), match it against
+    /// its channel's pending receives — or forward it to the partition
+    /// owning the receiver — and account the message.
     fn post_send(&mut self, from: usize, to: usize, tag: u32, bytes: usize, time: f64) -> IReq {
         let eager = bytes < self.np.eager_threshold;
         let ireq = self.next_req(from);
@@ -1513,17 +1739,21 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
                 done: false,
             }
         };
-        let post = SendPost { time, bytes, ireq };
+        let post = SendPost {
+            time,
+            bytes,
+            ireq,
+            id: ireq + self.ranks[from].id_offset,
+            tag,
+        };
         let same_node = if self.boundary.owns(to) {
             let memo = &mut self.ranks[from].send_memo;
-            let slot = self.channels.memo_slot(self.np, memo, to, (from, to, tag));
-            let ch = &mut self.channels.store[slot as usize];
-            ch.sends.push(post);
-            let same_node = ch.same_node;
-            self.match_channel(slot, from, to, from);
+            let slot = self.channels.memo_slot(self.np, memo, to, from, to);
+            let same_node = self.channels.store[slot as usize].same_node;
+            self.arrive_send(slot, from, to, post, from);
             same_node
         } else {
-            self.boundary.forward_send(from, to, tag, post);
+            self.boundary.forward_send(from, to, post);
             self.np.node_of[from] == self.np.node_of[to]
         };
         self.profile.message(from, to, bytes, regime_of(eager));
@@ -1534,27 +1764,38 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
         ireq
     }
 
-    /// Post a receive on its (always local) channel and resolve any
-    /// matches this enables.
+    /// Post a receive on its (always local) channel: match it against
+    /// the oldest pending send with its tag, or queue it.
     fn post_recv(&mut self, from: usize, to: usize, tag: u32, time: f64) -> IReq {
         let ireq = self.next_req(to);
+        self.reqs[ireq] = Req::PENDING_RECV;
         let memo = &mut self.ranks[to].recv_memo;
-        let slot = self
-            .channels
-            .memo_slot(self.np, memo, from, (from, to, tag));
-        self.channels.store[slot as usize]
-            .recvs
-            .push(RecvPost { time, ireq });
-        self.match_channel(slot, from, to, to);
+        let slot = self.channels.memo_slot(self.np, memo, from, from, to);
+        let ch = &mut self.channels.store[slot as usize];
+        let v = RecvPost { time, ireq, tag };
+        match ch.sends.take(|s| s.tag == tag) {
+            Some(s) => self.complete_match(slot, from, to, s, v, to),
+            None => ch.recvs.push(v),
+        }
         ireq
     }
 
-    /// Append a send forwarded by the sender's partition to its channel
-    /// and resolve any matches this enables.
-    pub(crate) fn deliver_send(&mut self, from: usize, to: usize, tag: u32, post: SendPost) {
-        let slot = self.channels.slot(self.np, from, to, tag);
-        self.channels.store[slot as usize].sends.push(post);
-        self.match_channel(slot, from, to, usize::MAX);
+    /// A send forwarded by the sender's partition arrives at its
+    /// channel.
+    pub(crate) fn deliver_send(&mut self, from: usize, to: usize, post: SendPost) {
+        let slot = self.channels.slot(self.np, from, to);
+        self.arrive_send(slot, from, to, post, usize::MAX);
+    }
+
+    /// Match send `s` against the oldest pending receive with its tag
+    /// in channel `slot` (`from → to`), or queue it.
+    #[inline]
+    fn arrive_send(&mut self, slot: u32, from: usize, to: usize, s: SendPost, running: usize) {
+        let ch = &mut self.channels.store[slot as usize];
+        match ch.recvs.take(|v| v.tag == s.tag) {
+            Some(v) => self.complete_match(slot, from, to, s, v, running),
+            None => ch.sends.push(s),
+        }
     }
 
     /// Complete owned request `ireq` of `rank` at `done_at` (a
@@ -1564,63 +1805,75 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
         self.ready.wake(rank, usize::MAX);
     }
 
-    /// Match pending send/recv pairs in channel `slot` (`from → to`),
-    /// delivering completions straight into the request arena and
+    /// Complete the matched pair `s`/`v` of channel `slot` (`from →
+    /// to`), delivering completions straight into the request arena and
     /// waking the owning ranks (the currently executing rank `running`
     /// re-examines its own state inline instead). A foreign sender's
-    /// rendezvous completion crosses the boundary. FIFO per channel
-    /// preserves MPI's non-overtaking rule.
-    fn match_channel(&mut self, slot: u32, from: usize, to: usize, running: usize) {
-        let ch = &mut self.channels.store[slot as usize];
-        while !ch.sends.is_empty() && !ch.recvs.is_empty() {
-            let s = ch.sends.pop();
-            let v = ch.recvs.pop();
-            let mut wire = ch.wire_lat + s.bytes as f64 / ch.wire_denom;
-            if F::ENABLED {
-                // Degraded-link retransmissions lengthen the transfer;
-                // the draw is keyed by the sender's program-order
-                // request id, keeping it visiting-order independent.
-                wire += self.faults.wire_extra(from, to, s.ireq);
-            }
-            let recv_done = if s.bytes < self.np.eager_threshold {
-                // The sender's completion was already issued at post
-                // time (eager sends complete locally); only the receive
-                // side completes here, at message arrival.
-                v.time.max(s.time + wire)
-            } else {
-                // Rendezvous: transfer starts when both are ready.
-                let done = s.time.max(v.time) + wire;
-                if self.boundary.owns(from) {
-                    self.reqs[s.ireq].complete(done);
-                    self.ready.wake(from, running);
-                } else {
-                    self.boundary.forward_rdv_done(from, s.ireq, done);
-                }
-                done
-            };
-            self.reqs[v.ireq].complete(recv_done);
-            self.ready.wake(to, running);
+    /// rendezvous completion crosses the boundary.
+    fn complete_match(
+        &mut self,
+        slot: u32,
+        from: usize,
+        to: usize,
+        s: SendPost,
+        v: RecvPost,
+        running: usize,
+    ) {
+        let ch = &self.channels.store[slot as usize];
+        let mut wire = ch.wire_lat + s.bytes as f64 / ch.wire_denom;
+        if F::ENABLED {
+            // Degraded-link retransmissions lengthen the transfer; the
+            // draw is keyed by the sender's run-wide request id,
+            // keeping it visiting-order independent.
+            wire += self.faults.wire_extra(from, to, s.id);
         }
+        let recv_done = if s.bytes < self.np.eager_threshold {
+            // The sender's completion was already issued at post time
+            // (eager sends complete locally); only the receive side
+            // completes here, at message arrival.
+            v.time.max(s.time + wire)
+        } else {
+            // Rendezvous: transfer starts when both are ready.
+            let done = s.time.max(v.time) + wire;
+            if self.boundary.owns(from) {
+                self.reqs[s.ireq].complete(done);
+                self.ready.wake(from, running);
+            } else {
+                self.boundary.forward_rdv_done(from, s.ireq, done);
+            }
+            done
+        };
+        self.reqs[v.ireq].complete(recv_done);
+        self.ready.wake(to, running);
     }
 
     /// Fold in a drained partition: its owned per-rank state replaces
     /// the (untouched) rows here, and the cross-rank aggregates add —
-    /// `u64` counters and histogram buckets, exact and commutative.
+    /// `u64` counters and histogram buckets, exact and commutative. The
+    /// partitions' warm-up cuts merge the same way.
     pub(crate) fn absorb(&mut self, mut part: Self) {
         let owned = part.owned.clone();
         self.ranks[owned.clone()].swap_with_slice(&mut part.ranks[owned.clone()]);
         self.breakdown[owned.clone()].copy_from_slice(&part.breakdown[owned.clone()]);
         self.timeline.absorb(&part.timeline);
-        self.profile.absorb(part.profile, owned);
+        self.profile.absorb(part.profile, owned.clone());
         self.p2p_bytes += part.p2p_bytes;
         self.internode_bytes += part.internode_bytes;
         self.crashes.append(&mut part.crashes);
+        if let (Some(cut), Some(theirs)) = (&mut self.cut, part.cut) {
+            cut.finish = cut.finish.or(theirs.finish);
+            cut.rows[owned.clone()].copy_from_slice(&theirs.rows[owned.clone()]);
+            cut.profile.absorb(theirs.profile, owned);
+        }
     }
 
     /// The run's outcome from the drained state of every rank, in the
     /// canonical order after cancellation: the earliest `(at_s, rank)`
     /// crash, then `mismatch`, then deadlock.
-    pub(crate) fn conclude(self, mismatch: Option<SimError>) -> Result<SimResult, SimError> {
+    pub(crate) fn conclude(
+        self,
+        mismatch: Option<SimError>,
+    ) -> Result<(SimResult, Option<WarmupCut>), SimError> {
         let earliest = self
             .crashes
             .iter()
@@ -1641,24 +1894,31 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| !s.done)
-                .map(|(r, s)| {
-                    let ops = &self.programs[r].ops;
-                    (r, s.pc, ops[s.pc.min(ops.len().saturating_sub(1))])
-                })
+                .map(|(r, s)| (r, s.pc(), s.seg[s.at.min(s.seg.len().saturating_sub(1))]))
                 .collect();
             return Err(SimError::Deadlock(blocked));
         }
         let finish_times: Vec<f64> = self.ranks.iter().map(|s| s.clock).collect();
         let makespan = finish_times.iter().copied().fold(0.0, f64::max);
-        Ok(SimResult {
-            makespan,
-            finish_times,
-            timeline: self.timeline,
-            p2p_bytes: self.p2p_bytes,
-            internode_bytes: self.internode_bytes,
-            per_rank_breakdown: self.breakdown,
-            profile: self.profile.finish(),
-        })
+        let cut = self.cut.map(|cut| WarmupCut {
+            // Every rank of a completed run left the barrier, so only a
+            // run without ranks has no finish to report.
+            finish: cut.finish.unwrap_or(0.0),
+            per_rank_breakdown: cut.rows,
+            profile: cut.profile.finish(),
+        });
+        Ok((
+            SimResult {
+                makespan,
+                finish_times,
+                timeline: self.timeline,
+                p2p_bytes: self.p2p_bytes,
+                internode_bytes: self.internode_bytes,
+                per_rank_breakdown: self.breakdown,
+                profile: self.profile.finish(),
+            },
+            cut,
+        ))
     }
 }
 
@@ -1706,16 +1966,46 @@ impl Engine {
     }
 
     /// Execute programs whose [`Prepass`] was computed (or derived) in
-    /// advance — the batch-simulation entry point: callers simulating a
-    /// family of runs built from one program template analyze the
-    /// template once and derive each run's prepass arithmetically (see
-    /// [`Prepass::scaled`]) instead of re-walking every concatenated
-    /// program.
+    /// advance — for callers that simulate several runs of one set of
+    /// programs, or of concatenations of one template (see
+    /// [`Prepass::scaled`]), and pay for the walk once.
     ///
     /// The prepass must describe exactly `self`'s programs (the rank
     /// count is asserted; the per-rank post counts are trusted, and a
     /// debug assertion in the scheduler catches undercounts).
     pub fn run_prevalidated(self, prepass: &Prepass) -> Result<SimResult, SimError> {
+        let replay = Replay::once(prepass);
+        self.run_replay(prepass, &replay).map(|(result, _)| result)
+    }
+
+    /// Replay `self`'s programs as a step template: every rank walks
+    /// its program `warmup` times, a warm-up `Barrier`, then `measured`
+    /// more times. The result is that of running the concatenated
+    /// `warmup×step + Barrier + measured×step` programs bit for bit —
+    /// fault draws, error payloads and the timeline included — and the
+    /// [`WarmupCut`] is what a run of the `warmup×step + Barrier` prefix
+    /// alone would have returned. `step` is the [`Prepass`] of the
+    /// template (trusted as in [`Engine::run_prevalidated`]).
+    pub fn run_replayed(
+        self,
+        step: &Prepass,
+        warmup: usize,
+        measured: usize,
+    ) -> Result<(SimResult, WarmupCut), SimError> {
+        let replay = Replay::warmed(&self.programs, step, warmup, measured);
+        let (result, cut) = self.run_replay(step, &replay)?;
+        Ok((
+            result,
+            cut.expect("a replay with a warm-up barrier records its cut"),
+        ))
+    }
+
+    /// Run every rank as `replay` walks it.
+    fn run_replay(
+        &self,
+        prepass: &Prepass,
+        replay: &Replay,
+    ) -> Result<(SimResult, Option<WarmupCut>), SimError> {
         let nranks = self.programs.len();
         assert_eq!(
             prepass.p2p_ops.len(),
@@ -1733,24 +2023,24 @@ impl Engine {
         // `NoFaults` hook keeps the hot path free of fault branches.
         if !self.config.faults.is_none() || self.cancel.is_some() {
             let hook = ActiveFaults::compile(&self.config.faults, nranks, self.cancel.clone());
-            self.dispatch(prepass, threads, &hook)
+            self.dispatch(replay, threads, &hook)
         } else {
-            self.dispatch(prepass, threads, &NoFaults)
+            self.dispatch(replay, threads, &NoFaults)
         }
     }
 
     /// Select the (profile × trace) instantiation for fault hook `F`.
     fn dispatch<F: FaultHook>(
         &self,
-        prepass: &Prepass,
+        replay: &Replay,
         threads: usize,
         faults: &F,
-    ) -> Result<SimResult, SimError> {
+    ) -> Result<(SimResult, Option<WarmupCut>), SimError> {
         match (self.config.profile, self.config.trace) {
-            (true, false) => self.run_with::<LiveProfile, F, false>(prepass, threads, faults),
-            (true, true) => self.run_with::<LiveProfile, F, true>(prepass, threads, faults),
-            (false, false) => self.run_with::<NoProfile, F, false>(prepass, threads, faults),
-            (false, true) => self.run_with::<NoProfile, F, true>(prepass, threads, faults),
+            (true, false) => self.run_with::<LiveProfile, F, false>(replay, threads, faults),
+            (true, true) => self.run_with::<LiveProfile, F, true>(replay, threads, faults),
+            (false, false) => self.run_with::<NoProfile, F, false>(replay, threads, faults),
+            (false, true) => self.run_with::<NoProfile, F, true>(replay, threads, faults),
         }
     }
 
@@ -1758,19 +2048,18 @@ impl Engine {
     /// or `threads` partitions under [`crate::pdes`].
     fn run_with<P: ProfileSink, F: FaultHook, const TRACE: bool>(
         &self,
-        prepass: &Prepass,
+        replay: &Replay,
         threads: usize,
         faults: &F,
-    ) -> Result<SimResult, SimError> {
-        let arena = prepass.arena_starts();
+    ) -> Result<(SimResult, Option<WarmupCut>), SimError> {
         if threads > 1 {
-            return crate::pdes::run::<P, F, TRACE>(self, &arena, threads, faults);
+            return crate::pdes::run::<P, F, TRACE>(self, replay, threads, faults);
         }
         let nranks = self.programs.len();
         let np = NetParams::of(&self.net, nranks);
         let solo = Solo(CollTable::new(&self.net));
         let mut sched =
-            Scheduler::<P, F, _, TRACE>::new(&self.programs, &np, &arena, 0..nranks, faults, solo);
+            Scheduler::<P, F, _, TRACE>::new(&self.programs, replay, &np, 0..nranks, faults, solo);
         sched.drain()?;
         let mismatch = sched.boundary.0.mismatch();
         sched.conclude(mismatch)
@@ -2113,6 +2402,200 @@ mod tests {
         p1.push(Op::recv(0, 7));
         let r = run(vec![p0, p1]);
         assert!(r.makespan > 0.0);
+    }
+
+    // ---------------------------------------------------------------
+    // Mixed tags on one rank pair (rank-pair channels)
+    // ---------------------------------------------------------------
+
+    /// What a [`burst`] must produce: each rank's `Wait` intervals (as
+    /// the timeline records them) and its finish time.
+    #[derive(Debug, PartialEq)]
+    struct Expected {
+        waits: [Vec<(f64, f64)>; 2],
+        finish: [f64; 2],
+    }
+
+    /// A one-pair burst and what it must produce when receive `k`
+    /// matches send `pairing[k]`. Rank 1 posts one `Irecv` per tag of
+    /// `recvs` early; rank 0 then posts one `Isend` per `(tag, bytes)`
+    /// of `sends`, each after a compute of its own length. Rank 0 waits
+    /// in posting order, rank 1 in the order its receives complete, so
+    /// every completion shows in its timeline. Timing follows the
+    /// engine's rules: an eager send completes after the overhead and
+    /// its receive on arrival; a rendezvous completes both sides at
+    /// `max(posts) + wire`.
+    fn burst(sends: &[(u32, usize)], recvs: &[u32], pairing: &[usize]) -> (Vec<Program>, Expected) {
+        burst_waiting_as(sends, recvs, pairing, pairing)
+    }
+
+    /// [`burst`], with rank 1 waiting in the order receives would
+    /// complete under `wait_pairing` — to see what a wrong `pairing`
+    /// would show in the same programs.
+    fn burst_waiting_as(
+        sends: &[(u32, usize)],
+        recvs: &[u32],
+        pairing: &[usize],
+        wait_pairing: &[usize],
+    ) -> (Vec<Program>, Expected) {
+        let net = NetModel::compact(&presets::cluster_a(), 2);
+        let ic = net.interconnect();
+        let gap0 = |i: usize| 5e-6 + 1e-6 * i as f64;
+        let gap1 = |k: usize| 1e-7 * (k + 1) as f64;
+        let posted = |n: usize, gap: &dyn Fn(usize) -> f64| {
+            let mut t = 0.0;
+            (0..n)
+                .map(|i| {
+                    t += gap(i);
+                    t
+                })
+                .collect::<Vec<f64>>()
+        };
+        let (ts, tr) = (posted(sends.len(), &gap0), posted(recvs.len(), &gap1));
+        let done = |pairing: &[usize]| {
+            let mut send_done: Vec<f64> = ts.iter().map(|t| t + net.send_overhead).collect();
+            let mut recv_done = vec![0.0; recvs.len()];
+            for (k, &i) in pairing.iter().enumerate() {
+                let (tag, bytes) = sends[i];
+                assert_eq!(tag, recvs[k], "a pairing must match tags");
+                let wire = ic.wire_time(bytes, true);
+                if ic.is_eager(bytes) {
+                    recv_done[k] = tr[k].max(ts[i] + wire);
+                } else {
+                    recv_done[k] = ts[i].max(tr[k]) + wire;
+                    send_done[i] = recv_done[k];
+                }
+            }
+            (send_done, recv_done)
+        };
+        let (send_done, recv_done) = done(pairing);
+        let wait_done = done(wait_pairing).1;
+        let mut order: Vec<usize> = (0..recvs.len()).collect();
+        order.sort_by(|&a, &b| wait_done[a].total_cmp(&wait_done[b]));
+        let waits = |start: f64, done: Vec<f64>| {
+            let mut clock = start;
+            let mut events = Vec::new();
+            for d in done {
+                if d > clock {
+                    events.push((clock, d));
+                    clock = d;
+                }
+            }
+            (events, clock)
+        };
+        let (w0, f0) = waits(*ts.last().unwrap(), send_done);
+        let (w1, f1) = waits(
+            *tr.last().unwrap(),
+            order.iter().map(|&k| recv_done[k]).collect(),
+        );
+
+        let mut p0 = Program::new();
+        for (i, &(tag, bytes)) in sends.iter().enumerate() {
+            p0.push(Op::compute(gap0(i)));
+            p0.push(Op::isend(1, tag, bytes, i as ReqId));
+        }
+        for i in 0..sends.len() {
+            p0.push(Op::wait(i as ReqId));
+        }
+        let mut p1 = Program::new();
+        for (k, &tag) in recvs.iter().enumerate() {
+            p1.push(Op::compute(gap1(k)));
+            p1.push(Op::irecv(0, tag, k as ReqId));
+        }
+        for &k in &order {
+            p1.push(Op::wait(k as ReqId));
+        }
+        let expected = Expected {
+            waits: [w0, w1],
+            finish: [f0, f1],
+        };
+        (vec![p0, p1], expected)
+    }
+
+    /// Run `progs` traced at `threads` and read back what [`Expected`]
+    /// describes.
+    fn observed(progs: Vec<Program>, threads: usize) -> Result<Expected, SimError> {
+        let net = NetModel::compact(&presets::cluster_a(), progs.len());
+        let cfg = SimConfig::default().with_trace(true).with_threads(threads);
+        let r = Engine::new(cfg, net, progs).run()?;
+        let waits = |rank: usize| {
+            r.timeline
+                .rank_events(rank)
+                .iter()
+                .filter(|e| e.kind == EventKind::Wait)
+                .map(|e| (e.start, e.end))
+                .collect()
+        };
+        Ok(Expected {
+            waits: [waits(0), waits(1)],
+            finish: [r.finish_times[0], r.finish_times[1]],
+        })
+    }
+
+    /// Tags 3, 1, 2, 1 out against 1, 2, 1, 3 in, with distinct sizes
+    /// so that a wrong pairing changes the timing.
+    fn out_of_order(base: usize) -> Vec<(u32, usize)> {
+        [3, 1, 2, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, base + 1000 * i))
+            .collect()
+    }
+
+    #[test]
+    fn out_of_order_tags_match_by_tag() {
+        // Receive k matches the oldest unmatched send with its tag.
+        let recvs = [1, 2, 1, 3];
+        for base in [8usize, 1 << 20] {
+            let sends = out_of_order(base);
+            let (progs, want) = burst(&sends, &recvs, &[1, 2, 3, 0]);
+            assert_eq!(observed(progs, 1).unwrap(), want, "message size {base}");
+        }
+    }
+
+    #[test]
+    fn same_tag_messages_stay_fifo() {
+        // Two tag-7 messages: the first receive gets the first message.
+        for big in [60_000usize, 3 << 20] {
+            let sends = [(7, 8), (7, big)];
+            let (progs, fifo) = burst(&sends, &[7, 7], &[0, 1]);
+            let (_, swapped) = burst_waiting_as(&sends, &[7, 7], &[1, 0], &[0, 1]);
+            assert_ne!(fifo, swapped, "the check must tell the orders apart");
+            assert_eq!(observed(progs, 1).unwrap(), fifo, "message size {big}");
+        }
+    }
+
+    #[test]
+    fn a_tag_that_never_arrives_deadlocks_with_the_same_payload() {
+        // Rank 1 waits for tag 5, which rank 0 never sends; the tag-4
+        // message it does send is received. The payload names the
+        // blocked op by its program index, at every partition count.
+        let mut p0 = Program::new();
+        p0.push(Op::isend(1, 4, 64, 0));
+        p0.push(Op::wait(0));
+        let mut p1 = Program::new();
+        p1.push(Op::irecv(0, 5, 0));
+        p1.push(Op::recv(0, 4));
+        p1.push(Op::wait(0));
+        for threads in [1, 2] {
+            let err = observed(vec![p0.clone(), p1.clone()], threads).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::Deadlock(vec![(1, 2, Op::Wait { req: 0 })]),
+                "threads {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_pair_split_across_partitions_matches_by_tag() {
+        // At two threads rank 0 and rank 1 live in different
+        // partitions: the sends cross the boundary and match there.
+        let recvs = [1, 2, 1, 3];
+        for base in [8usize, 1 << 20] {
+            let (progs, want) = burst(&out_of_order(base), &recvs, &[1, 2, 3, 0]);
+            assert_eq!(observed(progs, 2).unwrap(), want, "message size {base}");
+        }
     }
 
     #[test]

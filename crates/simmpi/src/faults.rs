@@ -113,6 +113,13 @@ pub enum FaultEvent {
 }
 
 impl FaultEvent {
+    /// Canonical form of the event, part of every run-cache key.
+    ///
+    /// Flaky links render as `flaky2(…)`: their draws are keyed by the
+    /// run-wide request id, and the warm-up is now a prefix of the one
+    /// simulated run, so runs under flaky-link plans changed their
+    /// results. The new name retires their old cache entries without
+    /// touching the key of any other run.
     fn canonical(&self) -> String {
         match self {
             FaultEvent::OsNoise { ranks, amplitude } => {
@@ -126,7 +133,9 @@ impl FaultEvent {
                 to,
                 drop_prob,
                 retransmit_latency_s,
-            } => format!("flaky(from={from},to={to},p={drop_prob:?},rtx={retransmit_latency_s:?})"),
+            } => {
+                format!("flaky2(from={from},to={to},p={drop_prob:?},rtx={retransmit_latency_s:?})")
+            }
             FaultEvent::Throttle {
                 ranks,
                 t_start_s,
@@ -376,10 +385,11 @@ impl ActiveFaults {
         s
     }
 
-    /// Extra wire latency of the message with sender-side request id
-    /// `ireq` on link `from → to` (0 on healthy links). `ireq` is a
-    /// program-order-deterministic arena index, so the retransmission
-    /// draw is independent of scheduler visiting order.
+    /// Extra wire latency of the message whose send has run-wide
+    /// request id `ireq` on link `from → to` (0 on healthy links).
+    /// `ireq` is program-order deterministic (the sender's posts are
+    /// numbered in order from its range of the run's id space), so the
+    /// retransmission draw is independent of scheduler visiting order.
     #[inline]
     pub fn wire_extra(&self, from: usize, to: usize, ireq: usize) -> f64 {
         if self.links.is_empty() {

@@ -61,19 +61,26 @@
 //! one-partition per-rank streams exactly. Cross-rank aggregates are
 //! merged with exact, commutative reductions only: `u64` byte counters
 //! and histogram buckets add, collective entry times max-reduce, and
-//! the global request-arena numbering (which seeds the flaky-link
-//! draws) is identical because every partition indexes the same
-//! prepass-derived arena layout. Errors then resolve in the engine's
-//! one canonical order, which does not depend on the partition count.
+//! the run-wide request ids (which seed the flaky-link draws) are
+//! identical because every partition numbers requests from the same
+//! prepass-derived layout. Errors then resolve in the engine's one
+//! canonical order, which does not depend on the partition count.
+//!
+//! A replay's warm-up cut merges the same way. Each partition writes
+//! the cut rows of its own ranks as they leave the warm-up barrier, and
+//! takes its cross-rank views when it learns of the barrier's finish:
+//! its own ranks are all parked in the barrier then, so its histograms
+//! and matrix hold exactly their warm-up sends. The rows scatter and
+//! the views add, as the final state does.
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::engine::{
-    Boundary, CollTable, Engine, FaultHook, IReq, NetParams, ProfileSink, Scheduler, SendPost,
-    SimError, SimResult,
+    Boundary, CollTable, Engine, FaultHook, IReq, NetParams, ProfileSink, Replay, Scheduler,
+    SendPost, SimError, SimResult, WarmupCut,
 };
 use crate::program::Program;
 use crate::trace::EventKind;
@@ -148,7 +155,6 @@ enum Msg {
     Send {
         from: usize,
         to: usize,
-        tag: u32,
         post: SendPost,
     },
     /// Sender-side completion of a rendezvous resolved remotely.
@@ -194,7 +200,7 @@ impl Outgoing {
 struct Shared<'a> {
     np: NetParams,
     programs: &'a [Program],
-    arena: &'a [usize],
+    replay: &'a Replay,
     parts: Vec<Range<usize>>,
     /// Partition index per rank.
     part_of: Vec<u32>,
@@ -204,7 +210,8 @@ struct Shared<'a> {
     /// while everyone idles is the quiescence (termination) test.
     sent: AtomicU64,
     delivered: AtomicU64,
-    idle: AtomicUsize,
+    /// Partitions parked in `await_work`.
+    idle: Mutex<usize>,
     stop: AtomicBool,
     cancelled: AtomicBool,
     colls: Mutex<CollTable<'a>>,
@@ -247,28 +254,40 @@ fn flush(sh: &Shared<'_>, out: &mut Outgoing) {
 /// Park on partition `me`'s inbox until it holds work (`true`) or the
 /// run stops (`false`). The last partition to idle while every sent
 /// message has been delivered declares quiescence and stops everyone.
+///
+/// The idle count changes only under its lock, and the quiescence test
+/// reads the counters under it too. A woken partition leaves the count
+/// before it takes its messages, so the test either still counts it
+/// idle and sees its messages undelivered, or no longer counts it. It
+/// must never count a partition idle and also see that partition's
+/// messages delivered: that partition is busy draining them, and
+/// stopping it would cut the run short as a spurious deadlock.
 fn await_work(sh: &Shared<'_>, me: usize) -> bool {
     let inbox = &sh.inboxes[me];
     let mut q = lock(&inbox.queue);
     if !q.is_empty() {
         return true;
     }
-    let idlers = sh.idle.fetch_add(1, Ordering::SeqCst) + 1;
-    if idlers == sh.parts.len()
-        && sh.sent.load(Ordering::SeqCst) == sh.delivered.load(Ordering::SeqCst)
     {
-        sh.idle.fetch_sub(1, Ordering::SeqCst);
-        drop(q);
-        stop_all(sh);
-        return false;
+        let mut idle = lock(&sh.idle);
+        *idle += 1;
+        if *idle == sh.parts.len()
+            && sh.sent.load(Ordering::SeqCst) == sh.delivered.load(Ordering::SeqCst)
+        {
+            *idle -= 1;
+            drop(idle);
+            drop(q);
+            stop_all(sh);
+            return false;
+        }
     }
     loop {
         if sh.stop.load(Ordering::SeqCst) {
-            sh.idle.fetch_sub(1, Ordering::SeqCst);
+            *lock(&sh.idle) -= 1;
             return false;
         }
         if !q.is_empty() {
-            sh.idle.fetch_sub(1, Ordering::SeqCst);
+            *lock(&sh.idle) -= 1;
             return true;
         }
         q = inbox.cv.wait(q).unwrap_or_else(|e| e.into_inner());
@@ -295,17 +314,9 @@ impl Boundary for Partitioned<'_, '_> {
         self.sh.parts[self.me].contains(&rank)
     }
 
-    fn forward_send(&mut self, from: usize, to: usize, tag: u32, post: SendPost) {
+    fn forward_send(&mut self, from: usize, to: usize, post: SendPost) {
         let dest = self.sh.part_of[to] as usize;
-        self.out.push(
-            dest,
-            Msg::Send {
-                from,
-                to,
-                tag,
-                post,
-            },
-        );
+        self.out.push(dest, Msg::Send { from, to, post });
     }
 
     fn forward_rdv_done(&mut self, rank: usize, ireq: IReq, done_at: f64) {
@@ -366,7 +377,7 @@ fn worker<'s, 'a, P: ProfileSink, F: FaultHook, const TRACE: bool>(
         next_flush: sh.lookahead,
     };
     let owned = sh.parts[me].clone();
-    let mut part = Scheduler::new(sh.programs, &sh.np, sh.arena, owned, faults, boundary);
+    let mut part = Scheduler::new(sh.programs, sh.replay, &sh.np, owned, faults, boundary);
     loop {
         // Drain the inbox in one batch; `delivered` is credited only
         // after processing so in-flight messages keep the quiescence
@@ -374,12 +385,7 @@ fn worker<'s, 'a, P: ProfileSink, F: FaultHook, const TRACE: bool>(
         let msgs = std::mem::take(&mut *lock(&sh.inboxes[me].queue));
         for &m in &msgs {
             match m {
-                Msg::Send {
-                    from,
-                    to,
-                    tag,
-                    post,
-                } => part.deliver_send(from, to, tag, post),
+                Msg::Send { from, to, post } => part.deliver_send(from, to, post),
                 Msg::RdvDone {
                     rank,
                     ireq,
@@ -415,13 +421,13 @@ fn worker<'s, 'a, P: ProfileSink, F: FaultHook, const TRACE: bool>(
 // ---------------------------------------------------------------------------
 
 /// Run `engine` as `threads` partitions (already clamped to the rank
-/// count), with rank `r`'s requests at `arena[r]..arena[r + 1]`.
+/// count), every rank walking its program as `replay` says.
 pub(crate) fn run<P: ProfileSink, F: FaultHook, const TRACE: bool>(
     engine: &Engine,
-    arena: &[usize],
+    replay: &Replay,
     threads: usize,
     faults: &F,
-) -> Result<SimResult, SimError> {
+) -> Result<(SimResult, Option<WarmupCut>), SimError> {
     let nranks = engine.programs.len();
     let np = NetParams::of(&engine.net, nranks);
     let parts = partition_ranks(nranks, threads, &np.node_of);
@@ -432,14 +438,14 @@ pub(crate) fn run<P: ProfileSink, F: FaultHook, const TRACE: bool>(
     let sh = Shared {
         np,
         programs: &engine.programs,
-        arena,
+        replay,
         inboxes: (0..parts.len()).map(|_| Inbox::default()).collect(),
         parts,
         part_of,
         lookahead: engine.net.lookahead(),
         sent: AtomicU64::new(0),
         delivered: AtomicU64::new(0),
-        idle: AtomicUsize::new(0),
+        idle: Mutex::new(0),
         stop: AtomicBool::new(false),
         cancelled: AtomicBool::new(false),
         colls: Mutex::new(CollTable::new(&engine.net)),

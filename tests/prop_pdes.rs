@@ -2,7 +2,10 @@
 //! partitioned scheduler must reproduce the 1-thread run **bit for
 //! bit** at every thread count — same golden fingerprints, same
 //! fault-plan outcomes, same error payloads on crash, deadlock and
-//! collective mismatch.
+//! collective mismatch. At 1, 2 and 4 threads, mixed-tag bursts must
+//! match a test-side reference matcher, and a replayed step template
+//! must equal its concatenated programs (and its warm-up cut the run of
+//! the warm-up alone).
 //!
 //! The generators and fingerprints are duplicated from
 //! `prop_engine.rs` / `prop_faults.rs` (each property suite is
@@ -15,6 +18,7 @@ use spechpc::simmpi::engine::{Engine, SimConfig, SimError, SimResult};
 use spechpc::simmpi::faults::{FaultEvent, FaultPlan, RankSet};
 use spechpc::simmpi::netmodel::NetModel;
 use spechpc::simmpi::program::{Op, Program};
+use spechpc::simmpi::trace::EventKind;
 
 /// FNV-1a accumulation over raw bytes.
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -548,6 +552,349 @@ fn collective_mismatch_blame_matches_sequential() {
             found: "Allreduce"
         }
     );
+}
+
+// ---------------------------------------------------------------------------
+// Replayed step templates
+// ---------------------------------------------------------------------------
+
+/// `W×step + Barrier + M×step` per rank, materialized.
+fn concatenated(step: &[Program], warmup: usize, measured: usize, tail: bool) -> Vec<Program> {
+    step.iter()
+        .map(|p| {
+            let mut prog = Program::new();
+            for _ in 0..warmup {
+                prog.ops.extend_from_slice(&p.ops);
+            }
+            prog.push(Op::Barrier);
+            for _ in 0..if tail { measured } else { 0 } {
+                prog.ops.extend_from_slice(&p.ops);
+            }
+            prog
+        })
+        .collect()
+}
+
+/// Replaying a step template equals running the concatenated programs
+/// bit for bit — fingerprints, fault stalls and error payloads — at 1,
+/// 2 and 4 threads, and the warm-up cut equals the end state of the
+/// warm-up alone. Flaky links draw by run-wide request id, so their cut
+/// is checked against the full run only (the warm-up alone numbers its
+/// requests differently).
+#[test]
+fn replayed_templates_match_concatenated_programs() {
+    let mut rng = Rng::seed_from_u64(0xE9A1);
+    let cluster = presets::cluster_a();
+    for case in 0..16 {
+        let nranks = 2 + rng.range(0.0, 20.0) as usize;
+        let steps = 1 + rng.range(0.0, 4.0) as usize;
+        let step = mixed_programs(&mut rng, nranks, steps);
+        let (warmup, measured) = (
+            rng.range(0.0, 3.0) as usize,
+            1 + rng.range(0.0, 3.0) as usize,
+        );
+        let plan = if case % 2 == 0 {
+            FaultPlan::none()
+        } else {
+            degradation_plan(&mut rng, nranks, 0xCA5E + case)
+        };
+        let flaky = plan
+            .events
+            .iter()
+            .any(|e| matches!(e, FaultEvent::FlakyLink { .. }));
+        let pre = spechpc::simmpi::engine::Prepass::analyze(&step).expect("valid template");
+        for threads in [1usize, 2, 4] {
+            let engine = |programs: Vec<Program>| {
+                let cfg = SimConfig::default()
+                    .with_trace(case % 3 == 0)
+                    .with_faults(plan.clone())
+                    .with_threads(threads);
+                Engine::new(cfg, NetModel::compact(&cluster, nranks), programs)
+            };
+            let what = format!("case {case} at {threads} threads");
+            let (full, cut) = engine(step.clone())
+                .run_replayed(&pre, warmup, measured)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let want = engine(concatenated(&step, warmup, measured, true))
+                .run()
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(fingerprint(&full), fingerprint(&want), "{what}");
+            assert_eq!(fault_fingerprint(&full), fault_fingerprint(&want), "{what}");
+            if flaky {
+                continue;
+            }
+            let warm = engine(concatenated(&step, warmup, measured, false))
+                .run()
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(cut.finish, warm.makespan, "{what}");
+            assert_eq!(cut.per_rank_breakdown, warm.per_rank_breakdown, "{what}");
+            assert_eq!(cut.profile, warm.profile, "{what}");
+        }
+    }
+}
+
+/// A replay fails with the concatenated run's error payload: a crash
+/// (blamed at its run-wide op index) and a deadlock in the measured
+/// repetitions.
+#[test]
+fn replayed_failures_match_concatenated_programs() {
+    let cluster = presets::cluster_a();
+    let nranks = 6;
+    let step = ring_programs(nranks, 2, &[3, 7, 11], 4096, true);
+    let pre = spechpc::simmpi::engine::Prepass::analyze(&step).unwrap();
+    for at_s in [2e-4, 9e-4, 2.5e-3] {
+        let plan = FaultPlan {
+            seed: 1,
+            events: vec![FaultEvent::Crash { rank: 4, at_s }],
+        };
+        for threads in [1usize, 2, 4] {
+            let engine = |programs: Vec<Program>| {
+                let cfg = SimConfig::default()
+                    .with_faults(plan.clone())
+                    .with_threads(threads);
+                Engine::new(cfg, NetModel::compact(&cluster, nranks), programs)
+            };
+            let got = engine(step.clone())
+                .run_replayed(&pre, 2, 3)
+                .map(|(r, _)| r);
+            let want = engine(concatenated(&step, 2, 3, true)).run();
+            match (got, want) {
+                (Err(a), Err(b)) => assert_eq!(a, b, "crash at {at_s} s, {threads} threads"),
+                (Ok(a), Ok(b)) => assert_eq!(fault_fingerprint(&a), fault_fingerprint(&b)),
+                (a, b) => panic!("{:?} vs {:?}", a.err(), b.err()),
+            }
+        }
+    }
+    // Rank 0 waits for a tag nobody sends: the replay deadlocks in its
+    // first repetition at the op index the concatenation reports.
+    let mut step = ring_programs(2, 1, &[5], 64, false);
+    step[0].push(Op::recv(1, 99));
+    let pre = spechpc::simmpi::engine::Prepass::analyze(&step).unwrap();
+    let replayed = Engine::new(
+        SimConfig::default(),
+        NetModel::compact(&cluster, 2),
+        step.clone(),
+    )
+    .run_replayed(&pre, 1, 2)
+    .map(|(r, _)| r)
+    .unwrap_err();
+    let concatenated = Engine::new(
+        SimConfig::default(),
+        NetModel::compact(&cluster, 2),
+        concatenated(&step, 1, 2, true),
+    )
+    .run()
+    .unwrap_err();
+    assert_eq!(replayed, concatenated);
+}
+
+// ---------------------------------------------------------------------------
+// Mixed-tag bursts against a reference matcher
+// ---------------------------------------------------------------------------
+
+/// One message of a burst.
+#[derive(Debug, Clone, Copy)]
+struct Message {
+    from: usize,
+    to: usize,
+    tag: u32,
+    bytes: usize,
+}
+
+/// One non-blocking post of a rank's burst: the message index, and
+/// whether this rank sends it (else it receives it).
+#[derive(Debug, Clone, Copy)]
+struct Post {
+    msg: usize,
+    send: bool,
+    gap_s: f64,
+}
+
+/// What the engine must produce for a burst: each rank's `Wait`
+/// intervals as the timeline records them, and its finish time.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    waits: Vec<Vec<(f64, f64)>>,
+    finish: Vec<f64>,
+}
+
+/// The test-side reference: pair the k-th send and the k-th receive of
+/// every `(from, to, tag)` in posting order and apply the engine's
+/// timing rules (eager: the send completes after the overhead, the
+/// receive on arrival; rendezvous: both at `max(posts) + wire`).
+/// Returns the completion time of every rank's every post.
+fn reference_matcher(net: &NetModel, messages: &[Message], posts: &[Vec<Post>]) -> Vec<Vec<f64>> {
+    use std::collections::HashMap;
+    // Per (from, to, tag): the sends and the receives in posting order,
+    // as (rank, post index, post time).
+    type Side = Vec<(usize, usize, f64)>;
+    let mut queues: HashMap<(usize, usize, u32), (Side, Side)> = HashMap::new();
+    for (rank, p) in posts.iter().enumerate() {
+        let mut clock = 0.0;
+        for (q, post) in p.iter().enumerate() {
+            clock += post.gap_s;
+            let m = messages[post.msg];
+            let sides = queues.entry((m.from, m.to, m.tag)).or_default();
+            let side = if post.send {
+                &mut sides.0
+            } else {
+                &mut sides.1
+            };
+            side.push((rank, q, clock));
+        }
+    }
+    let ic = net.interconnect();
+    let node = |r: usize| net.pinning().placement(r).node;
+    let mut done: Vec<Vec<f64>> = posts.iter().map(|p| vec![0.0; p.len()]).collect();
+    for ((from, to, _), (sends, recvs)) in queues {
+        assert_eq!(sends.len(), recvs.len(), "every message is received");
+        for (&(sr, sq, ts), &(rr, rq, tr)) in sends.iter().zip(&recvs) {
+            let bytes = messages[posts[sr][sq].msg].bytes;
+            let wire = ic.wire_time(bytes, node(from) == node(to));
+            let (s, r) = if ic.is_eager(bytes) {
+                (ts + net.send_overhead, tr.max(ts + wire))
+            } else {
+                let d = ts.max(tr) + wire;
+                (d, d)
+            };
+            done[sr][sq] = s;
+            done[rr][rq] = r;
+        }
+    }
+    done
+}
+
+/// A seeded burst among 2–6 ranks of an `nranks`-rank run (the others
+/// idle): messages over a few tags with eager and rendezvous sizes;
+/// every rank posts its sends and receives interleaved in random
+/// order, each after a random compute, then waits on them in the order
+/// the reference says they complete (so each completion shows in the
+/// timeline). With `spread`, the ranks come from two nodes. Returns the
+/// programs and what they must produce.
+fn mixed_tag_burst(rng: &mut Rng, net: &NetModel, spread: bool) -> (Vec<Program>, Observed) {
+    let nranks = net.nprocs();
+    let k = 2 + rng.range(0.0, 5.0) as usize;
+    let ranks: Vec<usize> = (0..k)
+        .map(|i| {
+            if spread && i % 2 == 1 {
+                nranks / 2 + i
+            } else {
+                i
+            }
+        })
+        .collect();
+    let pick = |rng: &mut Rng| ranks[rng.range(0.0, k as f64) as usize % k];
+    let messages: Vec<Message> = (0..1 + rng.range(0.0, 24.0) as usize)
+        .map(|_| {
+            let from = pick(rng);
+            let mut to = pick(rng);
+            while to == from {
+                to = pick(rng);
+            }
+            let bytes = if rng.next_f64() < 0.5 {
+                rng.range(0.0, 60_000.0) as usize
+            } else {
+                rng.range(70_000.0, 400_000.0) as usize
+            };
+            Message {
+                from,
+                to,
+                tag: rng.range(0.0, 3.0) as u32,
+                bytes,
+            }
+        })
+        .collect();
+    let mut posts: Vec<Vec<Post>> = vec![Vec::new(); nranks];
+    for (msg, m) in messages.iter().enumerate() {
+        for (rank, send) in [(m.from, true), (m.to, false)] {
+            // Insert at a random position: sends and receives of one
+            // rank interleave, and each side's order is random.
+            let at =
+                (rng.range(0.0, (posts[rank].len() + 1) as f64) as usize).min(posts[rank].len());
+            posts[rank].insert(
+                at,
+                Post {
+                    msg,
+                    send,
+                    gap_s: rng.range(0.0, 2e-5),
+                },
+            );
+        }
+    }
+    let done = reference_matcher(net, &messages, &posts);
+    let mut programs = Vec::with_capacity(nranks);
+    let mut want = Observed {
+        waits: Vec::new(),
+        finish: Vec::new(),
+    };
+    for (p, at) in posts.iter().zip(&done) {
+        let mut prog = Program::new();
+        let mut clock = 0.0;
+        for (q, post) in p.iter().enumerate() {
+            clock += post.gap_s;
+            prog.push(Op::compute(post.gap_s));
+            let m = messages[post.msg];
+            prog.push(if post.send {
+                Op::isend(m.to, m.tag, m.bytes, q as u32)
+            } else {
+                Op::irecv(m.from, m.tag, q as u32)
+            });
+        }
+        let mut order: Vec<usize> = (0..p.len()).collect();
+        order.sort_by(|&a, &b| at[a].total_cmp(&at[b]).then(a.cmp(&b)));
+        let mut waits = Vec::new();
+        for q in order {
+            prog.push(Op::wait(q as u32));
+            if at[q] > clock {
+                waits.push((clock, at[q]));
+                clock = at[q];
+            }
+        }
+        programs.push(prog);
+        want.waits.push(waits);
+        want.finish.push(clock);
+    }
+    (programs, want)
+}
+
+/// Random mixed-tag bursts match the reference matcher exactly — every
+/// completion time — at 1, 2 and 4 threads, where the pairs straddle
+/// partitions. Every other case spans two ClusterA nodes, so
+/// inter-node wire times show up too.
+#[test]
+fn mixed_tag_bursts_match_the_reference_matcher() {
+    let mut rng = Rng::seed_from_u64(0x7A65);
+    let cluster = presets::cluster_a();
+    let node = cluster.node.cores();
+    for case in 0..40 {
+        let spread = case % 2 == 1;
+        let nranks = if spread { 2 * node } else { 6 };
+        let net = NetModel::compact(&cluster, nranks);
+        let (programs, want) = mixed_tag_burst(&mut rng, &net, spread);
+        for threads in [1usize, 2, 4] {
+            let r = Engine::new(
+                SimConfig::default().with_trace(true).with_threads(threads),
+                NetModel::compact(&cluster, nranks),
+                programs.clone(),
+            )
+            .run()
+            .unwrap_or_else(|e| panic!("case {case} at {threads} threads: {e}"));
+            let got = Observed {
+                waits: (0..nranks)
+                    .map(|rank| {
+                        r.timeline
+                            .rank_events(rank)
+                            .iter()
+                            .filter(|e| e.kind == EventKind::Wait)
+                            .map(|e| (e.start, e.end))
+                            .collect()
+                    })
+                    .collect(),
+                finish: r.finish_times.clone(),
+            };
+            assert_eq!(got, want, "case {case} at {threads} threads");
+        }
+    }
 }
 
 /// Speedup over 1 thread the engine must reach at 4 threads on the
