@@ -18,6 +18,8 @@
 //! suite, 1 for everything else.
 
 mod args;
+#[macro_use]
+mod output;
 
 use args::{ClusterChoice, Command, ExecOpts, FaultOpts, USAGE};
 use spechpc::harness::api;
@@ -124,10 +126,10 @@ fn maybe_metrics(executor: &Executor, stem: &str, opts: ExecOpts) -> Result<(), 
     }
     let m = executor.metrics();
     let table = obs::metrics_table("executor/cache metrics", &m).map_err(internal)?;
-    println!("{}", table.render());
+    outln!("{}", table.render());
     let path = obs::write_metrics_csv(std::path::Path::new("results/metrics"), stem, &m)
         .map_err(|e| ApiError::internal(format!("writing metrics CSV: {e}")))?;
-    println!("metrics: written to {}", path.display());
+    outln!("metrics: written to {}", path.display());
     Ok(())
 }
 
@@ -149,21 +151,25 @@ fn main() {
 fn run(cmd: Command) -> Result<(), ApiError> {
     match cmd {
         Command::Help => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         Command::List => {
-            println!("benchmarks (SPEChpc 2021, Table 1 order):");
+            outln!("benchmarks (SPEChpc 2021, Table 1 order):");
             for b in all_benchmarks() {
                 let m = b.meta();
-                println!(
+                outln!(
                     "  {:<11} {:<8} {:>7} LOC  collective: {:<9}  {}",
-                    m.name, m.language, m.loc, m.collective, m.numerics
+                    m.name,
+                    m.language,
+                    m.loc,
+                    m.collective,
+                    m.numerics
                 );
             }
-            println!("\ncluster presets:");
+            outln!("\ncluster presets:");
             for c in [presets::cluster_a(), presets::cluster_b()] {
-                println!(
+                outln!(
                     "  {:<8} {} — {} cores/node, {} ccNUMA domains, {:.0} Gflop/s, {:.0} GB/s",
                     c.name,
                     c.node.cpu.model,
@@ -203,12 +209,12 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             } else {
                 api::dispatch_run(&executor, &req)?.result
             };
-            print!("{}", api::render_run_text(&r));
+            out!("{}", api::render_run_text(&r));
             if let Some(path) = trace_csv {
                 let csv = spechpc::simmpi::export::to_csv(&r.timeline);
                 std::fs::write(&path, csv)
                     .map_err(|e| ApiError::internal(format!("writing {path}: {e}")))?;
-                println!("  trace          written to {path}");
+                outln!("  trace          written to {path}");
             }
             maybe_metrics(
                 &executor,
@@ -236,7 +242,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
                 .with_faults(fault_plan_of(&faults)?);
             let executor = executor_of(req.config.clone(), exec);
             let resp = api::dispatch_suite(&executor, &req)?;
-            println!("{}", resp.report.render());
+            outln!("{}", resp.report.render());
             maybe_metrics(
                 &executor,
                 &format!("suite_{class}_{}", resp.report.cluster),
@@ -278,13 +284,13 @@ fn run(cmd: Command) -> Result<(), ApiError> {
                 "{benchmark} {class} on {} with {n} ranks — per-rank MPI phase split [s]",
                 cl.name
             );
-            println!(
+            outln!(
                 "{}",
                 obs::profile_rank_table(&title, &r.profile)
                     .map_err(internal)?
                     .render()
             );
-            println!(
+            outln!(
                 "{}",
                 obs::profile_histogram_table(
                     "message-size histogram (per protocol regime)",
@@ -293,7 +299,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
                 .map_err(internal)?
                 .render()
             );
-            println!(
+            outln!(
                 "{}",
                 obs::profile_matrix_table("heaviest rank→rank traffic", &r.profile, 16)
                     .map_err(internal)?
@@ -304,7 +310,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
                 obs::write_profile_csvs(std::path::Path::new("results/profile"), &stem, &r.profile)
                     .map_err(|e| ApiError::internal(format!("writing profile CSVs: {e}")))?;
             for p in &written {
-                println!("profile: written to {}", p.display());
+                outln!("profile: written to {}", p.display());
             }
             maybe_metrics(&executor, &format!("profile_{stem}"), exec)?;
             Ok(())
@@ -336,9 +342,9 @@ fn run(cmd: Command) -> Result<(), ApiError> {
                     )));
                 }
             }
-            println!("SPEC-style {class} score (reference = ClusterA full node):");
-            println!("  ClusterA: {:.3}", ra.spec_score(&ra).unwrap_or(0.0));
-            println!("  ClusterB: {:.3}", rb.spec_score(&ra).unwrap_or(0.0));
+            outln!("SPEC-style {class} score (reference = ClusterA full node):");
+            outln!("  ClusterA: {:.3}", ra.spec_score(&ra).unwrap_or(0.0));
+            outln!("  ClusterB: {:.3}", rb.spec_score(&ra).unwrap_or(0.0));
             maybe_metrics(&executor, &format!("score_{class}"), exec)?;
             Ok(())
         }
@@ -347,18 +353,18 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             let p = faultcfg::load_plan(std::path::Path::new(&plan))
                 .map_err(|e| ApiError::bad_request(e.to_string()))?;
             if p.is_none() {
-                println!("{plan}: valid — empty plan (fault-free fast path)");
+                outln!("{plan}: valid — empty plan (fault-free fast path)");
                 return Ok(());
             }
-            println!(
+            outln!(
                 "{plan}: valid — seed {}, {} event(s)",
                 p.seed,
                 p.events.len()
             );
             for e in &p.events {
-                println!("  {}", describe_event(e));
+                outln!("  {}", describe_event(e));
             }
-            println!("cache key digest: {}", p.canonical());
+            outln!("cache key digest: {}", p.canonical());
             Ok(())
         }
         Command::Dvfs { benchmark, cluster } => {
@@ -381,18 +387,21 @@ fn run(cmd: Command) -> Result<(), ApiError> {
                 cl.node.cpu.base_clock_ghz * 0.5,
                 16,
             );
-            println!(
+            outln!(
                 "{benchmark} on {}: DVFS sweep (t_flops {:.2} ms, t_mem {:.2} ms per step)",
                 cl.name,
                 t_flops * 1e3,
                 t_mem * 1e3
             );
-            println!(
+            outln!(
                 "{:>8} {:>12} {:>10} {:>12}",
-                "GHz", "t/step [ms]", "P [W]", "E [J/step]"
+                "GHz",
+                "t/step [ms]",
+                "P [W]",
+                "E [J/step]"
             );
             for p in &sweep {
-                println!(
+                outln!(
                     "{:>8.2} {:>12.3} {:>10.1} {:>12.3}",
                     p.clock_ghz,
                     p.runtime_s * 1e3,
@@ -401,7 +410,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
                 );
             }
             let a = dvfs::analyze(&sweep).expect("non-empty sweep");
-            println!(
+            outln!(
                 "energy-optimal clock {:.2} GHz — saves {:.1} % vs base at ×{:.2} runtime",
                 a.optimal_clock_ghz,
                 a.saving_vs_base * 100.0,
@@ -418,9 +427,9 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             let resp = plan::dispatch_plan(&executor, &req)?;
             if json {
                 // Exact wire bytes of `POST /v1/plan`.
-                print!("{}", resp.to_json());
+                out!("{}", resp.to_json());
             } else {
-                print!("{}", plan::render_plan_text(&resp));
+                out!("{}", plan::render_plan_text(&resp));
             }
             maybe_metrics(&executor, "plan", exec)?;
             Ok(())
@@ -544,16 +553,16 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             }
             if validate {
                 if p.faults.is_empty() {
-                    println!("{plan}: valid — empty plan (pure byte splice)");
+                    outln!("{plan}: valid — empty plan (pure byte splice)");
                     return Ok(());
                 }
-                println!(
+                outln!(
                     "{plan}: valid — seed {}, {} fault(s)",
                     p.seed,
                     p.faults.len()
                 );
                 for f in &p.faults {
-                    println!("  {}", f.describe());
+                    outln!("  {}", f.describe());
                 }
                 return Ok(());
             }
@@ -584,34 +593,34 @@ fn figures(which: &str, exec: ExecOpts) -> Result<(), ApiError> {
 
     if all || which == "tables" {
         matched = true;
-        println!("{}", tables::table1().render());
-        println!("{}", tables::table2().render());
-        println!("{}", tables::table3(&[&a, &b]).render());
+        outln!("{}", tables::table1().render());
+        outln!("{}", tables::table2().render());
+        outln!("{}", tables::table3(&[&a, &b]).render());
     }
     if all || which == "fig1" {
         matched = true;
         let f1a = node_level::fig1_with(&executor, &a, 8)?;
         let f1b = node_level::fig1_with(&executor, &b, 8)?;
-        println!("== §4.1.1 parallel efficiency [%] ==");
+        outln!("== §4.1.1 parallel efficiency [%] ==");
         for ((n, x), (_, y)) in node_level::efficiency_table(&f1a, &a)
             .iter()
             .zip(&node_level::efficiency_table(&f1b, &b))
         {
-            println!("{n:<12} A {x:>5.0}  B {y:>5.0}");
+            outln!("{n:<12} A {x:>5.0}  B {y:>5.0}");
         }
-        println!("== §4.1.2 acceleration B/A ==");
+        outln!("== §4.1.2 acceleration B/A ==");
         for (n, x) in node_level::acceleration_table(&f1a, &f1b) {
-            println!("{n:<12} {x:>5.2}");
+            outln!("{n:<12} {x:>5.2}");
         }
-        println!("== §4.1.3 vectorization [%] ==");
+        outln!("== §4.1.3 vectorization [%] ==");
         for (n, x) in node_level::vectorization_table(&f1a) {
-            println!("{n:<12} {x:>5.1}");
+            outln!("{n:<12} {x:>5.1}");
         }
     }
     if all || which == "fig2" {
         matched = true;
         let f2 = node_level::fig2_with(&executor, &a, 24)?;
-        println!(
+        outln!(
             "Fig. 2 insets: minisweep@59 Recv {:.0} %, lbm@{} wait+barrier {:.0} %",
             f2.minisweep_59.recv_fraction * 100.0,
             f2.lbm_odd.nranks,
@@ -622,16 +631,17 @@ fn figures(which: &str, exec: ExecOpts) -> Result<(), ApiError> {
         matched = true;
         let f1a = node_level::fig1_with(&executor, &a, 8)?;
         let f3 = power_energy::fig3(&f1a, &a);
-        println!(
+        outln!(
             "Fig. 3 ({}): extrapolated baseline {:.0} W/socket",
-            a.name, f3.extrapolated_baseline_w
+            a.name,
+            f3.extrapolated_baseline_w
         );
         for (name, w, frac) in power_energy::hot_cool_table(&f1a, &a) {
-            println!("  {name:<12} {w:>5.0} W/socket ({:.0} % TDP)", frac * 100.0);
+            outln!("  {name:<12} {w:>5.0} W/socket ({:.0} % TDP)", frac * 100.0);
         }
         let f4 = power_energy::fig4(&f1a);
         for z in &f4.zplots {
-            println!(
+            outln!(
                 "  {:<24} E/EDP minima separation: {} step(s)",
                 z.label,
                 z.min_separation_steps().unwrap_or(0)
@@ -642,10 +652,10 @@ fn figures(which: &str, exec: ExecOpts) -> Result<(), ApiError> {
         matched = true;
         for cl in [&a, &b] {
             let f5 = multi_node::fig5_with(&executor, cl, &[1, 2, 4, 8])?;
-            println!("{}", f5.render());
-            println!("scaling cases ({}):", cl.name);
+            outln!("{}", f5.render());
+            outln!("scaling cases ({}):", cl.name);
             for (n, c) in multi_node::scaling_cases(&f5) {
-                println!("  {n:<12} {c}");
+                outln!("  {n:<12} {c}");
             }
         }
     }

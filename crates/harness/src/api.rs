@@ -625,13 +625,7 @@ impl RunResponse {
     /// timestamps, no cache-hit flags — the same request always yields
     /// the same bytes.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"result\": ");
-        // The indented cache encoding nests at entry depth; reuse it
-        // verbatim so cached replays cannot drift from fresh runs.
-        s.push_str(&cache::encode_result(&self.result));
-        s.push_str("\n}\n");
-        s
+        run_body(&cache::encode_result(&self.result))
     }
 
     /// Decode a success body (the client half of
@@ -642,6 +636,18 @@ impl RunResponse {
             result: cache::decode_result(v.get("result")?)?,
         })
     }
+}
+
+/// The `POST /v1/run` success body around a result's cache encoding
+/// ([`cache::encode_result`]). The indented encoding nests at entry
+/// depth and is reused verbatim, so cached replays cannot drift from
+/// fresh runs.
+fn run_body(result_json: &str) -> String {
+    let mut s = String::with_capacity(result_json.len() + 32);
+    s.push_str("{\n  \"result\": ");
+    s.push_str(result_json);
+    s.push_str("\n}\n");
+    s
 }
 
 /// A completed suite execution (possibly partial — failed benchmarks
@@ -739,11 +745,29 @@ pub(crate) fn suite_body(
 /// arbitrary per-request configurations still share one cache and one
 /// metrics ledger.
 pub fn dispatch_run(exec: &Executor, req: &RunRequest) -> Result<RunResponse, ApiError> {
-    let cluster = resolve_cluster(&req.cluster)?;
-    let spec = req.spec(&cluster);
-    let forked = exec.with_run_config(req.config.clone());
+    let (forked, cluster, spec) = run_target(exec, req)?;
     let result = forked.run_one(&cluster, &spec)?;
     Ok(RunResponse { result })
+}
+
+/// The `POST /v1/run` success body for `req`: the bytes of
+/// [`dispatch_run`]`(..).to_json()`, built around the cache entry's
+/// shared encoding ([`Executor::run_one_encoded`]), so a memory hit is
+/// a copy with no clone and no encode.
+pub(crate) fn dispatch_run_body(exec: &Executor, req: &RunRequest) -> Result<String, ApiError> {
+    let (forked, cluster, spec) = run_target(exec, req)?;
+    Ok(run_body(&forked.run_one_encoded(&cluster, &spec)?))
+}
+
+/// The executor forked to `req`'s run rules, and the grid point it asks
+/// for.
+fn run_target(
+    exec: &Executor,
+    req: &RunRequest,
+) -> Result<(Executor, ClusterSpec, RunSpec), ApiError> {
+    let cluster = resolve_cluster(&req.cluster)?;
+    let spec = req.spec(&cluster);
+    Ok((exec.with_run_config(req.config.clone()), cluster, spec))
 }
 
 /// Execute one suite request against a resident executor.

@@ -4,8 +4,13 @@
 //! benchmark, cluster preset, workload class, rank count and the
 //! run-rule parameters of [`RunConfig`]. The key canonicalizes to a
 //! stable string, hashes with FNV-1a, and addresses a [`RunCache`]
-//! entry: an in-memory map backed (optionally) by one JSON file per run
-//! under `results/cache/`.
+//! entry: an in-memory map keyed by that hash, backed (optionally) by
+//! one JSON file per run under `results/cache/`.
+//!
+//! A resident entry holds its result once and, after the first read
+//! that wants bytes, the result's encoding as a shared `Arc<str>`: a
+//! daemon's memory hit answers with a copy of those bytes, while
+//! callers that only want the [`RunResult`] never pay for them.
 //!
 //! The JSON codec is hand-rolled (the workspace carries no external
 //! dependencies) and round-trips every `f64` exactly: values are
@@ -21,7 +26,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use spechpc_analysis::counters::CounterSample;
 use spechpc_power::energy::EnergyBreakdown;
@@ -113,9 +118,47 @@ impl RunKey {
     }
 }
 
+/// FNV-1a 64-bit over a canonical key: the memory map's key.
+fn hash_of(canonical: &str) -> u64 {
+    hash::fnv1a(canonical.bytes())
+}
+
 /// FNV-1a 64-bit over `s`, rendered as 16 lowercase hex digits.
 fn hash_hex_of(s: &str) -> String {
-    format!("{:016x}", hash::fnv1a(s.bytes()))
+    format!("{:016x}", hash_of(s))
+}
+
+/// One memory-resident cache entry, shared by every hit on it.
+struct Resident {
+    /// The canonical key, checked on every lookup: the map is keyed by
+    /// its 64-bit hash, which two keys may share.
+    canonical: String,
+    result: RunResult,
+    /// [`encode_result`] of `result`, made by the first read that wants
+    /// bytes.
+    encoded: OnceLock<Arc<str>>,
+}
+
+/// A handle on one resident cache entry: what a lookup hits, or what a
+/// store leaves behind.
+#[derive(Clone)]
+pub(crate) struct Entry(Arc<Resident>);
+
+impl Entry {
+    pub(crate) fn result(&self) -> &RunResult {
+        &self.0.result
+    }
+
+    /// The result's cache encoding — the `"result"` value of the entry
+    /// on disk and of a `POST /v1/run` body. Encoded on the first call;
+    /// later calls, on any handle to the entry, share those bytes.
+    pub(crate) fn encoded(&self) -> Arc<str> {
+        let bytes = self
+            .0
+            .encoded
+            .get_or_init(|| encode_result(&self.0.result).into());
+        Arc::clone(bytes)
+    }
 }
 
 /// Counters describing how a [`RunCache`] behaved — the LIKWID-counter
@@ -173,7 +216,8 @@ struct MetricCells {
 /// Lookups hit the in-memory map first, then (when a directory is
 /// configured) the on-disk JSON files; stores write through to both.
 pub struct RunCache {
-    mem: Mutex<HashMap<String, RunResult>>,
+    /// Resident entries by the FNV-1a hash of their canonical key.
+    mem: Mutex<HashMap<u64, Entry>>,
     dir: Option<PathBuf>,
     metrics: MetricCells,
 }
@@ -202,28 +246,54 @@ impl RunCache {
         PathBuf::from("results").join("cache")
     }
 
-    fn path_of(&self, key: &RunKey) -> Option<PathBuf> {
+    fn path_of(&self, hash: u64) -> Option<PathBuf> {
         self.dir
             .as_ref()
-            .map(|d| d.join(format!("{}.json", key.hash_hex())))
+            .map(|d| d.join(format!("{hash:016x}.json")))
     }
 
-    /// Look `key` up, memory first, then disk. Corrupt disk entries are
-    /// quarantined (moved aside) so the re-run that follows can refill
-    /// the slot with a clean entry instead of tripping over the same
-    /// bad file forever.
-    pub fn get(&self, key: &RunKey) -> Option<RunResult> {
-        let canonical = key.canonical();
-        if let Some(hit) = self
-            .mem
+    /// The resident entry under `hash`, if its key is `canonical`.
+    fn resident(&self, hash: u64, canonical: &str) -> Option<Entry> {
+        self.mem
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .get(&canonical)
-        {
+            .get(&hash)
+            .filter(|e| e.0.canonical == canonical)
+            .cloned()
+    }
+
+    /// Make `result` the resident entry under `hash`.
+    fn admit(&self, hash: u64, canonical: String, result: RunResult) -> Entry {
+        let entry = Entry(Arc::new(Resident {
+            canonical,
+            result,
+            encoded: OnceLock::new(),
+        }));
+        self.mem
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(hash, entry.clone());
+        entry
+    }
+
+    /// Look `key` up, memory first, then disk, and return a copy of the
+    /// result (the daemon's run route shares the entry instead).
+    pub fn get(&self, key: &RunKey) -> Option<RunResult> {
+        self.lookup(key).map(|e| e.result().clone())
+    }
+
+    /// Look `key` up, memory first, then disk; a disk hit becomes
+    /// resident. Corrupt disk entries are quarantined (moved aside) so
+    /// the re-run that follows can refill the slot with a clean entry
+    /// instead of tripping over the same bad file forever.
+    pub(crate) fn lookup(&self, key: &RunKey) -> Option<Entry> {
+        let canonical = key.canonical();
+        let hash = hash_of(&canonical);
+        if let Some(hit) = self.resident(hash, &canonical) {
             self.metrics.hits_mem.fetch_add(1, Ordering::Relaxed);
-            return Some(hit.clone());
+            return Some(hit);
         }
-        let Some(path) = self.path_of(key) else {
+        let Some(path) = self.path_of(hash) else {
             self.metrics.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
@@ -244,11 +314,7 @@ impl RunCache {
             return None;
         };
         self.metrics.hits_disk.fetch_add(1, Ordering::Relaxed);
-        self.mem
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(canonical, result.clone());
-        Some(result)
+        Some(self.admit(hash, canonical, result))
     }
 
     /// Move a corrupt entry into `<dir>/quarantine/`, preserving the
@@ -272,36 +338,44 @@ impl RunCache {
     /// configured. I/O failures are swallowed: the cache is an
     /// accelerator, never a correctness dependency.
     pub fn put(&self, key: &RunKey, result: &RunResult) {
+        self.insert(key, result);
+    }
+
+    /// [`RunCache::put`], returning the resident entry (which holds a
+    /// copy of `result`, as `put` always stored).
+    pub(crate) fn insert(&self, key: &RunKey, result: &RunResult) -> Entry {
         self.metrics.stores.fetch_add(1, Ordering::Relaxed);
         let canonical = key.canonical();
-        self.mem
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(canonical.clone(), result.clone());
-        if let Some(path) = self.path_of(key) {
+        let hash = hash_of(&canonical);
+        let entry = self.admit(hash, canonical, result.clone());
+        if let Some(path) = self.path_of(hash) {
             if let Some(parent) = path.parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
-            let _ = write_atomically(&path, &encode_entry(&canonical, result));
+            let _ = write_atomically(&path, &encode_entry(&entry.0.canonical, entry.result()));
         }
+        entry
     }
 
     /// The raw entry text addressed by `hash` (a [`RunKey::hash_hex`]
     /// value) — the read path behind the daemon's `GET /v1/cache/{hash}`
     /// route, serving the exact bytes [`RunCache::put`] persists so a
-    /// fleet peer's replay stays byte-identical. Memory-resident
-    /// entries re-encode under their canonical key (a fixed point of
-    /// the codec, so identical to the disk write); otherwise the disk
-    /// file is served verbatim. Peer traffic deliberately leaves the
-    /// hit/miss metrics alone — those describe local run execution.
+    /// fleet peer's replay stays byte-identical. A resident entry is
+    /// one map probe, its text assembled around the entry's shared
+    /// result bytes (a fixed point of the codec, so identical to the
+    /// disk write); otherwise the disk file is served verbatim. Peer
+    /// traffic deliberately leaves the hit/miss metrics alone — those
+    /// describe local run execution.
     pub fn entry_by_hash(&self, hash: &str) -> Option<String> {
-        {
-            let mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
-            for (canonical, result) in mem.iter() {
-                if hash_hex_of(canonical) == hash {
-                    return Some(encode_entry(canonical, result));
-                }
-            }
+        let resident = u64::from_str_radix(hash, 16)
+            .ok()
+            .filter(|h| format!("{h:016x}") == hash)
+            .and_then(|h| {
+                let mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
+                mem.get(&h).cloned()
+            });
+        if let Some(entry) = resident {
+            return Some(entry_text(&entry.0.canonical, &entry.encoded()));
         }
         let path = self.dir.as_ref()?.join(format!("{hash}.json"));
         std::fs::read_to_string(path).ok()
@@ -416,12 +490,17 @@ fn write_atomically(path: &Path, contents: &str) -> std::io::Result<()> {
 
 /// Serialize one cache entry (canonical key + result) as JSON.
 pub fn encode_entry(canonical_key: &str, r: &RunResult) -> String {
-    let mut s = String::with_capacity(1024);
+    entry_text(canonical_key, &encode_result(r))
+}
+
+/// A cache entry's text around its result's [`encode_result`] bytes.
+fn entry_text(canonical_key: &str, result_json: &str) -> String {
+    let mut s = String::with_capacity(result_json.len() + canonical_key.len() + 64);
     s.push_str("{\n");
     s.push_str(&format!("  \"schema\": {CACHE_SCHEMA_VERSION},\n"));
     s.push_str(&format!("  \"key\": {},\n", jstr(canonical_key)));
     s.push_str("  \"result\": ");
-    s.push_str(&encode_result(r));
+    s.push_str(result_json);
     s.push_str("\n}\n");
     s
 }
@@ -987,29 +1066,91 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spechpc-hash-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = RunConfig::default();
-        let key = RunKey::new("ClusterB", "pot3d", "tiny", 16, &cfg);
-        let r = sample_result();
+        // Many resident entries, each with its own result bytes: every
+        // hash must find its own entry, not the first resident one.
+        let entries: Vec<(RunKey, RunResult)> = (1..=64)
+            .map(|n| {
+                let key = RunKey::new("ClusterB", "pot3d", "tiny", n, &cfg);
+                let mut r = sample_result();
+                r.nranks = n;
+                r.step_seconds = n as f64 * 0.1;
+                (key, r)
+            })
+            .collect();
 
         let cache = RunCache::on_disk(&dir);
-        assert!(cache.entry_by_hash(&key.hash_hex()).is_none());
-        cache.put(&key, &r);
-        let from_mem = cache.entry_by_hash(&key.hash_hex()).expect("memory entry");
-        assert_eq!(from_mem, encode_entry(&key.canonical(), &r));
-
-        // A cold cache over the same directory serves the same bytes
-        // straight from the file.
-        let cold = RunCache::on_disk(&dir);
-        let from_disk = cold.entry_by_hash(&key.hash_hex()).expect("disk entry");
-        assert_eq!(from_mem, from_disk);
-        let back = decode_entry(&from_disk, &key.canonical()).expect("decodes");
-        assert!(results_equal(&r, &back));
-
-        // In-memory-only caches answer too; unknown hashes do not.
         let mem_only = RunCache::in_memory();
-        mem_only.put(&key, &r);
-        assert_eq!(mem_only.entry_by_hash(&key.hash_hex()), Some(from_mem));
-        assert!(mem_only.entry_by_hash("0000000000000000").is_none());
+        let cold = RunCache::on_disk(&dir);
+        for (key, _) in &entries {
+            assert!(cache.entry_by_hash(&key.hash_hex()).is_none());
+        }
+        for (key, r) in &entries {
+            cache.put(key, r);
+            mem_only.put(key, r);
+        }
+        // A wire read of some entries first: their text then comes from
+        // the shared bytes, the others' from a fresh encode.
+        for (key, _) in entries.iter().step_by(3) {
+            cache.lookup(key).expect("resident").encoded();
+        }
+        for (key, r) in &entries {
+            let hash = key.hash_hex();
+            let from_mem = cache.entry_by_hash(&hash).expect("memory entry");
+            assert_eq!(from_mem, encode_entry(&key.canonical(), r));
+            // A cold cache over the same directory serves the same
+            // bytes straight from the file.
+            let from_disk = cold.entry_by_hash(&hash).expect("disk entry");
+            assert_eq!(from_mem, from_disk);
+            let back = decode_entry(&from_disk, &key.canonical()).expect("decodes");
+            assert!(results_equal(r, &back));
+            // In-memory-only caches answer too.
+            assert_eq!(mem_only.entry_by_hash(&hash), Some(from_mem));
+        }
+        assert_eq!(
+            cold.len_in_memory(),
+            0,
+            "peer reads do not make entries resident"
+        );
+        // Unknown hashes, and other spellings of a known one, do not.
+        let known = entries[0].0.hash_hex();
+        for unknown in [
+            "0000000000000000".to_string(),
+            known.to_uppercase(),
+            format!("+{}", &known[1..]),
+        ] {
+            assert!(mem_only.entry_by_hash(&unknown).is_none(), "{unknown}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hash_collision_misses_instead_of_serving_the_other_key() {
+        let cache = RunCache::in_memory();
+        let key = RunKey::new("ClusterA", "lbm", "tiny", 8, &RunConfig::default());
+        cache.put(&key, &sample_result());
+        // Plant the entry under the hash of a different canonical key.
+        let other = RunKey::new("ClusterA", "lbm", "tiny", 9, &RunConfig::default());
+        let entry = cache.lookup(&key).unwrap();
+        cache
+            .mem
+            .lock()
+            .unwrap()
+            .insert(hash_of(&other.canonical()), entry);
+        assert!(cache.get(&other).is_none());
+        let m = cache.metrics();
+        assert_eq!((m.hits_mem, m.misses), (1, 1));
+    }
+
+    #[test]
+    fn encoded_bytes_are_made_once_and_shared() {
+        let cache = RunCache::in_memory();
+        let key = RunKey::new("ClusterA", "soma", "tiny", 12, &RunConfig::default());
+        let r = sample_result();
+        let stored = cache.insert(&key, &r);
+        let first = cache.lookup(&key).unwrap().encoded();
+        assert_eq!(*first, *encode_result(&r));
+        assert!(Arc::ptr_eq(&first, &stored.encoded()));
+        assert!(Arc::ptr_eq(&first, &cache.lookup(&key).unwrap().encoded()));
     }
 
     /// Fault-free keys are pinned byte for byte: they name every cache

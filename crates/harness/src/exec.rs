@@ -35,7 +35,7 @@ use spechpc_kernels::common::config::WorkloadClass;
 use spechpc_kernels::registry::benchmark_by_name;
 use spechpc_machine::cluster::ClusterSpec;
 
-use crate::cache::{CacheMetrics, RunCache, RunKey};
+use crate::cache::{encode_result, CacheMetrics, Entry, RunCache, RunKey};
 use crate::error::HarnessError;
 use crate::runner::{RunConfig, RunResult, SimRunner};
 
@@ -195,6 +195,12 @@ impl GridReport {
     }
 }
 
+/// Labelled entries the per-point ledger ([`ExecMetrics::point_wall_s`])
+/// keeps: the first this many points timed. `figures all` times about
+/// 550, so a CLI run keeps every one; a resident daemon's ledger stops
+/// here while `points_timed` and `total_wall_s` go on counting.
+pub const POINT_LEDGER_CAP: usize = 4096;
+
 /// Observability snapshot of an [`Executor`] — what actually happened
 /// behind the scenes of an experiment (the execution-layer analog of
 /// the LIKWID counters the paper's §4.2 methodology leans on).
@@ -207,8 +213,14 @@ pub struct ExecMetrics {
     /// Grid points completed per worker slot during `run_all`
     /// (index = worker id; sums over the executor's lifetime).
     pub per_worker_runs: Vec<u64>,
-    /// Wall-clock seconds per completed grid point, in completion
-    /// order, labelled `benchmark/class/nranks@cluster`.
+    /// Grid points timed, every one over the executor's lifetime.
+    pub points_timed: u64,
+    /// Wall seconds summed over all `points_timed` points (read it as
+    /// [`ExecMetrics::total_wall_s`]).
+    pub wall_s_sum: f64,
+    /// Wall-clock seconds per timed grid point, in completion order,
+    /// labelled `benchmark/class/nranks@cluster`: the first
+    /// [`POINT_LEDGER_CAP`] points.
     pub point_wall_s: Vec<(String, f64)>,
     /// Results served from a fleet peer's cache instead of simulating
     /// locally (zero without [`Executor::with_peer_fetch`]).
@@ -218,7 +230,7 @@ pub struct ExecMetrics {
 impl ExecMetrics {
     /// Total wall seconds across all timed grid points.
     pub fn total_wall_s(&self) -> f64 {
-        self.point_wall_s.iter().map(|(_, s)| s).sum()
+        self.wall_s_sum
     }
 }
 
@@ -227,8 +239,43 @@ impl ExecMetrics {
 struct ExecCounters {
     runs_executed: AtomicU64,
     per_worker: Mutex<Vec<u64>>,
-    point_wall: Mutex<Vec<(String, f64)>>,
+    points: Mutex<PointLedger>,
     peer_hits: AtomicU64,
+}
+
+/// Every timed point counted and summed; the first
+/// [`POINT_LEDGER_CAP`] labelled.
+#[derive(Default)]
+struct PointLedger {
+    timed: u64,
+    wall_s: f64,
+    first: Vec<(String, f64)>,
+}
+
+/// A served grid point's result.
+enum Served {
+    /// A cache hit: the resident entry.
+    Hit(Entry),
+    /// A result computed (or fetched from a peer) for this request,
+    /// with the resident entry the cache made of it. Traced and
+    /// uncached runs have none.
+    Fresh(Box<RunResult>, Option<Entry>),
+}
+
+impl Served {
+    fn into_result(self) -> RunResult {
+        match self {
+            Served::Hit(entry) => entry.result().clone(),
+            Served::Fresh(result, _) => *result,
+        }
+    }
+
+    fn into_encoded(self) -> Arc<str> {
+        match self {
+            Served::Hit(entry) | Served::Fresh(_, Some(entry)) => entry.encoded(),
+            Served::Fresh(result, None) => encode_result(&result).into(),
+        }
+    }
 }
 
 /// Parallel, memoizing, fault-tolerant run executor (see the module
@@ -336,49 +383,64 @@ impl Executor {
         spec: &RunSpec,
     ) -> Result<RunResult, HarnessError> {
         let t0 = Instant::now();
-        let outcome = self.run_one_untimed(cluster, spec);
-        self.counters
-            .point_wall
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((Self::label_of(cluster, spec), t0.elapsed().as_secs_f64()));
+        let outcome = self.serve_point(cluster, spec).map(Served::into_result);
+        self.time_point(cluster, spec, t0);
         outcome
     }
 
-    fn run_one_untimed(
+    /// [`Executor::run_one`] as the result's cache encoding
+    /// ([`Entry::encoded`]), the bytes a `POST /v1/run` body wraps. A
+    /// memory hit shares the resident entry's bytes: no clone of the
+    /// result, and no encode after the entry's first wire read.
+    pub(crate) fn run_one_encoded(
         &self,
         cluster: &ClusterSpec,
         spec: &RunSpec,
-    ) -> Result<RunResult, HarnessError> {
+    ) -> Result<Arc<str>, HarnessError> {
+        let t0 = Instant::now();
+        let outcome = self.serve_point(cluster, spec).map(Served::into_encoded);
+        self.time_point(cluster, spec, t0);
+        outcome
+    }
+
+    /// Count one timed point into the ledger.
+    fn time_point(&self, cluster: &ClusterSpec, spec: &RunSpec, t0: Instant) {
+        let wall_s = t0.elapsed().as_secs_f64();
+        let mut points = self
+            .counters
+            .points
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        points.timed += 1;
+        points.wall_s += wall_s;
+        if points.first.len() < POINT_LEDGER_CAP {
+            points.first.push((Self::label_of(cluster, spec), wall_s));
+        }
+    }
+
+    fn serve_point(&self, cluster: &ClusterSpec, spec: &RunSpec) -> Result<Served, HarnessError> {
         // Surface bad names as a typed failure before any cache or
         // simulation work.
         resolve(&spec.benchmark)?;
-        let cacheable = !self.runner.config.trace;
-        if cacheable {
-            if let Some(cache) = &self.cache {
-                if let Some(hit) = cache.get(&self.key_of(cluster, spec)) {
-                    return Ok(hit);
-                }
-            }
-            // Local miss: a fleet peer may already have this result.
-            if let Some(fetch) = &self.peer_fetch {
-                let key = self.key_of(cluster, spec);
-                if let Some(result) = fetch(&key) {
-                    self.counters.peer_hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(cache) = &self.cache {
-                        cache.put(&key, &result);
-                    }
-                    return Ok(result);
-                }
-            }
+        if self.runner.config.trace {
+            return self
+                .simulate(cluster, spec)
+                .map(|r| Served::Fresh(Box::new(r), None));
         }
-        let result = self.simulate(cluster, spec)?;
-        if cacheable {
-            if let Some(cache) = &self.cache {
-                cache.put(&self.key_of(cluster, spec), &result);
-            }
+        let key = self.key_of(cluster, spec);
+        if let Some(hit) = self.cache.as_ref().and_then(|c| c.lookup(&key)) {
+            return Ok(Served::Hit(hit));
         }
-        Ok(result)
+        // Local miss: a fleet peer may already have this result.
+        let result = match self.peer_fetch.as_ref().and_then(|fetch| fetch(&key)) {
+            Some(result) => {
+                self.counters.peer_hits.fetch_add(1, Ordering::Relaxed);
+                result
+            }
+            None => self.simulate(cluster, spec)?,
+        };
+        let entry = self.cache.as_ref().map(|c| c.insert(&key, &result));
+        Ok(Served::Fresh(Box::new(result), entry))
     }
 
     /// One supervised simulation: panics are caught at this
@@ -468,17 +530,21 @@ impl Executor {
         let outcome = traced
             .run(cluster, &*bench, spec.class, spec.nranks)
             .map_err(HarnessError::from);
+        self.time_point(cluster, spec, t0);
         self.counters.runs_executed.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .point_wall
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((Self::label_of(cluster, spec), t0.elapsed().as_secs_f64()));
         outcome
     }
 
     /// Snapshot of the execution-layer counters accumulated so far.
     pub fn metrics(&self) -> ExecMetrics {
+        let (points_timed, wall_s_sum, point_wall_s) = {
+            let points = self
+                .counters
+                .points
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            (points.timed, points.wall_s, points.first.clone())
+        };
         ExecMetrics {
             runs_executed: self.counters.runs_executed.load(Ordering::Relaxed),
             cache: self.cache.as_ref().map(|c| c.metrics()).unwrap_or_default(),
@@ -488,12 +554,9 @@ impl Executor {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .clone(),
-            point_wall_s: self
-                .counters
-                .point_wall
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
+            points_timed,
+            wall_s_sum,
+            point_wall_s,
             peer_hits: self.counters.peer_hits.load(Ordering::Relaxed),
         }
     }
@@ -822,8 +885,12 @@ mod tests {
         assert_eq!(m.cache.hits_mem, 1);
         assert_eq!(m.cache.misses, 1);
         assert_eq!(m.point_wall_s.len(), 2);
+        assert_eq!(m.points_timed, 2);
         assert_eq!(m.point_wall_s[0].0, "lbm/tiny/4@ClusterA");
-        assert!(m.total_wall_s() >= 0.0);
+        // Under the cap the running total is the ledger's sum, in the
+        // same order, so bit for bit.
+        let ledger_sum: f64 = m.point_wall_s.iter().map(|(_, s)| s).sum();
+        assert_eq!(m.total_wall_s(), ledger_sum);
     }
 
     #[test]

@@ -135,7 +135,7 @@ pub fn metrics_json(m: &ExecMetrics) -> Json {
             "per_worker_runs".into(),
             Json::Arr(m.per_worker_runs.iter().map(|&r| Json::from(r)).collect()),
         ),
-        ("points_timed".into(), Json::from(m.point_wall_s.len())),
+        ("points_timed".into(), Json::from(m.points_timed)),
         ("total_wall_s".into(), Json::from(m.total_wall_s())),
     ])
 }
@@ -180,7 +180,8 @@ pub fn metrics_table(title: &str, m: &ExecMetrics) -> Result<Table, ReportError>
 
 /// Executor/cache counters as CSV: one `metric,value` line per metric,
 /// then the per-point ledger, one `wall_s,<label>,<seconds>` line per
-/// timed grid point.
+/// labelled grid point (the first
+/// [`POINT_LEDGER_CAP`](crate::exec::POINT_LEDGER_CAP) timed).
 pub fn metrics_to_csv(m: &ExecMetrics) -> String {
     let mut out = String::from("metric,value\n");
     for (name, value) in flatten(&metrics_json(m)) {
@@ -276,6 +277,8 @@ mod tests {
                 stores: 3,
             },
             per_worker_runs: vec![4, 2],
+            points_timed: 1,
+            wall_s_sum: 0.0123,
             point_wall_s: vec![("lbm/tiny/4@ClusterA".into(), 0.0123)],
         }
     }

@@ -655,7 +655,7 @@ fn route_pooled(ctx: &Ctx, req: &HttpRequest) -> Result<(u16, String, Option<u32
 /// [`RunKey::hash_hex`](crate::cache::RunKey::hash_hex) value, served
 /// with the exact bytes the cache persists so a fleet peer's replay is
 /// byte-identical to a local one. Served inline on the loop thread
-/// (memory scan or one small file read); `404` for unknown keys and
+/// (one map probe or one small file read); `404` for unknown keys and
 /// for daemons running `--no-cache`.
 fn cache_entry(exec: &Executor, hash: &str) -> Result<(u16, String), ApiError> {
     // The hash is used as a file name: accept only the exact shape
@@ -681,8 +681,7 @@ fn route_sim(exec: &Executor, ep: &Endpoint, req: &HttpRequest) -> Result<(u16, 
     match ep.id {
         EndpointId::Run => {
             let run = RunRequest::from_json(&req.body)?;
-            let resp = dispatch_run(exec, &run)?;
-            Ok((200, resp.to_json()))
+            Ok((200, api::dispatch_run_body(exec, &run)?))
         }
         EndpointId::Suite => {
             let suite = SuiteRequest::from_json(&req.body)?;

@@ -777,3 +777,168 @@ fn cli_request_types_and_wire_requests_are_the_same_dispatch_path() {
     let b = api::dispatch_run(&exec, &wire_side).unwrap();
     assert_eq!(a.to_json(), b.to_json());
 }
+
+/// `/v1/metrics` of the daemon at `addr`, parsed.
+fn metrics(addr: SocketAddr) -> Json {
+    let (status, _, body) = http(addr, "GET", "/v1/metrics", "");
+    assert_eq!(status, 200, "{body}");
+    parse_json(&body).expect("metrics are JSON")
+}
+
+/// `(hits_mem, hits_disk, misses)` of the daemon at `addr`.
+fn lookups(addr: SocketAddr) -> [u64; 3] {
+    let m = metrics(addr);
+    let cache = m.get("cache").expect("cache block");
+    ["hits_mem", "hits_disk", "misses"].map(|k| cache.u64_of(k).expect(k))
+}
+
+/// A disk-backed daemon over `dir`, fetching local misses from `peers`.
+fn spawn_disk_daemon(
+    dir: &std::path::Path,
+    peers: Vec<String>,
+) -> (
+    SocketAddr,
+    ShutdownHandle,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let mut exec = Executor::new(
+        RunConfig::default().with_repetitions(1).with_trace(false),
+        ExecConfig::default().with_jobs(2).with_cache_dir(dir),
+    );
+    if !peers.is_empty() {
+        exec = exec.with_peer_fetch(spechpc::harness::fleet::peer_fetcher(peers));
+    }
+    spawn_server(exec, serve_config())
+}
+
+#[test]
+fn run_bodies_are_identical_from_every_cache_tier() {
+    let root = std::env::temp_dir().join(format!("spechpc-tiers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (owner_dir, peer_dir) = (root.join("owner"), root.join("peer"));
+    let flaky = FaultPlan {
+        seed: 11,
+        events: vec![FaultEvent::FlakyLink {
+            from: 0,
+            to: 1,
+            drop_prob: 0.3,
+            retransmit_latency_s: 4e-6,
+        }],
+    };
+    let noisy = spechpc::harness::faultcfg::load_plan(std::path::Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/plans/noisy-node.toml"
+    )))
+    .expect("noisy-node plan loads");
+    let requests: Vec<RunRequest> = [FaultPlan::none(), noisy, flaky]
+        .into_iter()
+        .map(|plan| {
+            RunRequest::new("tealeaf", WorkloadClass::Tiny, 8)
+                .with_cluster("a")
+                .with_config(
+                    RunConfig::default()
+                        .with_repetitions(1)
+                        .with_trace(false)
+                        .with_faults(plan),
+                )
+        })
+        .collect();
+    let key =
+        |req: &RunRequest| RunKey::new("ClusterA", "tealeaf", "tiny", 8, &req.config).canonical();
+    assert!(
+        key(&requests[2]).contains("|flaky2("),
+        "{}",
+        key(&requests[2])
+    );
+    // The reference: the in-process dispatcher on a cold, uncached
+    // executor.
+    let reference = Executor::new(
+        RunConfig::default(),
+        ExecConfig::default().with_jobs(1).with_no_cache(true),
+    );
+    let want: Vec<String> = requests
+        .iter()
+        .map(|req| api::dispatch_run(&reference, req).unwrap().to_json())
+        .collect();
+
+    // POST each request to `addr`; each must answer the reference
+    // bytes and move exactly the lookup counter `moved` by one.
+    let serve_all = |addr: SocketAddr, tier: &str, moved: usize| {
+        for (req, want) in requests.iter().zip(&want) {
+            let before = lookups(addr);
+            let (status, _, body) = http(addr, "POST", "/v1/run", &req.to_json());
+            assert_eq!(status, 200, "{tier}: {body}");
+            assert_eq!(&body, want, "{tier} body differs for {}", key(req));
+            let mut delta = lookups(addr);
+            for (d, b) in delta.iter_mut().zip(before) {
+                *d -= b;
+            }
+            let mut expect = [0; 3];
+            expect[moved] = 1;
+            assert_eq!(delta, expect, "{tier}: (hits_mem, hits_disk, misses) moved");
+        }
+    };
+
+    let (owner, _, owner_join) = spawn_disk_daemon(&owner_dir, vec![]);
+    serve_all(owner, "fresh run", 2);
+    serve_all(owner, "memory hit", 0);
+    assert_eq!(metrics(owner).u64_of("runs_executed"), Some(3));
+
+    let (reader, _, reader_join) = spawn_disk_daemon(&owner_dir, vec![]);
+    serve_all(reader, "disk hit", 1);
+    assert_eq!(metrics(reader).u64_of("runs_executed"), Some(0));
+
+    let (peer, _, peer_join) = spawn_disk_daemon(&peer_dir, vec![owner.to_string()]);
+    serve_all(peer, "peer hit", 2);
+    let m = metrics(peer);
+    assert_eq!(m.u64_of("runs_executed"), Some(0));
+    assert_eq!(m.u64_of("peer_hits"), Some(3));
+
+    for (addr, join) in [
+        (peer, peer_join),
+        (reader, reader_join),
+        (owner, owner_join),
+    ] {
+        let (status, _, _) = http(addr, "POST", "/v1/shutdown", "");
+        assert_eq!(status, 200);
+        join.join().unwrap().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn memory_hits_past_the_ledger_cap_keep_counting_in_bounded_memory() {
+    use spechpc::harness::exec::POINT_LEDGER_CAP;
+    let exec = executor();
+    // A fork shares the daemon's counters, so the test can read the
+    // ledger the daemon keeps.
+    let probe = exec.with_run_config(exec.run_config().clone());
+    let (addr, _, join) = spawn_server(exec, serve_config());
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let req = keepalive_request("POST", "/v1/run", &run_body("lbm", 4, 1));
+    let served = POINT_LEDGER_CAP + 200;
+    let mut first = None;
+    for _ in 0..served {
+        conn.write_all(req.as_bytes()).unwrap();
+        let (status, bytes) = read_response(&mut conn);
+        assert_eq!(status, 200);
+        assert_eq!(first.get_or_insert_with(|| bytes.clone()), &bytes);
+    }
+    drop(conn);
+
+    let m = metrics(addr);
+    assert_eq!(m.u64_of("points_timed"), Some(served as u64));
+    assert_eq!(m.u64_of("runs_executed"), Some(1));
+    let cache = m.get("cache").unwrap();
+    assert_eq!(cache.u64_of("hits_mem"), Some(served as u64 - 1));
+    let ledger = probe.metrics();
+    assert_eq!(ledger.point_wall_s.len(), POINT_LEDGER_CAP);
+    assert_eq!(ledger.points_timed, served as u64);
+    assert!(ledger.total_wall_s() >= ledger.point_wall_s.iter().map(|(_, s)| s).sum::<f64>());
+
+    let (status, _, _) = http(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    join.join().unwrap().unwrap();
+}
