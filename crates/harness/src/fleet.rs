@@ -42,7 +42,12 @@
 //!   request whose first worker died mid-flight is safe;
 //! * suite grids are split into per-worker shards; a worker thread that
 //!   drains its own shard **steals** pending points from the slowest
-//!   shard, so one dead or slow worker cannot stall the suite.
+//!   shard, so one dead or slow worker cannot stall the suite;
+//! * forwards reuse **pooled keep-alive connections**, one idle stack
+//!   per worker; a pooled connection the worker has already closed (the
+//!   stale keep-alive race) is dropped and the request resent once on a
+//!   new connection, which counts as neither a retry nor a breaker
+//!   failure. Health probes and peer fetches stay one-shot.
 //!
 //! Byte identity is preserved end to end: run responses are relayed
 //! verbatim, and the coordinator reassembles suite responses in spec
@@ -64,7 +69,7 @@ use crate::api::{self, resolve_cluster, ApiError, Endpoint, EndpointId, RunReque
 use crate::cache::{self, RunKey};
 use crate::exec::{Executor, PeerFetch};
 use crate::hash::{fnv1a, mix64};
-use crate::json::{parse_json, Json};
+use crate::json::{is_valid_json, Json};
 use crate::plan::PlanRequest;
 use crate::serve::{Role, ServeConfig, Server, ShutdownHandle};
 
@@ -168,6 +173,20 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+impl TransportError {
+    /// The stale keep-alive race: the peer closed or reset the
+    /// connection before any response byte arrived (a timeout is not
+    /// stale: the worker may be busy). On a pooled connection this
+    /// means the worker had already dropped it, not that it failed the
+    /// request.
+    fn is_stale(&self) -> bool {
+        matches!(self, TransportError::Io(e) if matches!(
+            e.kind(),
+            io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset | io::ErrorKind::BrokenPipe
+        ))
+    }
+}
+
 impl From<io::Error> for TransportError {
     fn from(e: io::Error) -> Self {
         TransportError::Io(e)
@@ -179,53 +198,101 @@ impl From<io::Error> for TransportError {
 /// and must not make the client allocate unbounded memory.
 const MAX_RESPONSE_BODY: usize = 64 * 1024 * 1024;
 
+/// Upper bound on a response head (status line plus headers). A
+/// daemon's head is about 100 bytes; bytes that never close the head
+/// are corruption, not a response.
+const MAX_RESPONSE_HEAD: usize = 16 * 1024;
+
 fn resolve_addr(addr: &str) -> io::Result<SocketAddr> {
     addr.to_socket_addrs()?
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("cannot resolve {addr}")))
 }
 
-fn write_request(stream: &mut TcpStream, method: &str, path: &str, body: &str) -> io::Result<()> {
+/// Open a connection with timeouts on connect, read and write.
+fn connect(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let sockaddr = resolve_addr(addr)?;
+    let stream = TcpStream::connect_timeout(&sockaddr, timeout.min(Duration::from_secs(2)))?;
+    // Nagle on the client plus delayed ACK on the daemon would stall
+    // every small request/response exchange by ~40 ms.
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    Ok(stream)
+}
+
+fn write_request(
+    stream: &mut TcpStream,
+    method: &str,
+    path: &str,
+    body: &str,
+    keep_alive: bool,
+) -> io::Result<()> {
     // One write, so one segment under TCP_NODELAY: a server woken by
     // the head alone would parse a partial request.
     let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: fleet\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
+        "{method} {path} HTTP/1.1\r\nHost: fleet\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" },
     );
     stream.write_all(request.as_bytes())
 }
 
 /// Read one `Content-Length`-framed response off a stream, enforcing
 /// integrity: the status line must parse, `Content-Length` must be a
-/// plausible number, and the body must arrive complete. A violation is
-/// a typed [`TransportError::Integrity`] — partial bytes are never
-/// returned as if they were a response.
-fn read_response(stream: &mut TcpStream) -> Result<WireResponse, TransportError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 16 * 1024];
+/// plausible number, and the body must arrive complete and be UTF-8. A
+/// violation is a typed [`TransportError::Integrity`] — partial bytes
+/// are never returned as if they were a response.
+///
+/// The second value says whether the stream may carry another
+/// exchange: only when the response asked for `Connection: keep-alive`
+/// with an explicit `Content-Length` and the reads ended exactly at the
+/// body's last byte. The body is never over-read, so any byte past it
+/// in hand means the framing is not what the head claims.
+///
+/// An I/O error (an EOF, reset or timeout) is returned as
+/// [`TransportError::Io`] only while no response byte has arrived; a
+/// reset or EOF after the first byte is a torn response, so
+/// [`TransportError::Integrity`]. A pooled connection that fails with
+/// an EOF or a reset is therefore exactly the stale keep-alive race
+/// ([`TransportError::is_stale`]).
+fn read_response(stream: &mut impl Read) -> Result<(WireResponse, bool), TransportError> {
+    // The head must end inside the first buffer; a body past it grows
+    // the buffer to exactly its length.
+    let mut buf = vec![0u8; MAX_RESPONSE_HEAD];
+    let mut filled = 0usize;
     let header_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+        if let Some(pos) = buf[..filled].windows(4).position(|w| w == b"\r\n\r\n") {
             break pos;
         }
-        let n = stream.read(&mut chunk)?;
+        if filled >= MAX_RESPONSE_HEAD {
+            return Err(TransportError::Integrity(format!(
+                "no end of response headers in {filled} bytes"
+            )));
+        }
+        let n = read_some(
+            stream,
+            &mut buf[filled..],
+            filled,
+            "inside response headers",
+        )?;
         if n == 0 {
             // A clean close before any byte is an I/O-level failure
             // (the peer never answered); a close after partial headers
             // means it answered with torn bytes.
-            if buf.is_empty() {
+            if filled == 0 {
                 return Err(TransportError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed before response headers",
                 )));
             }
             return Err(TransportError::Integrity(format!(
-                "connection closed inside response headers after {} bytes",
-                buf.len()
+                "connection closed inside response headers after {filled} bytes"
             )));
         }
-        buf.extend_from_slice(&chunk[..n]);
+        filled += n;
     };
-    let head = String::from_utf8_lossy(&buf[..header_end]).to_string();
+    let head = String::from_utf8_lossy(&buf[..header_end]);
     let mut lines = head.split("\r\n");
     let status_line = lines.next().unwrap_or_default();
     if !status_line.starts_with("HTTP/1.") {
@@ -240,48 +307,105 @@ fn read_response(stream: &mut TcpStream) -> Result<WireResponse, TransportError>
         .ok_or_else(|| {
             TransportError::Integrity(format!("malformed status line {status_line:?}"))
         })?;
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut retry_after = None;
+    let mut keep_alive = false;
     for line in lines {
         let Some((k, v)) = line.split_once(':') else {
             continue;
         };
         let v = v.trim();
         if k.eq_ignore_ascii_case("content-length") {
-            content_length = v
+            let n: usize = v
                 .parse()
                 .map_err(|_| TransportError::Integrity(format!("bad Content-Length {v:?}")))?;
-            if content_length > MAX_RESPONSE_BODY {
+            if n > MAX_RESPONSE_BODY {
                 return Err(TransportError::Integrity(format!(
-                    "implausible Content-Length {content_length}"
+                    "implausible Content-Length {n}"
                 )));
             }
+            if content_length.is_some_and(|m| m != n) {
+                return Err(TransportError::Integrity(format!(
+                    "conflicting Content-Length {n}"
+                )));
+            }
+            content_length = Some(n);
         } else if k.eq_ignore_ascii_case("retry-after") {
             retry_after = v.parse().ok();
+        } else if k.eq_ignore_ascii_case("connection") {
+            keep_alive = v.eq_ignore_ascii_case("keep-alive");
         }
     }
     let body_start = header_end + 4;
-    while buf.len() < body_start + content_length {
-        let n = stream.read(&mut chunk)?;
+    let total = body_start + content_length.unwrap_or(0);
+    let exact = filled <= total;
+    if buf.len() < total {
+        buf.resize(total, 0);
+    }
+    while filled < total {
+        let n = read_some(stream, &mut buf[filled..total], filled, "inside the body")?;
         if n == 0 {
             return Err(TransportError::Integrity(format!(
                 "body truncated at {} of {} bytes",
-                buf.len() - body_start,
-                content_length
+                filled - body_start,
+                total - body_start
             )));
         }
-        buf.extend_from_slice(&chunk[..n]);
+        filled += n;
     }
-    let body = String::from_utf8_lossy(&buf[body_start..body_start + content_length]).to_string();
-    Ok(WireResponse {
-        status,
-        retry_after,
-        body,
-    })
+    // The body keeps its own bytes: drop the head in place, no copy out.
+    buf.truncate(total);
+    buf.drain(..body_start);
+    let body = String::from_utf8(buf).map_err(|e| {
+        TransportError::Integrity(format!(
+            "body is not UTF-8 at byte {}",
+            e.utf8_error().valid_up_to()
+        ))
+    })?;
+    let reusable = keep_alive && content_length.is_some() && exact;
+    Ok((
+        WireResponse {
+            status,
+            retry_after,
+            body,
+        },
+        reusable,
+    ))
+}
+
+/// One read for [`read_response`]. Once `got` response bytes have
+/// arrived, a failure other than a timeout tears the response and is
+/// typed as an integrity failure.
+fn read_some(
+    stream: &mut impl Read,
+    buf: &mut [u8],
+    got: usize,
+    at: &str,
+) -> Result<usize, TransportError> {
+    loop {
+        match stream.read(buf) {
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e)
+                if got == 0
+                    || matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                return Err(TransportError::Io(e))
+            }
+            Err(e) => {
+                return Err(TransportError::Integrity(format!(
+                    "{e} {at} after {got} response bytes"
+                )))
+            }
+        }
+    }
 }
 
 /// One `Connection: close` request/response exchange with timeouts on
-/// connect, read and write.
+/// connect, read and write: health probes and peer cache fetches.
 pub(crate) fn one_shot(
     addr: &str,
     method: &str,
@@ -289,15 +413,9 @@ pub(crate) fn one_shot(
     body: &str,
     timeout: Duration,
 ) -> Result<WireResponse, TransportError> {
-    let sockaddr = resolve_addr(addr)?;
-    let mut stream = TcpStream::connect_timeout(&sockaddr, timeout.min(Duration::from_secs(2)))?;
-    // Nagle on the client plus delayed ACK on the daemon would stall
-    // every small request/response exchange by ~40 ms.
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    write_request(&mut stream, method, path, body)?;
-    read_response(&mut stream)
+    let mut stream = connect(addr, timeout)?;
+    write_request(&mut stream, method, path, body, false)?;
+    read_response(&mut stream).map(|(resp, _)| resp)
 }
 
 // ---------------------------------------------------------------------------
@@ -588,6 +706,10 @@ pub(crate) struct FleetCtx {
     retries_spent: AtomicU64,
     /// Sliding window of successful forward latencies (seconds).
     latencies: Mutex<VecDeque<f64>>,
+    /// Idle keep-alive connections per worker, most recently used last.
+    /// A connection is idle only between forwards, so a stack holds at
+    /// most as many as were ever in flight to its worker at once.
+    idle: Vec<Mutex<Vec<TcpStream>>>,
     /// splitmix64 counter state for decorrelated retry jitter.
     rng: AtomicU64,
     hedge: bool,
@@ -627,6 +749,57 @@ impl FleetCtx {
         let p99_ms = percentile_ms(&sorted, 99.0);
         Some(Duration::from_secs_f64((p99_ms / 1e3).max(0.010)))
     }
+
+    fn idle(&self, w: usize) -> std::sync::MutexGuard<'_, Vec<TcpStream>> {
+        self.idle[w].lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// One vetted exchange with worker `w` on its most recently used
+    /// idle connection, or on a new one. A pooled connection that turns
+    /// out stale (closed or reset before any response byte) is dropped,
+    /// and the request is sent once more on a new connection; that
+    /// resend is not an attempt of its own.
+    fn exchange(
+        &self,
+        w: usize,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> Result<WireResponse, TransportError> {
+        let pooled = self.idle(w).pop();
+        if let Some(stream) = pooled {
+            match self.exchange_on(w, stream, method, path, body) {
+                Err(e) if e.is_stale() => {}
+                done => return done,
+            }
+        }
+        let stream = connect(self.registry.addr(w), self.request_timeout)?;
+        self.exchange_on(w, stream, method, path, body)
+    }
+
+    /// Send, read and vet one exchange on `stream`, then keep the
+    /// connection for the next forward if the response was exactly
+    /// framed, asked for keep-alive and passed vetting.
+    fn exchange_on(
+        &self,
+        w: usize,
+        mut stream: TcpStream,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> Result<WireResponse, TransportError> {
+        write_request(&mut stream, method, path, body, true)?;
+        let (resp, reusable) = read_response(&mut stream)?;
+        if !matches!(resp.status, 429 | 503) {
+            // Framing was intact but the payload is not something the
+            // daemon can have produced: same treatment as a torn body.
+            vet_response(path, &resp).map_err(TransportError::Integrity)?;
+        }
+        if reusable {
+            self.idle(w).push(stream);
+        }
+        Ok(resp)
+    }
 }
 
 /// Drain trigger detached from the [`Coordinator`]'s lifetime: the
@@ -665,6 +838,11 @@ impl Coordinator {
             .with_log_requests(false);
         let ring = HashRing::new(config.workers.len(), config.vnodes);
         let routed = config.workers.iter().map(|_| AtomicU64::new(0)).collect();
+        let idle = config
+            .workers
+            .iter()
+            .map(|_| Mutex::new(Vec::new()))
+            .collect();
         let ctx = Arc::new(FleetCtx {
             registry: WorkerRegistry::new(config.workers),
             ring,
@@ -675,6 +853,7 @@ impl Coordinator {
             hedges_won: AtomicU64::new(0),
             retries_spent: AtomicU64::new(0),
             latencies: Mutex::new(VecDeque::with_capacity(LATENCY_WINDOW)),
+            idle,
             rng: AtomicU64::new(0x005e_edc0_de0f_1ee7),
             hedge: config.hedge,
             request_timeout: Duration::from_secs_f64(config.request_timeout_s),
@@ -879,22 +1058,9 @@ enum Attempt {
 /// breaker/latency/routing bookkeeping.
 fn attempt(ctx: &Arc<FleetCtx>, w: usize, method: &str, path: &str, body: &str) -> Attempt {
     let t = Instant::now();
-    match one_shot(
-        ctx.registry.addr(w),
-        method,
-        path,
-        body,
-        ctx.request_timeout,
-    ) {
+    match ctx.exchange(w, method, path, body) {
         Ok(resp) if matches!(resp.status, 429 | 503) => Attempt::Refusal(resp),
         Ok(resp) => {
-            if vet_response(path, &resp).is_err() {
-                // Framing was intact but the payload is not something
-                // the daemon can have produced — same treatment as a
-                // torn body: never relay, fail over.
-                ctx.registry.mark_dead(w);
-                return Attempt::Failure { integrity: true };
-            }
             ctx.registry.mark_alive(w);
             ctx.routed[w].fetch_add(1, Ordering::Relaxed);
             ctx.record_latency(t.elapsed());
@@ -909,12 +1075,13 @@ fn attempt(ctx: &Arc<FleetCtx>, w: usize, method: &str, path: &str, body: &str) 
     }
 }
 
-/// Payload-level integrity: every daemon response body is JSON, and a
-/// `200` run body must be the exact splice envelope
-/// (`{\n  "result": …\n}\n`) the suite reassembly depends on. Garbage
-/// that kept its framing dies here instead of reaching a client.
+/// Payload-level integrity: every daemon response body is JSON (checked
+/// by the JSON grammar without building a tree), and a `200` run body
+/// must be the exact splice envelope (`{\n  "result": …\n}\n`) the
+/// suite reassembly depends on. Garbage that kept its framing dies here
+/// instead of reaching a client.
 fn vet_response(path: &str, resp: &WireResponse) -> Result<(), String> {
-    if parse_json(&resp.body).is_none() {
+    if !is_valid_json(&resp.body) {
         return Err(format!(
             "status {} body is not valid JSON ({} bytes)",
             resp.status,
@@ -1491,6 +1658,16 @@ mod tests {
             matches!(&half_headers, Err(TransportError::Integrity(m)) if m.contains("headers")),
             "{half_headers:?}"
         );
+        // A run envelope that is valid JSON around bytes that are not
+        // UTF-8: relaying it would replace them with U+FFFD, bytes the
+        // worker never sent.
+        let not_utf8 = serve_raw(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 21\r\n\r\n{\n  \"result\": \"\xff\xfe\"\n}\n",
+        );
+        assert!(
+            matches!(&not_utf8, Err(TransportError::Integrity(m)) if m.contains("UTF-8")),
+            "{not_utf8:?}"
+        );
         let clean = serve_raw(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
         assert_eq!(clean.unwrap().body, "ok");
     }
@@ -1523,5 +1700,230 @@ mod tests {
             vet_response("/v1/health", &wrong_envelope).is_ok(),
             "the envelope rule only binds run responses"
         );
+    }
+    /// Seeded mutation suite for `read_response`, in the style of
+    /// serve's `parse_request` suite: well-framed responses read back
+    /// exactly, and mutated ones never panic, never come back misframed
+    /// and never leave a connection marked reusable unless the framing
+    /// was exact.
+    mod prop {
+        use super::*;
+        use spechpc_kernels::common::rng::Rng;
+
+        fn below(rng: &mut Rng, n: usize) -> usize {
+            (rng.next_u64() % n as u64) as usize
+        }
+
+        fn pick<'a>(rng: &mut Rng, from: &[&'a str]) -> &'a str {
+            from[below(rng, from.len())]
+        }
+
+        /// Hands `bytes` out in seeded chunks, then EOF: the way a
+        /// socket may split one response across reads.
+        struct Trickle<'a> {
+            bytes: &'a [u8],
+            rng: Rng,
+        }
+
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let chunk = match below(&mut self.rng, 3) {
+                    0 => 1 + below(&mut self.rng, 8),
+                    1 => 1 + below(&mut self.rng, 512),
+                    _ => 1 + below(&mut self.rng, 8192),
+                };
+                let n = chunk.min(buf.len()).min(self.bytes.len());
+                buf[..n].copy_from_slice(&self.bytes[..n]);
+                self.bytes = &self.bytes[n..];
+                Ok(n)
+            }
+        }
+
+        /// A well-framed response and what it must read back as.
+        struct Sample {
+            raw: Vec<u8>,
+            status: u16,
+            body: String,
+            keep_alive: bool,
+        }
+
+        fn sample(rng: &mut Rng) -> Sample {
+            let body_chars: Vec<char> = "a{}[]\":,0 \r\né∑🙂".chars().collect();
+            let len = match below(rng, 4) {
+                0 => 0,
+                1 => 2048 + below(rng, 4096),
+                _ => below(rng, 96),
+            };
+            let body: String = (0..len)
+                .map(|_| body_chars[below(rng, body_chars.len())])
+                .collect();
+            let status = [200u16, 207, 400, 404, 429, 502, 503][below(rng, 7)];
+            let connection = pick(rng, &["keep-alive", "Keep-Alive", "close", ""]);
+            let mut headers = vec![
+                "Content-Type: application/json".to_string(),
+                format!(
+                    "{}:{}{}",
+                    pick(rng, &["Content-Length", "content-length", "CONTENT-LENGTH"]),
+                    pick(rng, &["", " ", "  "]),
+                    body.len()
+                ),
+            ];
+            if !connection.is_empty() {
+                headers.push(format!("Connection: {connection}"));
+            }
+            if below(rng, 3) == 0 {
+                headers.push(format!("Retry-After: {}", below(rng, 60)));
+            }
+            for i in (1..headers.len()).rev() {
+                headers.swap(i, below(rng, i + 1));
+            }
+            let raw = format!(
+                "HTTP/1.1 {status} Reason\r\n{}\r\n\r\n{body}",
+                headers.join("\r\n")
+            )
+            .into_bytes();
+            Sample {
+                raw,
+                status,
+                body,
+                keep_alive: connection.eq_ignore_ascii_case("keep-alive"),
+            }
+        }
+
+        fn trickle(bytes: &[u8], rng: &mut Rng) -> Result<(WireResponse, bool), TransportError> {
+            let mut reader = Trickle {
+                bytes,
+                rng: Rng::seed_from_u64(rng.next_u64()),
+            };
+            read_response(&mut reader)
+        }
+
+        /// What must hold for any bytes a read accepted: the body is the
+        /// `Content-Length` bytes right after the first blank line, and
+        /// a reusable connection was framed exactly, with keep-alive.
+        fn check_accepted(bytes: &[u8], resp: &WireResponse, reusable: bool, all_read: bool) {
+            let header_end = bytes
+                .windows(4)
+                .position(|w| w == b"\r\n\r\n")
+                .expect("an accepted response has a head");
+            let head = String::from_utf8_lossy(&bytes[..header_end]);
+            let declared = head
+                .split("\r\n")
+                .filter_map(|l| l.split_once(':'))
+                .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+                .map(|(_, v)| v.trim().parse::<usize>().expect("accepted length parses"))
+                .last();
+            let body_start = header_end + 4;
+            assert_eq!(resp.body.len(), declared.unwrap_or(0), "{head:?}");
+            assert_eq!(
+                resp.body.as_bytes(),
+                &bytes[body_start..body_start + resp.body.len()],
+                "{head:?}"
+            );
+            if reusable {
+                assert!(declared.is_some(), "reusable without a length: {head:?}");
+                assert!(
+                    head.split("\r\n").any(|l| l
+                        .split_once(':')
+                        .is_some_and(|(k, v)| k.eq_ignore_ascii_case("connection")
+                            && v.trim().eq_ignore_ascii_case("keep-alive"))),
+                    "reusable without keep-alive: {head:?}"
+                );
+                if all_read {
+                    assert_eq!(bytes.len(), body_start + resp.body.len(), "{head:?}");
+                }
+            }
+        }
+
+        #[test]
+        fn prop_framed_responses_read_back_exactly() {
+            let mut rng = Rng::seed_from_u64(0xf1ee_7001);
+            for case in 0..300 {
+                let s = sample(&mut rng);
+                let (resp, reusable) =
+                    trickle(&s.raw, &mut rng).unwrap_or_else(|e| panic!("case {case}: {e}"));
+                assert_eq!(resp.status, s.status, "case {case}");
+                assert_eq!(resp.body, s.body, "case {case}");
+                assert_eq!(reusable, s.keep_alive, "case {case}");
+                // One byte past the body, in hand with the rest: the
+                // response still reads, the connection is not reused.
+                let mut extra = s.raw.clone();
+                extra.push(b"H{\n"[below(&mut rng, 3)]);
+                let (resp, reusable) =
+                    read_response(&mut extra.as_slice()).unwrap_or_else(|e| panic!("{e}"));
+                assert_eq!(resp.body, s.body, "case {case}");
+                assert!(!reusable, "case {case}: a trailing byte must forbid reuse");
+            }
+        }
+
+        #[test]
+        fn prop_mutated_responses_never_panic_or_misframe() {
+            let mut rng = Rng::seed_from_u64(0xf1ee_7002);
+            let mut rejected = 0;
+            for case in 0..800 {
+                let s = sample(&mut rng);
+                let mut bytes = s.raw.clone();
+                let header_end = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+                let status_end = bytes.windows(2).position(|w| w == b"\r\n").unwrap();
+                // Mutations whose bytes can never be a response.
+                let mut bad = true;
+                match below(&mut rng, 6) {
+                    0 => {
+                        bad = false;
+                        for _ in 0..1 + below(&mut rng, 4) {
+                            let i = below(&mut rng, bytes.len());
+                            bytes[i] = rng.next_u64() as u8;
+                        }
+                    }
+                    1 => bytes.truncate(below(&mut rng, bytes.len())),
+                    2 => {
+                        let other = s.body.len() + 1 + below(&mut rng, 64);
+                        let dup = format!("\r\nContent-Length: {other}");
+                        bytes.splice(status_end..status_end, dup.bytes());
+                    }
+                    3 if !s.body.is_empty() => {
+                        let i = header_end + 4 + below(&mut rng, s.body.len());
+                        bytes[i] = 0xff;
+                    }
+                    4 => {
+                        let huge = pick(
+                            &mut rng,
+                            &["67108865", "18446744073709551616", "-1", "12a", ""],
+                        );
+                        let over = format!("\r\ncontent-length: {huge}");
+                        bytes.splice(header_end..header_end, over.bytes());
+                    }
+                    _ => {
+                        // Junk before the status line.
+                        let junk = pick(&mut rng, &["\r\n", " ", "{}", "\u{feff}"]);
+                        bytes.splice(0..0, junk.bytes());
+                    }
+                }
+                let trickled = trickle(&bytes, &mut rng);
+                let whole = read_response(&mut bytes.as_slice());
+                for (got, all_read) in [(&trickled, false), (&whole, true)] {
+                    match got {
+                        Ok((resp, reusable)) => {
+                            assert!(!bad, "case {case}: accepted bad bytes {bytes:?}");
+                            check_accepted(&bytes, resp, *reusable, all_read);
+                        }
+                        Err(TransportError::Io(e)) => {
+                            // Only silence is an I/O failure here: the
+                            // reader never errors, so no byte arrived.
+                            assert!(bytes.is_empty(), "case {case}: {e}");
+                            assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+                        }
+                        Err(TransportError::Integrity(_)) => {}
+                    }
+                }
+                assert_eq!(
+                    trickled.is_ok(),
+                    whole.is_ok(),
+                    "case {case}: the read split changed the verdict"
+                );
+                rejected += usize::from(whole.is_err());
+            }
+            assert!(rejected > 400, "only {rejected} of 800 mutations rejected");
+        }
     }
 }

@@ -18,6 +18,12 @@
 //! The parser recurses once per array or object, so it rejects documents
 //! nested deeper than [`MAX_DEPTH`]: a request body of a few kilobytes of
 //! `[` must get a typed `400`, not overflow the thread's stack.
+//!
+//! One grammar, two instantiations: [`parse_json`] builds a [`Json`]
+//! tree, and the crate-private `is_valid_json` runs the same parser
+//! with tree building compiled out, so it answers "would this parse?"
+//! without allocating (the fleet coordinator vets every relayed body
+//! that way).
 
 /// A JSON value. Numbers are `f64` (like JavaScript); `null` decodes to
 /// NaN through [`Json::num`] so non-finite floats survive a `null`
@@ -237,14 +243,18 @@ pub fn quote(s: &str) -> String {
 /// golden wire fixtures (`tests/golden/`) nest 6 levels at most.
 pub const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// The one JSON grammar. With `BUILD` false the parser keeps every
+/// check but never fills a string, array or object, so a document is
+/// accepted or rejected exactly as [`parse_json`] would, at no
+/// allocation; the values it returns are then empty placeholders.
+struct Parser<'a, const BUILD: bool> {
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open at `pos`.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a, const BUILD: bool> Parser<'a, BUILD> {
     fn new(text: &'a str) -> Self {
         Parser {
             bytes: text.as_bytes(),
@@ -311,7 +321,9 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.expect(b':')?;
             let val = self.value()?;
-            fields.push((key, val));
+            if BUILD {
+                fields.push((key, val));
+            }
             match self.peek()? {
                 b',' => self.pos += 1,
                 b'}' => {
@@ -331,7 +343,10 @@ impl<'a> Parser<'a> {
             return Some(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            let item = self.value()?;
+            if BUILD {
+                items.push(item);
+            }
             match self.peek()? {
                 b',' => self.pos += 1,
                 b']' => {
@@ -354,21 +369,24 @@ impl<'a> Parser<'a> {
                 b'\\' => {
                     let esc = *self.bytes.get(self.pos)?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
                         b'u' => {
                             let hex = self.bytes.get(self.pos..self.pos + 4)?;
                             self.pos += 4;
                             let code =
                                 u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
+                            char::from_u32(code)?
                         }
                         _ => return None,
+                    };
+                    if BUILD {
+                        out.push(c);
                     }
                 }
                 _ => {
@@ -380,8 +398,10 @@ impl<'a> Parser<'a> {
                         _ => 4,
                     };
                     let start = self.pos - 1;
-                    let chunk = self.bytes.get(start..start + len)?;
-                    out.push_str(std::str::from_utf8(chunk).ok()?);
+                    let chunk = std::str::from_utf8(self.bytes.get(start..start + len)?).ok()?;
+                    if BUILD {
+                        out.push_str(chunk);
+                    }
                     self.pos = start + len;
                 }
             }
@@ -403,12 +423,24 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parse a complete JSON document; trailing garbage is an error.
-pub fn parse_json(text: &str) -> Option<Json> {
-    let mut p = Parser::new(text);
+/// Run the grammar over a complete document; trailing garbage is an
+/// error.
+fn document<const BUILD: bool>(text: &str) -> Option<Json> {
+    let mut p = Parser::<BUILD>::new(text);
     let v = p.value()?;
     p.skip_ws();
     (p.pos == p.bytes.len()).then_some(v)
+}
+
+/// Parse a complete JSON document; trailing garbage is an error.
+pub fn parse_json(text: &str) -> Option<Json> {
+    document::<true>(text)
+}
+
+/// Whether [`parse_json`] accepts `text`, decided by the same grammar
+/// without building (or allocating) a tree.
+pub(crate) fn is_valid_json(text: &str) -> bool {
+    document::<false>(text).is_some()
 }
 
 #[cfg(test)]
@@ -628,5 +660,82 @@ mod tests {
                 let _ = parse_json(&text);
             }
         }
+    }
+
+    /// The validator and the tree parser are one grammar: over rendered
+    /// values, their mutations and the grammar's corners, `is_valid_json`
+    /// accepts exactly what `parse_json` parses.
+    #[test]
+    fn prop_validator_accepts_exactly_what_the_parser_parses() {
+        let mut rng = Rng(0x7a11_da7e_c0de_0001);
+        let mut inputs: Vec<String> = Vec::new();
+        // Rendered values, then byte flips, truncations and trailing
+        // garbage on each.
+        for _ in 0..400 {
+            let text = rng.value(3).render();
+            let mut flipped = text.clone().into_bytes();
+            if !flipped.is_empty() {
+                let i = rng.below(flipped.len() as u64) as usize;
+                flipped[i] = rng.next() as u8;
+            }
+            inputs.push(String::from_utf8_lossy(&flipped).into_owned());
+            let cut = rng.below(text.len() as u64 + 1) as usize;
+            inputs.push(String::from_utf8_lossy(&text.as_bytes()[..cut]).into_owned());
+            let tails = [
+                " ", "\n\t", "x", ",", "]", "}", "0", " null", "{}", "\u{feff}",
+            ];
+            inputs.push(text.clone() + tails[rng.below(tails.len() as u64) as usize]);
+            inputs.push(text);
+        }
+        // Nesting at and past the depth cap.
+        for depth in [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 4 * MAX_DEPTH] {
+            inputs.push("[".repeat(depth) + &"]".repeat(depth));
+            inputs.push("{\"a\":".repeat(depth) + "1" + &"}".repeat(depth));
+            inputs.push("[".repeat(depth));
+        }
+        // `\u` escapes: surrogates, non-hex and sign characters, short
+        // and multi-byte runs.
+        let hex = [
+            "0041", "00e9", "2603", "d800", "dbff", "dc00", "dfff", "D83D", "+041", "-041", "004",
+            "00g1", "0 41", "00é", "ffff", "FFFF", "10000",
+        ];
+        for h in hex {
+            inputs.push(format!("\"\\u{h}\""));
+            inputs.push(format!("[\"a\\u{h}b\", 1]"));
+            inputs.push(format!("\"\\u{h}"));
+        }
+        inputs.push("\"\\ud83d\\ude00\"".to_string());
+        // Number corners, then random runs over the number alphabet.
+        for n in [
+            "+1", "1.", ".5", "1e", "-", "--1", "1e+", "1e-5", "-.5", "1.e3", "01", "-0", "1e400",
+            "1E5", "1.2.3", "e5", "+", ".", "0x10", "1_000", "Infinity", "NaN",
+        ] {
+            inputs.push(n.to_string());
+            inputs.push(format!("[{n}]"));
+            inputs.push(format!("{{\"k\": {n}}}"));
+        }
+        let alphabet = b"0123456789+-.eE";
+        for _ in 0..500 {
+            let len = 1 + rng.below(6) as usize;
+            let run: String = (0..len)
+                .map(|_| alphabet[rng.below(alphabet.len() as u64) as usize] as char)
+                .collect();
+            inputs.push(run);
+        }
+
+        let (mut accepted, mut rejected) = (0, 0);
+        for text in &inputs {
+            let parsed = parse_json(text).is_some();
+            assert_eq!(is_valid_json(text), parsed, "grammars disagree on {text:?}");
+            if parsed {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(
+            accepted > 500 && rejected > 500,
+            "{accepted} accepted, {rejected} rejected"
+        );
     }
 }

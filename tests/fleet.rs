@@ -5,7 +5,9 @@
 //! through the fabric is byte-identical to talking to one daemon.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spechpc::harness::fleet::{peer_fetcher, Coordinator, FleetConfig, FleetShutdownHandle};
@@ -29,11 +31,23 @@ fn spawn_worker(
     ShutdownHandle,
     std::thread::JoinHandle<std::io::Result<()>>,
 ) {
+    spawn_worker_with(peers, ServeConfig::default())
+}
+
+/// [`spawn_worker`] with the keep-alive limits of `cfg`.
+fn spawn_worker_with(
+    peers: Vec<String>,
+    cfg: ServeConfig,
+) -> (
+    SocketAddr,
+    ShutdownHandle,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
     let mut exec = executor();
     if !peers.is_empty() {
         exec = exec.with_peer_fetch(peer_fetcher(peers));
     }
-    let cfg = ServeConfig::default()
+    let cfg = cfg
         .with_addr("127.0.0.1:0")
         .with_workers(4)
         .with_log_requests(false);
@@ -55,10 +69,22 @@ fn spawn_coordinator(
     FleetShutdownHandle,
     std::thread::JoinHandle<std::io::Result<()>>,
 ) {
-    let cfg = FleetConfig::default()
-        .with_addr("127.0.0.1:0")
-        .with_workers(workers)
-        .with_probe_interval_s(probe_interval_s);
+    spawn_coordinator_with(
+        FleetConfig::default()
+            .with_workers(workers)
+            .with_probe_interval_s(probe_interval_s),
+    )
+}
+
+/// [`spawn_coordinator`] with the routing and timeouts of `cfg`.
+fn spawn_coordinator_with(
+    cfg: FleetConfig,
+) -> (
+    SocketAddr,
+    FleetShutdownHandle,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let cfg = cfg.with_addr("127.0.0.1:0");
     let coordinator = Coordinator::bind(cfg).expect("bind coordinator");
     let addr = coordinator.local_addr().expect("bound address");
     let handle = coordinator.shutdown_handle();
@@ -429,6 +455,180 @@ fn drain_does_not_wait_for_an_idle_keepalive_client() {
     }
     fj.join().unwrap().unwrap();
     drop(idle);
+    wh.request_drain();
+    wj.join().unwrap().unwrap();
+}
+
+/// A relay in front of `upstream` that counts the connections whose
+/// first request is not a health probe: the coordinator's data
+/// connections. When the upstream closes a connection, the front keeps
+/// the client's side open and answers nothing more on it, so a client
+/// that reuses a connection the upstream closed waits out its timeout
+/// instead of meeting a prompt EOF.
+fn spawn_counting_front(upstream: SocketAddr) -> (SocketAddr, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind front");
+    let addr = listener.local_addr().unwrap();
+    let data_conns = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&data_conns);
+    std::thread::spawn(move || {
+        for client in listener.incoming() {
+            let Ok(mut client) = client else { break };
+            let counter = Arc::clone(&counter);
+            std::thread::spawn(move || {
+                let mut first = [0u8; 16 * 1024];
+                let n = client.read(&mut first).unwrap_or(0);
+                if n == 0 {
+                    return;
+                }
+                if !first[..n].starts_with(b"GET /v1/health ") {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                }
+                let Ok(mut upstream) = TcpStream::connect(upstream) else {
+                    return;
+                };
+                let _ = client.set_nodelay(true);
+                let _ = upstream.set_nodelay(true);
+                if upstream.write_all(&first[..n]).is_err() {
+                    return;
+                }
+                let (Ok(mut client_r), Ok(mut upstream_r)) =
+                    (client.try_clone(), upstream.try_clone())
+                else {
+                    return;
+                };
+                let up = std::thread::spawn(move || {
+                    if std::io::copy(&mut client_r, &mut upstream).is_err() {
+                        let _ = std::io::copy(&mut client_r, &mut std::io::sink());
+                    }
+                    let _ = upstream.shutdown(Shutdown::Both);
+                });
+                let _ = std::io::copy(&mut upstream_r, &mut client);
+                // The client's side closes when the client closes it.
+                let _ = up.join();
+            });
+        }
+    });
+    (addr, data_conns)
+}
+
+/// The coordinator's `(retries_spent, failovers, breaker_trips)`.
+fn fleet_counters(fleet: SocketAddr) -> (u64, u64, u64) {
+    let (status, m) = http(fleet, "GET", "/v1/metrics", "");
+    assert_eq!(status, 200, "{m}");
+    (
+        json_u64(&m, "retries_spent"),
+        json_u64(&m, "failovers"),
+        json_u64(&m, "breaker_trips"),
+    )
+}
+
+#[test]
+fn sequential_forwards_reuse_one_pooled_connection() {
+    let (worker, wh, wj) = spawn_worker(Vec::new());
+    let (front, data_conns) = spawn_counting_front(worker);
+    // No probes after the startup ones: every connection past them is
+    // a forward's.
+    let (fleet, fh, fj) = spawn_coordinator(vec![front.to_string()], 600.0);
+
+    let body = run_body("lbm", 4);
+    let (status, want) = http(fleet, "POST", "/v1/run", &body);
+    assert_eq!(status, 200, "{want}");
+    for i in 1..50 {
+        let (status, got) = http(fleet, "POST", "/v1/run", &body);
+        assert_eq!(status, 200, "forward {i}: {got}");
+        assert_eq!(got, want, "forward {i} must replay byte-identically");
+    }
+    assert_eq!(
+        data_conns.load(Ordering::SeqCst),
+        1,
+        "50 sequential forwards must share one keep-alive connection"
+    );
+    assert_eq!(fleet_counters(fleet), (0, 0, 0));
+
+    fh.request_drain();
+    fj.join().unwrap().unwrap();
+    wh.request_drain();
+    wj.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_connection_the_worker_reaped_is_resent_without_counting_a_retry() {
+    let (worker, wh, wj) =
+        spawn_worker_with(Vec::new(), ServeConfig::default().with_idle_timeout_s(0.2));
+    let (fleet, fh, fj) = spawn_coordinator(vec![worker.to_string()], 600.0);
+
+    let body = run_body("tealeaf", 4);
+    let (status, first) = http(fleet, "POST", "/v1/run", &body);
+    assert_eq!(status, 200, "{first}");
+    let before = fleet_counters(fleet);
+
+    // Past the idle timeout the worker closes the pooled connection:
+    // only this health request is open on it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let (_, health) = http(worker, "GET", "/v1/health", "");
+        if json_u64(&health, "connections") == 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the worker never reaped: {health}"
+        );
+    }
+
+    let (status, second) = http(fleet, "POST", "/v1/run", &body);
+    assert_eq!(status, 200, "{second}");
+    assert_eq!(
+        second, first,
+        "the resent forward must answer the same bytes"
+    );
+    assert_eq!(
+        fleet_counters(fleet),
+        before,
+        "a stale pooled connection is not a failed attempt"
+    );
+
+    fh.request_drain();
+    fj.join().unwrap().unwrap();
+    wh.request_drain();
+    wj.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_keepalive_cap_on_the_worker_costs_no_retries() {
+    let (worker, wh, wj) = spawn_worker_with(
+        Vec::new(),
+        ServeConfig::default().with_keepalive_requests(2),
+    );
+    // The front holds a connection the worker closed open and silent:
+    // a coordinator that pooled it despite `Connection: close` would
+    // wait out the request timeout and count a failed attempt.
+    let (front, data_conns) = spawn_counting_front(worker);
+    let (fleet, fh, fj) = spawn_coordinator_with(
+        FleetConfig::default()
+            .with_workers(vec![front.to_string()])
+            .with_probe_interval_s(600.0)
+            .with_request_timeout_s(2.0),
+    );
+
+    let body = run_body("pot3d", 4);
+    let (status, want) = http(fleet, "POST", "/v1/run", &body);
+    assert_eq!(status, 200, "{want}");
+    for i in 1..6 {
+        let (status, got) = http(fleet, "POST", "/v1/run", &body);
+        assert_eq!(status, 200, "forward {i}: {got}");
+        assert_eq!(got, want, "forward {i}");
+    }
+    assert_eq!(fleet_counters(fleet), (0, 0, 0));
+    assert_eq!(
+        data_conns.load(Ordering::SeqCst),
+        3,
+        "each connection carries the worker's cap of 2 forwards"
+    );
+
+    fh.request_drain();
+    fj.join().unwrap().unwrap();
     wh.request_drain();
     wj.join().unwrap().unwrap();
 }
