@@ -160,8 +160,6 @@ pub enum Command {
         vnodes: Option<usize>,
         /// `--timeout-s S`: per-forward timeout.
         timeout_s: Option<f64>,
-        /// `--no-hedge`: disable hedged `/v1/run` requests.
-        no_hedge: bool,
     },
     /// Deterministic seeded fault-injecting TCP proxy.
     Chaos {
@@ -240,9 +238,6 @@ COMMANDS:
         --workers A:P,B:P,...    worker daemon addresses (required)
         --vnodes N               virtual nodes per worker       [default: 64]
         --timeout-s S            per-forward timeout           [default: 300]
-        --no-hedge               disable hedged /v1/run requests (hedging fires
-                                 the second ring preference after the observed
-                                 p99 latency; first trustworthy answer wins)
     chaos <plan.toml>            deterministic fault-injecting TCP proxy: delay,
                                  throttle, truncate, garbage, reset, black-hole
                                  per connection, replayed bit-identically from a
@@ -271,6 +266,38 @@ FAULT INJECTION (run/suite/profile; see plans/ for examples):
     --fault-seed N               override the plan's seed
 ";
 
+/// Every `--option` the commands read, and whether it takes a value
+/// (`false`: a valueless flag). Anything else is refused, so a typo
+/// cannot run a command with the option silently left at its default.
+const KNOWN: &[(&str, bool)] = &[
+    ("cluster", true),
+    ("class", true),
+    ("ranks", true),
+    ("trace", true),
+    ("jobs", true),
+    ("no-cache", false),
+    ("metrics", false),
+    ("threads", true),
+    ("faults", true),
+    ("fault-seed", true),
+    ("json", false),
+    ("addr", true),
+    ("workers", true),
+    ("queue-depth", true),
+    ("max-inflight", true),
+    ("timeout-s", true),
+    ("max-conns", true),
+    ("keepalive-max", true),
+    ("idle-timeout-s", true),
+    ("read-timeout-s", true),
+    ("peers", true),
+    ("vnodes", true),
+    ("listen", true),
+    ("upstream", true),
+    ("chaos-seed", true),
+    ("validate", false),
+];
+
 /// Parse the argument vector (without `argv[0]`).
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter().peekable();
@@ -280,23 +307,28 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 
     // Collect options (--key value / -n value), valueless flags, and
     // positionals.
-    const FLAGS: [&str; 5] = ["no-cache", "metrics", "validate", "no-hedge", "json"];
     let mut positional = Vec::new();
     let mut options = std::collections::BTreeMap::new();
     let mut flags = std::collections::BTreeSet::new();
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
-            if FLAGS.contains(&key) {
-                flags.insert(key.to_string());
-            } else {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("option --{key} needs a value"))?;
-                options.insert(key.to_string(), value.clone());
+            match KNOWN.iter().find(|(name, _)| *name == key) {
+                Some((_, false)) => {
+                    flags.insert(key.to_string());
+                }
+                Some((_, true)) => {
+                    let value = it
+                        .next()
+                        .ok_or_else(|| format!("option --{key} needs a value"))?;
+                    options.insert(key.to_string(), value.clone());
+                }
+                None => return Err(format!("unknown option --{key}")),
             }
         } else if a == "-n" {
             let value = it.next().ok_or("option -n needs a value")?;
             options.insert("ranks".to_string(), value.clone());
+        } else if a.len() > 1 && a.starts_with('-') {
+            return Err(format!("unknown option {a}"));
         } else {
             positional.push(a.clone());
         }
@@ -488,7 +520,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 workers,
                 vnodes: usize_opt("vnodes")?,
                 timeout_s: secs_opt("timeout-s")?,
-                no_hedge: flags.contains("no-hedge"),
             })
         }
         "chaos" => {
@@ -811,18 +842,41 @@ mod tests {
                 workers: vec!["127.0.0.1:8722".into(), "127.0.0.1:8723".into()],
                 vnodes: Some(32),
                 timeout_s: Some(10.0),
-                no_hedge: false,
             }
         );
         // Workers are mandatory; an empty list is an error too.
         assert!(parse(&v(&["fleet"])).is_err());
         assert!(parse(&v(&["fleet", "--workers", ","])).is_err());
         assert!(parse(&v(&["fleet", "--workers", "a:1", "--vnodes", "0"])).is_err());
-        // Hedging is on by default and --no-hedge switches it off.
-        assert!(matches!(
-            parse(&v(&["fleet", "--workers", "a:1", "--no-hedge"])).unwrap(),
-            Command::Fleet { no_hedge: true, .. }
-        ));
+    }
+
+    #[test]
+    fn unknown_options_are_refused_by_name() {
+        for (args, name) in [
+            (
+                &["run", "lbm", "-n", "4", "--treads", "4", "--no-cache"][..],
+                "--treads",
+            ),
+            (&["fleet", "--workers", "a:1", "--no-hedge"], "--no-hedge"),
+            (&["fleet", "--workers", "a:1", "--bogus", "3"], "--bogus"),
+            (&["suite", "-j", "2"], "-j"),
+        ] {
+            assert_eq!(
+                parse(&v(args)),
+                Err(format!("unknown option {name}")),
+                "{args:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn known_options_are_the_ones_usage_names() {
+        let named: std::collections::BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .collect();
+        let known: std::collections::BTreeSet<&str> = KNOWN.iter().map(|(k, _)| *k).collect();
+        assert_eq!(named, known);
     }
 
     #[test]

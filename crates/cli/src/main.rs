@@ -515,12 +515,10 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             workers,
             vnodes,
             timeout_s,
-            no_hedge,
         } => {
             let mut cfg = fleet::FleetConfig::default()
                 .with_addr(addr)
-                .with_workers(workers)
-                .with_hedging(!no_hedge);
+                .with_workers(workers);
             if let Some(v) = vnodes {
                 cfg = cfg.with_vnodes(v);
             }

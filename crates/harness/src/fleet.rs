@@ -40,6 +40,9 @@
 //!   `429`/`503`, **fails over** to the next worker on the ring; runs
 //!   are content-addressed and therefore idempotent, so re-executing a
 //!   request whose first worker died mid-flight is safe;
+//! * a request is in flight on **one worker at a time**: the next
+//!   worker is tried only after the previous one failed or refused, so
+//!   a run simulates on its owner alone unless the owner fails it;
 //! * suite grids are split into per-worker shards; a worker thread that
 //!   drains its own shard **steals** pending points from the slowest
 //!   shard, so one dead or slow worker cannot stall the suite;
@@ -62,8 +65,8 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use crate::api::{self, resolve_cluster, ApiError, Endpoint, EndpointId, RunRequest, SuiteRequest};
 use crate::cache::{self, RunKey};
@@ -616,11 +619,6 @@ pub struct FleetConfig {
     pub request_timeout_s: f64,
     /// Health-probe cadence (seconds).
     pub probe_interval_s: f64,
-    /// Hedge routed `/v1/run` requests: once enough latency samples
-    /// exist, fire the key's second preference after a p99-derived
-    /// delay and take whichever answer lands first. Safe because runs
-    /// are content-addressed and therefore idempotent.
-    pub hedge: bool,
 }
 
 impl Default for FleetConfig {
@@ -631,7 +629,6 @@ impl Default for FleetConfig {
             vnodes: 64,
             request_timeout_s: 300.0,
             probe_interval_s: 0.5,
-            hedge: true,
         }
     }
 }
@@ -667,26 +664,12 @@ impl FleetConfig {
         self
     }
 
-    /// Builder: enable or disable hedged `/v1/run` requests.
-    pub fn with_hedging(mut self, hedge: bool) -> Self {
-        self.hedge = hedge;
+    /// Builder: a no-op, kept so callers that switched hedging off
+    /// still build. A request is in flight on one worker at a time, so
+    /// there is nothing to hedge.
+    pub fn with_hedging(self, _: bool) -> Self {
         self
     }
-}
-
-/// Successful forward latencies kept for the hedging delay estimate.
-const LATENCY_WINDOW: usize = 512;
-/// Samples required before hedging activates — a p99 from a handful of
-/// observations is noise.
-const HEDGE_MIN_SAMPLES: usize = 32;
-
-/// `sorted` percentile by nearest-rank on an ascending slice.
-fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)] * 1e3
 }
 
 /// Shared coordinator state: the routing half of the coordinator role
@@ -698,21 +681,14 @@ pub(crate) struct FleetCtx {
     pub(crate) requests: AtomicU64,
     failovers: AtomicU64,
     routed: Vec<AtomicU64>,
-    /// Hedged requests launched (second attempt actually fired).
-    hedges_fired: AtomicU64,
-    /// Hedged requests where the hedge's answer was used.
-    hedges_won: AtomicU64,
     /// Extra forwarding attempts beyond each request's first.
     retries_spent: AtomicU64,
-    /// Sliding window of successful forward latencies (seconds).
-    latencies: Mutex<VecDeque<f64>>,
     /// Idle keep-alive connections per worker, most recently used last.
     /// A connection is idle only between forwards, so a stack holds at
     /// most as many as were ever in flight to its worker at once.
     idle: Vec<Mutex<Vec<TcpStream>>>,
     /// splitmix64 counter state for decorrelated retry jitter.
     rng: AtomicU64,
-    hedge: bool,
     request_timeout: Duration,
     probe_interval: Duration,
 }
@@ -723,31 +699,6 @@ impl FleetCtx {
     fn jitter_unit(&self) -> f64 {
         let x = self.rng.fetch_add(0x9e3779b97f4a7c15, Ordering::Relaxed);
         (mix64(x) >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn record_latency(&self, elapsed: Duration) {
-        let mut lat = self.latencies.lock().unwrap_or_else(|e| e.into_inner());
-        if lat.len() >= LATENCY_WINDOW {
-            lat.pop_front();
-        }
-        lat.push_back(elapsed.as_secs_f64());
-    }
-
-    /// The hedging trigger delay: the observed p99 forward latency,
-    /// clamped to at least 10 ms so a warm-cache fleet (sub-ms answers)
-    /// does not hedge every single request. `None` until enough
-    /// samples exist.
-    fn hedge_delay(&self) -> Option<Duration> {
-        let mut sorted: Vec<f64> = {
-            let lat = self.latencies.lock().unwrap_or_else(|e| e.into_inner());
-            if lat.len() < HEDGE_MIN_SAMPLES {
-                return None;
-            }
-            lat.iter().copied().collect()
-        };
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let p99_ms = percentile_ms(&sorted, 99.0);
-        Some(Duration::from_secs_f64((p99_ms / 1e3).max(0.010)))
     }
 
     fn idle(&self, w: usize) -> std::sync::MutexGuard<'_, Vec<TcpStream>> {
@@ -849,13 +800,9 @@ impl Coordinator {
             requests: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             routed,
-            hedges_fired: AtomicU64::new(0),
-            hedges_won: AtomicU64::new(0),
             retries_spent: AtomicU64::new(0),
-            latencies: Mutex::new(VecDeque::with_capacity(LATENCY_WINDOW)),
             idle,
             rng: AtomicU64::new(0x005e_edc0_de0f_1ee7),
-            hedge: config.hedge,
             request_timeout: Duration::from_secs_f64(config.request_timeout_s),
             probe_interval: Duration::from_secs_f64(config.probe_interval_s),
         });
@@ -907,11 +854,7 @@ impl Coordinator {
 /// The shared route table ([`api::ENDPOINTS`]) already chose the pool
 /// for this endpoint, the same table `serve` dispatches a daemon
 /// through.
-pub(crate) fn route(
-    ctx: &Arc<FleetCtx>,
-    ep: &Endpoint,
-    body: &str,
-) -> Result<WireResponse, ApiError> {
+pub(crate) fn route(ctx: &FleetCtx, ep: &Endpoint, body: &str) -> Result<WireResponse, ApiError> {
     match ep.id {
         EndpointId::Run => forward_run(ctx, body),
         EndpointId::Plan => forward_plan(ctx, body),
@@ -985,14 +928,6 @@ pub(crate) fn metrics_json(ctx: &FleetCtx) -> String {
             ),
         ),
         (
-            "hedges_fired".into(),
-            Json::from(ctx.hedges_fired.load(Ordering::Relaxed)),
-        ),
-        (
-            "hedges_won".into(),
-            Json::from(ctx.hedges_won.load(Ordering::Relaxed)),
-        ),
-        (
             "retries_spent".into(),
             Json::from(ctx.retries_spent.load(Ordering::Relaxed)),
         ),
@@ -1015,17 +950,13 @@ fn key_hash_of(req: &RunRequest) -> Result<u64, ApiError> {
     Ok(fnv1a(key.canonical().bytes()))
 }
 
-/// Forward one `POST /v1/run` body to the key's worker: hedged across
-/// the first two live preferences when enabled and warmed up, then the
-/// full failover walk. Re-forwarding (and hedging) is safe: runs are
+/// Forward one `POST /v1/run` body to the key's worker through the
+/// failover walk. Re-forwarding after a failure is safe: runs are
 /// content-addressed, so the worst case is a recomputed (identical)
 /// result.
-fn forward_run(ctx: &Arc<FleetCtx>, body: &str) -> Result<WireResponse, ApiError> {
+fn forward_run(ctx: &FleetCtx, body: &str) -> Result<WireResponse, ApiError> {
     let req = RunRequest::from_json(body)?;
     let hash = key_hash_of(&req)?;
-    if let Some(resp) = hedged_forward(ctx, hash, body) {
-        return Ok(resp);
-    }
     forward_with_failover(ctx, hash, "POST", EndpointId::Run.path(), body)
 }
 
@@ -1035,7 +966,7 @@ fn forward_run(ctx: &Arc<FleetCtx>, body: &str) -> Result<WireResponse, ApiError
 /// holds the plan's job shapes — the second identical POST is
 /// engine-free and byte-identical. Parsing here also rejects malformed
 /// plans at the coordinator without spending a forward.
-fn forward_plan(ctx: &Arc<FleetCtx>, body: &str) -> Result<WireResponse, ApiError> {
+fn forward_plan(ctx: &FleetCtx, body: &str) -> Result<WireResponse, ApiError> {
     let req = PlanRequest::from_json(body)?;
     let hash = fnv1a(req.to_json().bytes());
     forward_with_failover(ctx, hash, "POST", EndpointId::Plan.path(), body)
@@ -1055,15 +986,13 @@ enum Attempt {
 }
 
 /// One exchange with worker `w`, including the integrity gate and the
-/// breaker/latency/routing bookkeeping.
-fn attempt(ctx: &Arc<FleetCtx>, w: usize, method: &str, path: &str, body: &str) -> Attempt {
-    let t = Instant::now();
+/// breaker/routing bookkeeping.
+fn attempt(ctx: &FleetCtx, w: usize, method: &str, path: &str, body: &str) -> Attempt {
     match ctx.exchange(w, method, path, body) {
         Ok(resp) if matches!(resp.status, 429 | 503) => Attempt::Refusal(resp),
         Ok(resp) => {
             ctx.registry.mark_alive(w);
             ctx.routed[w].fetch_add(1, Ordering::Relaxed);
-            ctx.record_latency(t.elapsed());
             Attempt::Success(resp)
         }
         Err(e) => {
@@ -1101,85 +1030,6 @@ fn vet_response(path: &str, resp: &WireResponse) -> Result<(), String> {
     Ok(())
 }
 
-/// Hedge one routed `/v1/run`: send to the key's first live preference,
-/// and if no answer lands within the observed p99 latency, race a
-/// second attempt on the next preference — whichever trustworthy
-/// response arrives first wins. Returns `None` when hedging is off,
-/// cold, impossible (<2 live workers) or both attempts failed — the
-/// caller then falls back to the sequential failover walk.
-fn hedged_forward(ctx: &Arc<FleetCtx>, key_hash: u64, body: &str) -> Option<WireResponse> {
-    if !ctx.hedge {
-        return None;
-    }
-    let delay = ctx.hedge_delay()?;
-    let live: Vec<usize> = ctx
-        .ring
-        .preference(key_hash)
-        .into_iter()
-        .filter(|&w| ctx.registry.is_alive(w))
-        .collect();
-    if live.len() < 2 {
-        return None;
-    }
-    let (tx, rx) = mpsc::channel::<(bool, Attempt)>();
-    let launch = |w: usize, is_hedge: bool| {
-        let tx = tx.clone();
-        let ctx = Arc::clone(ctx);
-        let body = body.to_string();
-        std::thread::spawn(move || {
-            let out = attempt(&ctx, w, "POST", EndpointId::Run.path(), &body);
-            let _ = tx.send((is_hedge, out));
-        });
-    };
-    launch(live[0], false);
-    let mut fired = false;
-    let mut pending = 1u32;
-    loop {
-        let wait = if fired {
-            // Both attempts in flight: wait out the slower one (the
-            // per-attempt timeout bounds this).
-            ctx.request_timeout + Duration::from_secs(5)
-        } else {
-            delay
-        };
-        match rx.recv_timeout(wait) {
-            Ok((is_hedge, Attempt::Success(resp))) => {
-                if is_hedge {
-                    ctx.hedges_won.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(resp);
-            }
-            Ok((_, Attempt::Refusal(_) | Attempt::Failure { .. })) => {
-                pending -= 1;
-                if pending == 0 {
-                    if fired {
-                        // Both attempts answered without a usable
-                        // response; the failover walk takes over (and
-                        // will surface a refusal if that is all there
-                        // is).
-                        return None;
-                    }
-                    // The primary failed before the hedge timer ran
-                    // out — fire the hedge now rather than sleep.
-                    fired = true;
-                    pending = 1;
-                    ctx.hedges_fired.fetch_add(1, Ordering::Relaxed);
-                    ctx.retries_spent.fetch_add(1, Ordering::Relaxed);
-                    launch(live[1], true);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) if !fired => {
-                fired = true;
-                pending += 1;
-                ctx.hedges_fired.fetch_add(1, Ordering::Relaxed);
-                ctx.retries_spent.fetch_add(1, Ordering::Relaxed);
-                launch(live[1], true);
-            }
-            Err(_) => return None,
-        }
-    }
-}
-
 /// Walk the key's full preference order with a bounded retry budget:
 /// live workers first, then one last-resort shot at open-breaker
 /// workers, sweeping the ring with decorrelated-jitter backoff until
@@ -1187,7 +1037,7 @@ fn hedged_forward(ctx: &Arc<FleetCtx>, key_hash: u64, body: &str) -> Option<Wire
 /// refusal, `502 bad_upstream` when every answer was corrupt, or `503
 /// no_workers` when nobody answered at all.
 fn forward_with_failover(
-    ctx: &Arc<FleetCtx>,
+    ctx: &FleetCtx,
     key_hash: u64,
     method: &str,
     path: &str,
@@ -1279,7 +1129,7 @@ type PointOutcome = Result<String, (String, String)>;
 /// Shard a `POST /v1/suite` across the fleet and reassemble the exact
 /// single-daemon response bytes: results in spec (Table 1) order, each
 /// spliced verbatim from the owning worker's cache-encoded run payload.
-fn fan_out_suite(ctx: &Arc<FleetCtx>, body: &str) -> Result<(u16, String), ApiError> {
+fn fan_out_suite(ctx: &FleetCtx, body: &str) -> Result<(u16, String), ApiError> {
     let req = SuiteRequest::from_json(body)?;
     let cluster = resolve_cluster(&req.cluster)?;
     let points: Vec<SuitePoint> = req
@@ -1522,11 +1372,7 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_and_backoff_are_sane() {
-        let sorted: Vec<f64> = (1..=100).map(|i| i as f64 / 1e3).collect();
-        assert!((percentile_ms(&sorted, 50.0) - 50.0).abs() < 1.5);
-        assert!((percentile_ms(&sorted, 99.0) - 99.0).abs() < 1.5);
-        assert_eq!(percentile_ms(&[], 50.0), 0.0);
+    fn backoff_doubles_up_to_its_cap() {
         assert_eq!(backoff(1), Duration::from_millis(10));
         assert_eq!(backoff(4), Duration::from_millis(80));
         assert_eq!(backoff(32), Duration::from_millis(640));

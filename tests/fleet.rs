@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spechpc::harness::fleet::{peer_fetcher, Coordinator, FleetConfig, FleetShutdownHandle};
+use spechpc::harness::json::{parse_json, Json};
 use spechpc::prelude::*;
 use spechpc::simmpi::faults::{FaultEvent, FaultPlan};
 
@@ -398,6 +399,37 @@ fn coordinator_refuses_unframeable_requests_like_a_worker() {
     wj.join().unwrap().unwrap();
 }
 
+#[test]
+fn coordinator_metrics_are_exactly_its_routing_counters() {
+    let dead = {
+        let l = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
+        l.local_addr().unwrap().to_string()
+    };
+    let (fleet, fh, fj) = spawn_coordinator(vec![dead], 600.0);
+
+    let (status, m) = http(fleet, "GET", "/v1/metrics", "");
+    assert_eq!(status, 200, "{m}");
+    let Some(Json::Obj(fields)) = parse_json(&m) else {
+        panic!("metrics are not a JSON object: {m}")
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "requests",
+            "failovers",
+            "workers_alive",
+            "per_worker_routed",
+            "breaker_states",
+            "breaker_trips",
+            "retries_spent",
+        ]
+    );
+
+    fh.request_drain();
+    fj.join().unwrap().unwrap();
+}
+
 /// The coordinator decodes a `/v1/run` body to route it, so a deeply
 /// nested body must be its typed 400 too, not a stack overflow.
 #[test]
@@ -549,6 +581,82 @@ fn sequential_forwards_reuse_one_pooled_connection() {
     fj.join().unwrap().unwrap();
     wh.request_drain();
     wj.join().unwrap().unwrap();
+}
+
+/// A worker's `/v1/metrics` `runs_executed`, read once nothing is in
+/// flight on it, so a simulation still running cannot be missed.
+fn settled_runs_executed(worker: SocketAddr) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (_, health) = http(worker, "GET", "/v1/health", "");
+        if json_u64(&health, "inflight") == 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "work never settled: {health}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (_, m) = http(worker, "GET", "/v1/metrics", "");
+    json_u64(&m, "runs_executed")
+}
+
+#[test]
+fn each_run_goes_to_one_worker() {
+    let workers: Vec<_> = (0..2).map(|_| spawn_worker(Vec::new())).collect();
+    let addrs: Vec<String> = workers.iter().map(|(a, _, _)| a.to_string()).collect();
+    let (fleet, fh, fj) = spawn_coordinator(addrs, 600.0);
+
+    // Forty forwards of one key, answered from memory after the first,
+    // then a run that simulates for far longer than any of them: a
+    // coordinator that raced slow forwards against a second worker
+    // would do it here.
+    let warm = run_body("lbm", 4);
+    for i in 0..40 {
+        let (status, body) = http(fleet, "POST", "/v1/run", &warm);
+        assert_eq!(status, 200, "forward {i}: {body}");
+    }
+    let before: Vec<u64> = workers
+        .iter()
+        .map(|(a, _, _)| settled_runs_executed(*a))
+        .collect();
+    let cold = RunRequest::new("hpgmgfv", WorkloadClass::Small, 208)
+        .with_cluster("b")
+        .with_config(RunConfig::default().with_repetitions(1).with_trace(false))
+        .to_json();
+    let (status, body) = http(fleet, "POST", "/v1/run", &cold);
+    assert_eq!(status, 200, "{body}");
+
+    let (_, m) = http(fleet, "GET", "/v1/metrics", "");
+    let metrics = parse_json(&m).expect("metrics are JSON");
+    assert_eq!(metrics.u64_of("retries_spent"), Some(0), "{m}");
+    let routed: f64 = metrics
+        .get("per_worker_routed")
+        .and_then(Json::arr)
+        .expect("per-worker routed counters")
+        .iter()
+        .filter_map(Json::num)
+        .sum();
+    assert_eq!(
+        routed, 41.0,
+        "every forward reached exactly one worker: {m}"
+    );
+    let mut grew: Vec<u64> = workers
+        .iter()
+        .zip(&before)
+        .map(|((a, _, _), b)| settled_runs_executed(*a) - b)
+        .collect();
+    grew.sort_unstable();
+    assert_eq!(
+        grew,
+        vec![0, 1],
+        "the cold run simulates on its owner only, never on the other worker too"
+    );
+
+    fh.request_drain();
+    fj.join().unwrap().unwrap();
+    for (_, h, j) in workers {
+        h.request_drain();
+        j.join().unwrap().unwrap();
+    }
 }
 
 #[test]
