@@ -270,6 +270,14 @@ impl Served {
         }
     }
 
+    /// Read the served result in place: the resident entry's on a hit.
+    fn read<T>(&self, read: impl FnOnce(&RunResult) -> T) -> T {
+        match self {
+            Served::Hit(entry) => read(entry.result()),
+            Served::Fresh(result, _) => read(result),
+        }
+    }
+
     fn into_encoded(self) -> Arc<str> {
         match self {
             Served::Hit(entry) | Served::Fresh(_, Some(entry)) => entry.encoded(),
@@ -384,6 +392,22 @@ impl Executor {
     ) -> Result<RunResult, HarnessError> {
         let t0 = Instant::now();
         let outcome = self.serve_point(cluster, spec).map(Served::into_result);
+        self.time_point(cluster, spec, t0);
+        outcome
+    }
+
+    /// [`Executor::run_one`] that hands `read` the served result instead
+    /// of returning a copy of it, so a caller that needs a few scalars
+    /// of a memory hit clones nothing. Cache counters and the point
+    /// ledger move exactly as for `run_one`.
+    pub(crate) fn run_one_with<T>(
+        &self,
+        cluster: &ClusterSpec,
+        spec: &RunSpec,
+        read: impl FnOnce(&RunResult) -> T,
+    ) -> Result<T, HarnessError> {
+        let t0 = Instant::now();
+        let outcome = self.serve_point(cluster, spec).map(|s| s.read(read));
         self.time_point(cluster, spec, t0);
         outcome
     }

@@ -25,6 +25,8 @@
 //! without allocating (the fleet coordinator vets every relayed body
 //! that way).
 
+use std::fmt::Write;
+
 /// A JSON value. Numbers are `f64` (like JavaScript); `null` decodes to
 /// NaN through [`Json::num`] so non-finite floats survive a `null`
 /// round-trip.
@@ -134,18 +136,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            // Integral path: skip -0.0 so the sign bit survives the
-            // round trip through fmt_f64.
-            Json::Num(x)
-                if x.is_finite()
-                    && x.fract() == 0.0
-                    && x.abs() < 9.007_199_254_740_992e15
-                    && (*x != 0.0 || x.is_sign_positive()) =>
-            {
-                out.push_str(&format!("{}", *x as i64));
-            }
-            Json::Num(x) => out.push_str(&fmt_f64(*x)),
-            Json::Str(s) => out.push_str(&quote(s)),
+            Json::Num(x) => write_num(out, *x),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -162,7 +154,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&quote(k));
+                    write_str(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -213,16 +205,49 @@ impl From<bool> for Json {
 /// round-trips to the same bits. Non-finite values map to `null` and
 /// decode back to NaN.
 pub fn fmt_f64(x: f64) -> String {
+    let mut out = String::new();
+    write_f64(&mut out, x);
+    out
+}
+
+/// Append [`fmt_f64`] of `x` to `out`, in place.
+fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
-        format!("{x:?}")
+        write!(out, "{x:?}").expect("writing to a String cannot fail");
     } else {
-        "null".to_string()
+        out.push_str("null");
+    }
+}
+
+/// Append `x` in the wire number format [`Json::render`] uses: an
+/// integral value in the exactly-representable range without a
+/// fraction (`3`, not `3.0`), everything else through [`fmt_f64`].
+/// Writes in place, so a response of many numbers allocates none per
+/// value.
+pub(crate) fn write_num(out: &mut String, x: f64) {
+    // Integral path: skip -0.0 so the sign bit survives the round trip
+    // through fmt_f64.
+    if x.is_finite()
+        && x.fract() == 0.0
+        && x.abs() < 9.007_199_254_740_992e15
+        && (x != 0.0 || x.is_sign_positive())
+    {
+        write!(out, "{}", x as i64).expect("writing to a String cannot fail");
+    } else {
+        write_f64(out, x);
     }
 }
 
 /// Quote and escape a string for embedding in JSON output.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    write_str(&mut out, s);
+    out
+}
+
+/// Append `s` to `out` quoted and escaped: the one escaping rule of
+/// every JSON string this crate writes.
+pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -231,12 +256,13 @@ pub fn quote(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Deepest nesting of arrays and objects [`parse_json`] accepts. The

@@ -15,10 +15,10 @@
 //!
 //! Determinism is non-negotiable: the scheduler is a pure function,
 //! job shapes come from the deterministic engine, and the response is
-//! rendered through the in-tree [`Json`] codec — the same
-//! `PlanRequest` always yields a byte-identical `PlanResponse`, so
-//! planner replies are cacheable and fleet-routable like everything
-//! else.
+//! written with the in-tree [`Json`] codec's number and string writers
+//! — the same `PlanRequest` always yields a byte-identical
+//! `PlanResponse`, so planner replies are cacheable and fleet-routable
+//! like everything else.
 //!
 //! ## Power-cap model
 //!
@@ -33,7 +33,8 @@
 //! flops/memory split, and its dynamic package power rescales by
 //! `(cap_ghz/f₀)^1.8` above the frequency-independent idle baseline.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 
 use spechpc_kernels::common::config::WorkloadClass;
 use spechpc_kernels::common::model::NodeModel;
@@ -47,7 +48,7 @@ use crate::api::{
     resolve_cluster, ApiError,
 };
 use crate::exec::{Executor, RunSpec};
-use crate::json::{parse_json, Json};
+use crate::json::{parse_json, write_num, write_str, Json};
 use crate::report::{fmt, pct};
 use crate::runner::RunConfig;
 
@@ -405,7 +406,8 @@ impl PlanRequest {
     }
 
     /// Expand the templates into `(template index, arrival)` instances,
-    /// in template order then submission order.
+    /// in template order then submission order. An arrival that
+    /// overflows to infinity is a 422: no schedule can place it.
     fn expanded_jobs(&self) -> Result<Vec<(usize, f64)>, ApiError> {
         let mut out = Vec::new();
         for (t, job) in self.jobs.iter().enumerate() {
@@ -418,7 +420,14 @@ impl PlanRequest {
                 )));
             }
             for i in 0..job.count {
-                out.push((t, job.arrival_s + i as f64 * job.interarrival_s));
+                let arrival = job.arrival_s + i as f64 * job.interarrival_s;
+                if !arrival.is_finite() {
+                    return Err(invalid(format!(
+                        "submission {i} of job '{}' arrives past the largest finite time",
+                        job.benchmark
+                    )));
+                }
+                out.push((t, arrival));
             }
         }
         if out.is_empty() {
@@ -538,12 +547,17 @@ fn engine_shape(
     faults: &FaultPlan,
 ) -> Result<JobShape, ApiError> {
     let forked = exec.with_run_config(config.clone().with_faults(faults.clone()));
-    let result = forked.run_one(cluster, &RunSpec::new(benchmark, class, nranks))?;
+    // Read the four scalars off the served result: a memory hit clones
+    // none of its profile arrays.
+    let (runtime_s, nodes, package_w, dram_w) =
+        forked.run_one_with(cluster, &RunSpec::new(benchmark, class, nranks), |r| {
+            (r.runtime_s, r.nodes_used, r.power.package_w, r.power.dram_w)
+        })?;
     Ok(JobShape {
-        runtime_s: result.runtime_s,
-        nodes: result.nodes_used,
-        package_w: result.power.package_w,
-        dram_w: result.power.dram_w,
+        runtime_s,
+        nodes,
+        package_w,
+        dram_w,
         flops_fraction: flops_fraction(cluster, benchmark, class, nranks),
     })
 }
@@ -609,12 +623,22 @@ pub struct Placement {
 /// Pure and deterministic: ties break by index, time advances by
 /// `total_cmp`. Returns one [`Placement`] per input job, input order.
 ///
-/// A count of waiting jobs per width lets a pass skip the shadow walk
-/// and the backfill scan when no waiting job is narrow enough for the
-/// free nodes: such a scan would find nothing, so skipping it cannot
-/// change a placement. Deep backlogs of wide jobs then cost one lookup
-/// of the narrowest waiting width per pass, whatever the cluster's
-/// size, instead of a walk of the whole queue.
+/// Every job is known up front, so the queue is kept by width: each
+/// width holds a min tree over its own jobs in arrival order, whose
+/// slot for a job is its duration while it waits and +∞ before it
+/// arrives and after it starts. While the head is blocked, a pass
+/// starts the earliest-arriving job among the widths that fit the free
+/// nodes. In a width that also fits the nodes the head leaves idle
+/// (`extra`) that is the width's first waiting job; in any other it is
+/// the leftmost job with `now + d <= shadow`. That test is evaluated as
+/// written, not as `d <= shadow - now`, which rounds differently; and
+/// since `now + d` is monotone in `d`, a subtree holds a passing job
+/// iff its minimum passes, so the descent finds the very job a scan of
+/// the queue would. Running jobs sit in a set ordered by `(end, width,
+/// index)` under `total_cmp`, so the shadow walk reads them in order
+/// without a sort; the width tie-break decides `extra` when jobs end
+/// together. A pass costs a tree descent per fitting width plus the
+/// running jobs the walk reads, however long the queue.
 ///
 /// # Panics
 /// If `total_nodes == 0`, a job is wider than the cluster, or any
@@ -630,14 +654,7 @@ pub fn easy_schedule(jobs: &[SchedJob], total_nodes: usize) -> Vec<Placement> {
         assert!(j.arrival_s.is_finite() && j.arrival_s >= 0.0);
         assert!(j.duration_s.is_finite() && j.duration_s >= 0.0);
     }
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by(|&a, &b| {
-        jobs[a]
-            .arrival_s
-            .total_cmp(&jobs[b].arrival_s)
-            .then(a.cmp(&b))
-    });
-
+    let mut backlog = Backlog::new(jobs);
     let mut placed = vec![
         Placement {
             start_s: 0.0,
@@ -645,122 +662,275 @@ pub fn easy_schedule(jobs: &[SchedJob], total_nodes: usize) -> Vec<Placement> {
         };
         jobs.len()
     ];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    // Waiting jobs per width, the head included.
-    let mut waiting: BTreeMap<usize, usize> = BTreeMap::new();
-    let unwait = |waiting: &mut BTreeMap<usize, usize>, width: usize| {
-        let n = waiting
-            .get_mut(&width)
-            .expect("a waiting job's width is counted");
-        *n -= 1;
-        if *n == 0 {
-            waiting.remove(&width);
-        }
-    };
-    let mut running: Vec<(f64, usize)> = Vec::new(); // (end, job index)
+    let mut running: BTreeSet<Running> = BTreeSet::new();
     let mut free = total_nodes;
-    let mut next = 0usize;
-    let mut now = order.first().map(|&i| jobs[i].arrival_s).unwrap_or(0.0);
-
-    let start = |idx: usize,
-                 now: f64,
-                 placed: &mut Vec<Placement>,
-                 running: &mut Vec<(f64, usize)>,
-                 free: &mut usize| {
-        placed[idx] = Placement {
-            start_s: now,
-            end_s: now + jobs[idx].duration_s,
-        };
-        *free -= jobs[idx].nodes;
-        running.push((placed[idx].end_s, idx));
-    };
+    let mut now = backlog.order.first().map_or(0.0, |&i| jobs[i].arrival_s);
 
     loop {
-        while next < order.len() && jobs[order[next]].arrival_s <= now {
-            queue.push_back(order[next]);
-            *waiting.entry(jobs[order[next]].nodes).or_default() += 1;
-            next += 1;
-        }
-        // Scheduling pass: start FCFS heads, then try one backfill, and
-        // repeat until a fixpoint — each backfill changes free/shadow,
-        // so the reservation is recomputed before the next jump.
+        backlog.admit(now);
+        // Scheduling pass: start the FCFS head while it fits, else one
+        // backfill, until neither applies — each start changes free
+        // and the shadow, so the reservation is recomputed before the
+        // next jump.
         loop {
-            let mut progressed = false;
-            while let Some(&head) = queue.front() {
-                if jobs[head].nodes > free {
-                    break;
-                }
-                queue.pop_front();
-                unwait(&mut waiting, jobs[head].nodes);
-                start(head, now, &mut placed, &mut running, &mut free);
-                progressed = true;
-            }
-            // The head is blocked, so its width exceeds `free`: unless
-            // the narrowest waiting job fits, no job behind it does.
-            let narrowest_fits = || waiting.keys().next().is_some_and(|&w| w <= free);
-            if let Some(&head) = queue.front().filter(|_| narrowest_fits()) {
-                // Shadow time: walk running jobs by completion until the
-                // head's width is available. (The head is blocked, so
-                // something is running: an idle cluster always fits it.)
-                let mut ends: Vec<(f64, usize)> =
-                    running.iter().map(|&(e, i)| (e, jobs[i].nodes)).collect();
-                ends.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                let mut avail = free;
-                let mut shadow = now;
-                for (end, width) in ends {
-                    if avail >= jobs[head].nodes {
-                        break;
-                    }
-                    avail += width;
-                    shadow = end;
-                }
-                // Nodes still free at the shadow after the head starts:
-                // a narrow enough job may run past the shadow harmlessly.
-                let extra = avail - jobs[head].nodes;
-                let mut qi = 1;
-                while qi < queue.len() {
-                    let j = queue[qi];
-                    let fits = jobs[j].nodes <= free;
-                    let harmless = now + jobs[j].duration_s <= shadow || jobs[j].nodes <= extra;
-                    if fits && harmless {
-                        queue.remove(qi);
-                        unwait(&mut waiting, jobs[j].nodes);
-                        start(j, now, &mut placed, &mut running, &mut free);
-                        progressed = true;
-                        break;
-                    }
-                    qi += 1;
-                }
-            }
-            if !progressed {
-                break;
-            }
+            let rank = match backlog.head() {
+                Some(head) if jobs[backlog.order[head]].nodes <= free => head,
+                Some(head) => match backlog.backfill(head, free, &running, now) {
+                    Some(rank) => rank,
+                    None => break,
+                },
+                None => break,
+            };
+            let idx = backlog.take(rank);
+            let end = now + jobs[idx].duration_s;
+            placed[idx] = Placement {
+                start_s: now,
+                end_s: end,
+            };
+            free -= jobs[idx].nodes;
+            running.insert(Running {
+                end,
+                nodes: jobs[idx].nodes,
+                idx,
+            });
         }
-        if queue.is_empty() && next >= order.len() && running.is_empty() {
+        if running.is_empty() && backlog.is_drained() {
             break;
         }
-        let next_end = running
-            .iter()
-            .map(|&(e, _)| e)
-            .fold(f64::INFINITY, f64::min);
-        let next_arrival = if next < order.len() {
-            jobs[order[next]].arrival_s
-        } else {
-            f64::INFINITY
-        };
-        let t = next_end.min(next_arrival);
+        let next_end = running.first().map_or(f64::INFINITY, |r| r.end);
+        let t = next_end.min(backlog.next_arrival());
         debug_assert!(t.is_finite(), "a blocked head implies running jobs");
         now = now.max(t);
-        running.retain(|&(end, idx)| {
-            if end <= now {
-                free += jobs[idx].nodes;
-                false
-            } else {
-                true
-            }
-        });
+        // Under `total_cmp` the jobs done by `now` are a prefix of the set.
+        while let Some(done) = running.first().copied().filter(|r| r.end <= now) {
+            running.remove(&done);
+            free += done.nodes;
+        }
     }
     placed
+}
+
+/// A running job, ordered as the shadow walk reads them: by end time
+/// under `total_cmp`, then by width, then by index.
+#[derive(Debug, Clone, Copy)]
+struct Running {
+    end: f64,
+    nodes: usize,
+    idx: usize,
+}
+
+impl Ord for Running {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.end
+            .total_cmp(&other.end)
+            .then(self.nodes.cmp(&other.nodes))
+            .then(self.idx.cmp(&other.idx))
+    }
+}
+
+impl PartialOrd for Running {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Running {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Running {}
+
+/// The jobs not yet started, by arrival rank (position in the
+/// `(arrival, index)` order) and bucketed by width.
+struct Backlog<'a> {
+    jobs: &'a [SchedJob],
+    /// Job indices by rank.
+    order: Vec<usize>,
+    /// Each rank's width queue and its slot there.
+    slot: Vec<(usize, usize)>,
+    /// One queue per distinct width, narrowest first.
+    queues: Vec<WidthQueue>,
+    started: Vec<bool>,
+    /// Lowest rank not yet started, once every rank below it has.
+    head: usize,
+    /// Ranks below `next` have arrived.
+    next: usize,
+}
+
+impl<'a> Backlog<'a> {
+    fn new(jobs: &'a [SchedJob]) -> Self {
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by(|&a, &b| {
+            jobs[a]
+                .arrival_s
+                .total_cmp(&jobs[b].arrival_s)
+                .then(a.cmp(&b))
+        });
+        let mut widths: Vec<usize> = jobs.iter().map(|j| j.nodes).collect();
+        widths.sort_unstable();
+        widths.dedup();
+        let mut ranks = vec![Vec::new(); widths.len()];
+        let slot = order
+            .iter()
+            .enumerate()
+            .map(|(rank, &i)| {
+                let q = widths
+                    .binary_search(&jobs[i].nodes)
+                    .expect("every width has a queue");
+                ranks[q].push(rank);
+                (q, ranks[q].len() - 1)
+            })
+            .collect();
+        let queues = widths
+            .into_iter()
+            .zip(ranks)
+            .map(|(nodes, ranks)| WidthQueue::new(nodes, ranks))
+            .collect();
+        Backlog {
+            jobs,
+            started: vec![false; order.len()],
+            order,
+            slot,
+            queues,
+            head: 0,
+            next: 0,
+        }
+    }
+
+    /// Queue every job that has arrived by `now`.
+    fn admit(&mut self, now: f64) {
+        while let Some(&i) = self.order.get(self.next) {
+            if self.jobs[i].arrival_s > now {
+                break;
+            }
+            let (q, slot) = self.slot[self.next];
+            self.queues[q].set(slot, self.jobs[i].duration_s);
+            self.next += 1;
+        }
+    }
+
+    /// Arrival of the next job not yet queued (+∞ when none is left).
+    fn next_arrival(&self) -> f64 {
+        self.order
+            .get(self.next)
+            .map_or(f64::INFINITY, |&i| self.jobs[i].arrival_s)
+    }
+
+    /// Rank of the queue head, the earliest-arriving waiting job.
+    fn head(&mut self) -> Option<usize> {
+        while self.head < self.next && self.started[self.head] {
+            self.head += 1;
+        }
+        (self.head < self.next).then_some(self.head)
+    }
+
+    /// Whether every job has started.
+    fn is_drained(&mut self) -> bool {
+        self.head().is_none() && self.next == self.order.len()
+    }
+
+    /// Take rank `rank` off the queue to start it; returns its job.
+    fn take(&mut self, rank: usize) -> usize {
+        self.started[rank] = true;
+        let (q, slot) = self.slot[rank];
+        self.queues[q].set(slot, f64::INFINITY);
+        self.order[rank]
+    }
+
+    /// The rank EASY backfills past the blocked `head` at `now`, if any.
+    fn backfill(
+        &self,
+        head: usize,
+        free: usize,
+        running: &BTreeSet<Running>,
+        now: f64,
+    ) -> Option<usize> {
+        // The head is blocked, so its width exceeds `free`: only the
+        // widths that fit can hold a candidate, and the head is in none.
+        let fitting = &self.queues[..self.queues.partition_point(|q| q.nodes <= free)];
+        if !fitting.iter().any(WidthQueue::waits) {
+            return None;
+        }
+        // Shadow time: walk running jobs by completion until the head's
+        // width is available. (The head is blocked, so something is
+        // running: an idle cluster always fits it.)
+        let need = self.jobs[self.order[head]].nodes;
+        let mut avail = free;
+        let mut shadow = now;
+        for r in running {
+            if avail >= need {
+                break;
+            }
+            avail += r.nodes;
+            shadow = r.end;
+        }
+        // Nodes still free at the shadow after the head starts: a
+        // narrow enough job may run past the shadow harmlessly.
+        let extra = avail - need;
+        fitting
+            .iter()
+            .filter_map(|q| {
+                if q.nodes <= extra {
+                    q.first(|d| d < f64::INFINITY)
+                } else {
+                    q.first(|d| now + d <= shadow)
+                }
+            })
+            .min()
+    }
+}
+
+/// One width's jobs in arrival order under a min tree of their slots.
+struct WidthQueue {
+    nodes: usize,
+    /// Ranks of this width's jobs, ascending; slot `s` is `ranks[s]`.
+    ranks: Vec<usize>,
+    /// Implicit binary tree: root at 1, slot `s` at leaf `leaves + s`.
+    mins: Vec<f64>,
+    leaves: usize,
+}
+
+impl WidthQueue {
+    fn new(nodes: usize, ranks: Vec<usize>) -> Self {
+        let leaves = ranks.len().next_power_of_two();
+        WidthQueue {
+            nodes,
+            ranks,
+            mins: vec![f64::INFINITY; 2 * leaves],
+            leaves,
+        }
+    }
+
+    fn set(&mut self, slot: usize, value: f64) {
+        let mut i = self.leaves + slot;
+        self.mins[i] = value;
+        while i > 1 {
+            i /= 2;
+            self.mins[i] = self.mins[2 * i].min(self.mins[2 * i + 1]);
+        }
+    }
+
+    /// Whether a job of this width waits.
+    fn waits(&self) -> bool {
+        self.mins[1] < f64::INFINITY
+    }
+
+    /// Rank of the earliest waiting job whose duration passes `test`.
+    /// `test` must fail +∞ and pass every duration below one it passes:
+    /// then a subtree holds a passing job iff its minimum passes.
+    fn first(&self, test: impl Fn(f64) -> bool) -> Option<usize> {
+        if !test(self.mins[1]) {
+            return None;
+        }
+        let mut i = 1;
+        while i < self.leaves {
+            // Left child if it holds a passing job, else right.
+            i = 2 * i + usize::from(!test(self.mins[2 * i]));
+        }
+        Some(self.ranks[i - self.leaves])
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -819,54 +989,43 @@ impl ScenarioOutcome {
         self.total_j() * self.makespan_s
     }
 
-    fn to_value(&self) -> Json {
-        let per_job = self
-            .per_job
-            .iter()
-            .map(|j| {
-                Json::Arr(vec![
-                    Json::from(j.nodes),
-                    Json::from(j.start_s),
-                    Json::from(j.end_s),
-                    Json::from(j.wait_s),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("name".into(), Json::from(self.name.as_str())),
-            ("cluster".into(), Json::from(self.cluster.as_str())),
-            ("nodes".into(), Json::from(self.nodes)),
-            ("power_cap_w".into(), Json::from(self.power_cap_w)),
-            ("cap_ghz".into(), Json::from(self.cap_ghz)),
-            ("makespan_s".into(), Json::from(self.makespan_s)),
-            ("utilization".into(), Json::from(self.utilization)),
-            (
-                "wait".into(),
-                Json::Obj(vec![
-                    ("mean_s".into(), Json::from(self.wait_mean_s)),
-                    ("p95_s".into(), Json::from(self.wait_p95_s)),
-                    ("max_s".into(), Json::from(self.wait_max_s)),
-                ]),
-            ),
-            (
-                "turnaround".into(),
-                Json::Obj(vec![
-                    ("mean_s".into(), Json::from(self.turnaround_mean_s)),
-                    ("max_s".into(), Json::from(self.turnaround_max_s)),
-                ]),
-            ),
-            (
-                "energy".into(),
-                Json::Obj(vec![
-                    ("cpu_j".into(), Json::from(self.cpu_j)),
-                    ("dram_j".into(), Json::from(self.dram_j)),
-                    ("total_j".into(), Json::from(self.total_j())),
-                    ("idle_j".into(), Json::from(self.idle_j)),
-                    ("edp_js".into(), Json::from(self.edp_js())),
-                ]),
-            ),
-            ("per_job".into(), Json::Arr(per_job)),
-        ])
+    /// Append this scenario's response object to `out`.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        write_str(out, &self.name);
+        out.push_str(",\"cluster\":");
+        write_str(out, &self.cluster);
+        for (key, x) in [
+            (",\"nodes\":", self.nodes as f64),
+            (",\"power_cap_w\":", self.power_cap_w),
+            (",\"cap_ghz\":", self.cap_ghz),
+            (",\"makespan_s\":", self.makespan_s),
+            (",\"utilization\":", self.utilization),
+            (",\"wait\":{\"mean_s\":", self.wait_mean_s),
+            (",\"p95_s\":", self.wait_p95_s),
+            (",\"max_s\":", self.wait_max_s),
+            ("},\"turnaround\":{\"mean_s\":", self.turnaround_mean_s),
+            (",\"max_s\":", self.turnaround_max_s),
+            ("},\"energy\":{\"cpu_j\":", self.cpu_j),
+            (",\"dram_j\":", self.dram_j),
+            (",\"total_j\":", self.total_j()),
+            (",\"idle_j\":", self.idle_j),
+            (",\"edp_js\":", self.edp_js()),
+        ] {
+            out.push_str(key);
+            write_num(out, x);
+        }
+        out.push_str("},\"per_job\":[");
+        for (i, j) in self.per_job.iter().enumerate() {
+            out.push_str(if i == 0 { "[" } else { ",[" });
+            write_num(out, j.nodes as f64);
+            for x in [j.start_s, j.end_s, j.wait_s] {
+                out.push(',');
+                write_num(out, x);
+            }
+            out.push(']');
+        }
+        out.push_str("]}");
     }
 }
 
@@ -882,71 +1041,63 @@ pub struct PlanResponse {
 
 impl PlanResponse {
     /// Serialize as the `POST /v1/plan` response body. Deterministic:
-    /// field order is fixed and every number renders through the
-    /// in-tree codec, so equal plans are byte-equal on the wire.
+    /// field order is fixed and every number and string goes through
+    /// the in-tree codec's writers, so equal plans are byte-equal on the
+    /// wire. Written straight into one buffer sized for the per-job
+    /// rows, without building a [`Json`] tree.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("schema".into(), Json::from(api::API_SCHEMA_VERSION)),
-            ("jobs".into(), Json::from(self.jobs)),
-            (
-                "scenarios".into(),
-                Json::Arr(
-                    self.scenarios
-                        .iter()
-                        .map(ScenarioOutcome::to_value)
-                        .collect(),
-                ),
-            ),
-        ];
-        if self.scenarios.len() > 1 {
-            fields.push(("comparison".into(), self.comparison_value()));
+        let rows: usize = self.scenarios.iter().map(|s| s.per_job.len()).sum();
+        let mut out = String::with_capacity(512 * (self.scenarios.len() + 1) + 64 * rows);
+        out.push_str("{\"schema\":");
+        write_num(&mut out, api::API_SCHEMA_VERSION as f64);
+        out.push_str(",\"jobs\":");
+        write_num(&mut out, self.jobs as f64);
+        out.push_str(",\"scenarios\":[");
+        for (i, s) in self.scenarios.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            s.write_json(&mut out);
         }
-        let mut body = Json::Obj(fields).render();
-        body.push('\n');
-        body
+        out.push(']');
+        if self.scenarios.len() > 1 {
+            out.push_str(",\"comparison\":");
+            self.write_comparison(&mut out);
+        }
+        out.push_str("}\n");
+        out
     }
 
     /// Variant-vs-baseline ratios plus the winners across all
     /// scenarios (ratios against a zero baseline render as `null`).
-    fn comparison_value(&self) -> Json {
+    fn write_comparison(&self, out: &mut String) {
         let base = &self.scenarios[0];
-        let ratio = |v: f64, b: f64| {
-            if b > 0.0 {
-                Json::from(v / b)
-            } else {
-                Json::Null
+        out.push_str("{\"baseline\":");
+        write_str(out, &base.name);
+        out.push_str(",\"scenarios\":[");
+        for (i, s) in self.scenarios[1..].iter().enumerate() {
+            out.push_str(if i == 0 { "{\"name\":" } else { ",{\"name\":" });
+            write_str(out, &s.name);
+            for (key, v, b) in [
+                (",\"makespan_ratio\":", s.makespan_s, base.makespan_s),
+                (",\"energy_ratio\":", s.total_j(), base.total_j()),
+                (",\"edp_ratio\":", s.edp_js(), base.edp_js()),
+                (",\"mean_wait_ratio\":", s.wait_mean_s, base.wait_mean_s),
+            ] {
+                out.push_str(key);
+                if b > 0.0 {
+                    write_num(out, v / b);
+                } else {
+                    out.push_str("null");
+                }
             }
-        };
-        let rows = self.scenarios[1..]
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("name".into(), Json::from(s.name.as_str())),
-                    (
-                        "makespan_ratio".into(),
-                        ratio(s.makespan_s, base.makespan_s),
-                    ),
-                    ("energy_ratio".into(), ratio(s.total_j(), base.total_j())),
-                    ("edp_ratio".into(), ratio(s.edp_js(), base.edp_js())),
-                    (
-                        "mean_wait_ratio".into(),
-                        ratio(s.wait_mean_s, base.wait_mean_s),
-                    ),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("baseline".into(), Json::from(base.name.as_str())),
-            ("scenarios".into(), Json::Arr(rows)),
-            (
-                "best_energy".into(),
-                Json::from(best_by(&self.scenarios, |s| s.total_j())),
-            ),
-            (
-                "best_makespan".into(),
-                Json::from(best_by(&self.scenarios, |s| s.makespan_s)),
-            ),
-        ])
+            out.push('}');
+        }
+        out.push_str("],\"best_energy\":");
+        write_str(out, &best_by(&self.scenarios, |s| s.total_j()));
+        out.push_str(",\"best_makespan\":");
+        write_str(out, &best_by(&self.scenarios, |s| s.makespan_s));
+        out.push('}');
     }
 }
 
@@ -970,9 +1121,10 @@ fn best_by(scenarios: &[ScenarioOutcome], key: impl Fn(&ScenarioOutcome) -> f64)
 /// testable against synthetic shapes. [`dispatch_plan`] is the
 /// engine-backed entry the service uses.
 ///
-/// Shape resolutions are memoized per (cluster, benchmark, class,
-/// ranks, faults), so a 500-job queue of a handful of templates costs
-/// a handful of engine runs.
+/// Each template is resolved once per scenario, and shape resolutions
+/// are memoized per (cluster, benchmark, class, ranks, faults), so a
+/// 500-job queue of a handful of templates costs a handful of engine
+/// runs and as many memo probes per scenario.
 pub fn evaluate_plan<F>(req: &PlanRequest, shape_of: &mut F) -> Result<PlanResponse, ApiError>
 where
     F: FnMut(&ClusterSpec, &str, WorkloadClass, usize, &FaultPlan) -> Result<JobShape, ApiError>,
@@ -1004,11 +1156,11 @@ where
         let dynamic_scale = (cap_ghz / base_ghz).powf(DVFS_EXPONENT);
         let node_baseline_w = cluster.node.sockets as f64 * cluster.node.cpu.baseline_power_w;
 
-        let mut sched = Vec::with_capacity(expanded.len());
-        let mut cpu_j = 0.0;
-        let mut dram_j = 0.0;
-        for &(t, arrival) in &expanded {
-            let job = &req.jobs[t];
+        // Resolve each template once per scenario, in request order, so
+        // errors and shape resolutions come in the order the jobs do:
+        // its nodes, capped duration and power.
+        let mut templates = Vec::with_capacity(req.jobs.len());
+        for job in &req.jobs {
             let nranks = if job.nranks == 0 {
                 cluster.node.cores()
             } else {
@@ -1057,11 +1209,19 @@ where
             // independent; only the dynamic share rescales with the cap.
             let floor_w = node_baseline_w * shape.nodes as f64;
             let package_w = floor_w + (shape.package_w - floor_w).max(0.0) * dynamic_scale;
+            templates.push((shape.nodes, duration, package_w, shape.dram_w));
+        }
+
+        let mut sched = Vec::with_capacity(expanded.len());
+        let mut cpu_j = 0.0;
+        let mut dram_j = 0.0;
+        for &(t, arrival) in &expanded {
+            let (width, duration, package_w, dram_w) = templates[t];
             cpu_j += package_w * duration;
-            dram_j += shape.dram_w * duration;
+            dram_j += dram_w * duration;
             sched.push(SchedJob {
                 arrival_s: arrival,
-                nodes: shape.nodes,
+                nodes: width,
                 duration_s: duration,
             });
         }
@@ -1369,10 +1529,18 @@ mod tests {
                 r#"{"jobs":[{"benchmark":"lbm"}],"variants":[{"name":"x"},{"name":"x"}]}"#,
                 422,
             ),
+            // Finite inputs whose expanded arrivals overflow to +inf.
+            (
+                r#"{"cluster":"a","nodes":4,"jobs":[{"benchmark":"lbm","nranks":72,"arrival_s":1e308,"count":3,"interarrival_s":1e308}]}"#,
+                422,
+            ),
         ];
         for (text, status) in cases {
             let err = PlanRequest::from_json(text).unwrap_err();
             assert_eq!(err.status, *status, "{text} -> {err}");
+            if *status == 422 {
+                assert_eq!(err.code, "invalid_plan", "{text} -> {err}");
+            }
         }
     }
 

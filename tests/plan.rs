@@ -1,10 +1,14 @@
 //! The capacity planner end to end: the committed 500-job CI plan
 //! through the real engine, the power-cap physics against the DVFS
-//! model, and randomized safety properties of the EASY backfill
-//! scheduler.
+//! model, randomized safety properties of the EASY backfill scheduler,
+//! and the scheduler and the response writer against the full-scan and
+//! `Json`-tree oracles they replaced.
 
+use spechpc::harness::api::{self, resolve_cluster};
 use spechpc::harness::plan::{
-    cap_clock_ghz, dispatch_plan, easy_schedule, flops_fraction, Placement, PlanRequest, SchedJob,
+    cap_clock_ghz, dispatch_plan, easy_schedule, evaluate_plan, flops_fraction, JobShape,
+    Placement, PlanJob, PlanRequest, PlanResponse, PlanVariant, ScenarioOutcome, SchedJob,
+    MAX_PLAN_JOBS,
 };
 use spechpc::power::dvfs;
 use spechpc::prelude::*;
@@ -91,7 +95,7 @@ fn capped_job_durations_match_the_throttle_slowdown_law() {
         .find(|s| s.name == "capped")
         .expect("capped scenario");
 
-    let cl = spechpc::harness::api::resolve_cluster("a").unwrap();
+    let cl = resolve_cluster("a").unwrap();
     let per_node = capped.power_cap_w / capped.nodes as f64;
     let cap = cap_clock_ghz(&cl, per_node).unwrap();
     assert!(
@@ -214,9 +218,10 @@ fn prop_backfill_never_starves_a_job() {
     }
 }
 
-/// The EASY scheduler as it was before its per-width fast path: every
-/// pass walks the running set for the shadow and scans the whole queue
-/// for a backfill. Kept as the oracle the fast path must reproduce.
+/// The EASY scheduler as it was before the per-width fast path and the
+/// bucketed queue: every pass sorts the running set for the shadow and
+/// scans the whole queue for a backfill. Kept as the oracle the
+/// scheduler must reproduce.
 fn easy_schedule_scan(jobs: &[SchedJob], total_nodes: usize) -> Vec<Placement> {
     use std::collections::VecDeque;
     let mut order: Vec<usize> = (0..jobs.len()).collect();
@@ -352,13 +357,51 @@ fn property_suites() -> Vec<(Vec<SchedJob>, usize)> {
     suites
 }
 
-/// A 2,700-job backlog shaped like the benchmark's plan bodies: 27
-/// templates (9 benchmarks × 1, 2 and 4 nodes) of 100 submissions each,
-/// arriving within a minute at a 2–8 s cadence, on 16 nodes.
-fn backlog(seed: u64) -> Vec<SchedJob> {
+/// Tie-heavy job sets: arrivals on a coarse grid that includes `-0.0`
+/// (the wire accepts it) and durations from a small set with zeros, so
+/// jobs of different widths start and end together, and a quarter of
+/// the jobs as wide as the whole cluster. Half the sets use tenths,
+/// whose sums round (`0.1 + 0.2 != 0.3`), so a backfill test of
+/// `d <= shadow - now` in place of `now + d <= shadow` shows.
+fn tie_suites() -> Vec<(Vec<SchedJob>, usize)> {
+    let halves = (
+        [-0.0, 0.0, 0.0, 1.0, 2.0, 4.0],
+        [0.0, -0.0, 1.0, 2.0, 2.0, 3.0],
+    );
+    let tenths = (
+        [-0.0, 0.1, 0.2, 0.3, 0.1 + 0.2, 0.7],
+        [0.0, 0.1, 0.2, 0.3, 0.1 + 0.2, 0.4],
+    );
+    (1..=400u64)
+        .map(|seed| {
+            let (arrivals, durations) = if seed % 2 == 0 { halves } else { tenths };
+            let mut rng = Rng(seed.wrapping_mul(0xA24B_AED4_963E_E407) | 1);
+            let total_nodes = 1 + rng.below(12) as usize;
+            let n = 1 + rng.below(60) as usize;
+            let jobs = (0..n)
+                .map(|_| SchedJob {
+                    arrival_s: arrivals[rng.below(6) as usize],
+                    nodes: if rng.below(4) == 0 {
+                        total_nodes
+                    } else {
+                        1 + rng.below(total_nodes as u64) as usize
+                    },
+                    duration_s: durations[rng.below(6) as usize],
+                })
+                .collect();
+            (jobs, total_nodes)
+        })
+        .collect()
+}
+
+/// A backlog shaped like the benchmark's plan bodies: `groups` × 3
+/// templates (1, 2 and 4 nodes wide) of 100 submissions each, arriving
+/// within a minute at a 2–8 s cadence. Nine groups make the benchmark's
+/// 2,700 jobs.
+fn backlog(seed: u64, groups: usize) -> Vec<SchedJob> {
     let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
-    let mut jobs = Vec::with_capacity(2_700);
-    for _ in 0..9 {
+    let mut jobs = Vec::with_capacity(groups * 300);
+    for _ in 0..groups {
         for width in [1usize, 2, 4] {
             let arrival = rng.below(61) as f64;
             let gap = 2.0 + rng.below(7) as f64;
@@ -384,15 +427,73 @@ fn fast_path_places_every_job_like_the_full_scan() {
             "property suite {i}"
         );
     }
-    for seed in 1..=8u64 {
-        let jobs = backlog(seed);
-        assert_eq!(jobs.len(), 2_700);
+    for (i, (jobs, total_nodes)) in tie_suites().into_iter().enumerate() {
         assert_eq!(
-            easy_schedule(&jobs, 16),
-            easy_schedule_scan(&jobs, 16),
-            "backlog {seed}"
+            easy_schedule(&jobs, total_nodes),
+            easy_schedule_scan(&jobs, total_nodes),
+            "tie suite {i}: {jobs:?} on {total_nodes} nodes"
         );
     }
+    for seed in 1..=64u64 {
+        let jobs = backlog(seed, 9);
+        assert_eq!(jobs.len(), 2_700);
+        for total_nodes in [8, 16, 33] {
+            assert_eq!(
+                easy_schedule(&jobs, total_nodes),
+                easy_schedule_scan(&jobs, total_nodes),
+                "backlog {seed} on {total_nodes} nodes"
+            );
+        }
+    }
+}
+
+/// Widest node occupancy over a schedule, from a sweep of start and end
+/// events (ends first at equal times: spans are half-open).
+fn peak_occupancy(jobs: &[SchedJob], placed: &[Placement]) -> usize {
+    let mut events: Vec<(f64, isize)> = jobs
+        .iter()
+        .zip(placed)
+        .flat_map(|(j, p)| {
+            [
+                (p.start_s, j.nodes as isize),
+                (p.end_s, -(j.nodes as isize)),
+            ]
+        })
+        .collect();
+    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let (mut used, mut peak) = (0isize, 0isize);
+    for (_, delta) in events {
+        used += delta;
+        peak = peak.max(used);
+    }
+    peak as usize
+}
+
+/// A backlog of about `MAX_PLAN_JOBS` jobs on 16 nodes keeps tens of
+/// thousands waiting at once. The full scan walks that queue on every
+/// blocked pass and takes seconds here; the bucketed queue descends a
+/// tree per width and must take well under one.
+#[test]
+fn fast_path_is_cheap_on_a_max_size_backlog() {
+    let jobs = backlog(11, MAX_PLAN_JOBS / 300);
+    assert!(jobs.len() > MAX_PLAN_JOBS - 300 && jobs.len() <= MAX_PLAN_JOBS);
+    let started = std::time::Instant::now();
+    let placed = easy_schedule(&jobs, 16);
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "{took:?} for {} jobs",
+        jobs.len()
+    );
+    for (i, (j, p)) in jobs.iter().zip(&placed).enumerate() {
+        assert!(p.start_s >= j.arrival_s, "job {i} starts before it arrives");
+        assert_eq!(
+            p.end_s,
+            p.start_s + j.duration_s,
+            "job {i} lost its duration"
+        );
+    }
+    assert!(peak_occupancy(&jobs, &placed) <= 16, "capacity exceeded");
 }
 
 /// A scenario may ask for up to 2^20 nodes while its jobs stay a few
@@ -430,4 +531,208 @@ fn fast_path_is_cheap_on_a_huge_cluster() {
         .iter()
         .zip(&placed)
         .any(|(j, p)| j.nodes == total_nodes && p.start_s > j.arrival_s));
+}
+
+/// `PlanResponse::to_json` as it was before the direct writer: a `Json`
+/// tree rendered by the codec. Kept as the oracle the writer must match
+/// byte for byte.
+fn plan_response_tree(r: &PlanResponse) -> String {
+    let scenario = |s: &ScenarioOutcome| {
+        let per_job = s
+            .per_job
+            .iter()
+            .map(|j| {
+                Json::Arr(vec![
+                    Json::from(j.nodes),
+                    Json::from(j.start_s),
+                    Json::from(j.end_s),
+                    Json::from(j.wait_s),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("name".into(), Json::from(s.name.as_str())),
+            ("cluster".into(), Json::from(s.cluster.as_str())),
+            ("nodes".into(), Json::from(s.nodes)),
+            ("power_cap_w".into(), Json::from(s.power_cap_w)),
+            ("cap_ghz".into(), Json::from(s.cap_ghz)),
+            ("makespan_s".into(), Json::from(s.makespan_s)),
+            ("utilization".into(), Json::from(s.utilization)),
+            (
+                "wait".into(),
+                Json::Obj(vec![
+                    ("mean_s".into(), Json::from(s.wait_mean_s)),
+                    ("p95_s".into(), Json::from(s.wait_p95_s)),
+                    ("max_s".into(), Json::from(s.wait_max_s)),
+                ]),
+            ),
+            (
+                "turnaround".into(),
+                Json::Obj(vec![
+                    ("mean_s".into(), Json::from(s.turnaround_mean_s)),
+                    ("max_s".into(), Json::from(s.turnaround_max_s)),
+                ]),
+            ),
+            (
+                "energy".into(),
+                Json::Obj(vec![
+                    ("cpu_j".into(), Json::from(s.cpu_j)),
+                    ("dram_j".into(), Json::from(s.dram_j)),
+                    ("total_j".into(), Json::from(s.total_j())),
+                    ("idle_j".into(), Json::from(s.idle_j)),
+                    ("edp_js".into(), Json::from(s.edp_js())),
+                ]),
+            ),
+            ("per_job".into(), Json::Arr(per_job)),
+        ])
+    };
+    let best_by = |key: fn(&ScenarioOutcome) -> f64| {
+        let mut best = &r.scenarios[0];
+        for s in &r.scenarios[1..] {
+            if key(s).total_cmp(&key(best)).is_lt() {
+                best = s;
+            }
+        }
+        Json::from(best.name.as_str())
+    };
+    let mut fields = vec![
+        ("schema".into(), Json::from(api::API_SCHEMA_VERSION)),
+        ("jobs".into(), Json::from(r.jobs)),
+        (
+            "scenarios".into(),
+            Json::Arr(r.scenarios.iter().map(scenario).collect()),
+        ),
+    ];
+    if r.scenarios.len() > 1 {
+        let base = &r.scenarios[0];
+        let ratio = |v: f64, b: f64| {
+            if b > 0.0 {
+                Json::from(v / b)
+            } else {
+                Json::Null
+            }
+        };
+        let rows = r.scenarios[1..]
+            .iter()
+            .map(|s| {
+                Json::Obj(vec![
+                    ("name".into(), Json::from(s.name.as_str())),
+                    (
+                        "makespan_ratio".into(),
+                        ratio(s.makespan_s, base.makespan_s),
+                    ),
+                    ("energy_ratio".into(), ratio(s.total_j(), base.total_j())),
+                    ("edp_ratio".into(), ratio(s.edp_js(), base.edp_js())),
+                    (
+                        "mean_wait_ratio".into(),
+                        ratio(s.wait_mean_s, base.wait_mean_s),
+                    ),
+                ])
+            })
+            .collect();
+        fields.push((
+            "comparison".into(),
+            Json::Obj(vec![
+                ("baseline".into(), Json::from(base.name.as_str())),
+                ("scenarios".into(), Json::Arr(rows)),
+                ("best_energy".into(), best_by(ScenarioOutcome::total_j)),
+                ("best_makespan".into(), best_by(|s| s.makespan_s)),
+            ]),
+        ));
+    }
+    let mut body = Json::Obj(fields).render();
+    body.push('\n');
+    body
+}
+
+/// A plan body shaped like the benchmark's: 27 templates (nine
+/// benchmarks × 1, 2 and 4 Ice Lake nodes) of 100 submissions each on
+/// 16 nodes, with a Sapphire Rapids and a power-capped variant.
+fn benchmark_shaped_plan(seed: u64) -> PlanRequest {
+    let mut rng = Rng(seed.wrapping_mul(0xD6E8_FEB8_6659_FD93) | 1);
+    let mut req = PlanRequest::new()
+        .with_cluster("a")
+        .with_nodes(16)
+        .with_variant(PlanVariant::new("spr").with_cluster("b"))
+        .with_variant(PlanVariant::new("capped").with_power_cap_w(6250.0));
+    for bench in BENCHMARK_NAMES {
+        for width in [1, 2, 4] {
+            let arrival = rng.below(61) as f64;
+            let gap = 2.0 + rng.below(7) as f64;
+            req = req.with_job(
+                PlanJob::new(bench, WorkloadClass::Tiny, width * 72)
+                    .with_arrival(arrival)
+                    .with_count(100, gap),
+            );
+        }
+    }
+    req
+}
+
+#[test]
+fn response_writer_matches_the_tree_rendering() {
+    // Real engine shapes, through the same dispatch the daemon runs.
+    let exec = executor();
+    for seed in 1..=16u64 {
+        let resp = dispatch_plan(&exec, &benchmark_shaped_plan(seed)).expect("plan evaluates");
+        assert_eq!(resp.jobs, 2_700);
+        assert_eq!(resp.to_json(), plan_response_tree(&resp), "plan {seed}");
+    }
+
+    // Synthetic corners: signed zeros, integers at and past 2^53,
+    // non-finite values, zero baselines and names that need escaping.
+    let req = PlanRequest::new()
+        .with_nodes(4)
+        .with_job(PlanJob::new("lbm", WorkloadClass::Tiny, 72).with_count(4, 0.0))
+        .with_variant(PlanVariant::new("a\"b\\c"))
+        .with_variant(PlanVariant::new("tab\tnl\ncr\r\u{1}\u{1f}\u{7f}é☃"));
+    // Zero-length shapes: every makespan is 0, so every ratio is null.
+    let mut resp = evaluate_plan(&req, &mut |_, _, _, _, _| {
+        Ok(JobShape {
+            runtime_s: 0.0,
+            nodes: 1,
+            package_w: 300.0,
+            dram_w: 20.0,
+            flops_fraction: 0.5,
+        })
+    })
+    .expect("plan evaluates");
+    assert_eq!(resp.to_json(), plan_response_tree(&resp), "zero baseline");
+    assert!(resp.to_json().contains("\"makespan_ratio\":null"));
+
+    let corners = [
+        -0.0,
+        0.0,
+        9_007_199_254_740_991.0,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        -9_007_199_254_740_992.0,
+        1e16,
+        1e300,
+        5e-324,
+        -1.5,
+        0.1,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let widths = [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, usize::MAX];
+    for (k, &x) in corners.iter().enumerate() {
+        for (i, s) in resp.scenarios.iter_mut().enumerate() {
+            s.nodes = widths[(k + i) % widths.len()];
+            s.power_cap_w = x;
+            s.makespan_s = if i == 0 { x } else { 2.0 };
+            s.wait_mean_s = corners[(k + i + 1) % corners.len()];
+            s.cpu_j = corners[(k + 2 * i) % corners.len()];
+            for (n, j) in s.per_job.iter_mut().enumerate() {
+                j.nodes = widths[(k + n) % widths.len()];
+                j.start_s = x;
+                j.end_s = corners[(k + n + 1) % corners.len()];
+                j.wait_s = corners[(k + n + 2) % corners.len()];
+            }
+        }
+        assert_eq!(resp.to_json(), plan_response_tree(&resp), "corner {x:?}");
+    }
+    resp.scenarios.truncate(1);
+    assert_eq!(resp.to_json(), plan_response_tree(&resp), "one scenario");
 }
