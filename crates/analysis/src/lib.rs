@@ -6,9 +6,6 @@
 //! simulation output:
 //!
 //! * [`roofline`] — Roofline model (§4.1.2's "Roofline-like view"),
-//! * [`stats`] — min/max/average statistics over repeated runs (§3:
-//!   "we repeated code executions several times and only statistically
-//!   significant deviations were reported"),
 //! * [`speedup`] — speedup and parallel-efficiency curves, saturation
 //!   and superlinearity detection (§4.1.1),
 //! * [`counters`] — LIKWID-style counter groups (MEM_DP, L3, L2):
@@ -22,10 +19,8 @@ pub mod perfctr;
 pub mod roofline;
 pub mod scaling;
 pub mod speedup;
-pub mod stats;
 
 pub use counters::{CounterGroup, CounterSample};
 pub use roofline::Roofline;
 pub use scaling::{classify_scaling, ScalingCase, ScalingEvidence};
 pub use speedup::{parallel_efficiency, speedup_curve, SpeedupCurve};
-pub use stats::RunStats;

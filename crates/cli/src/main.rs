@@ -650,10 +650,15 @@ fn figures(which: &str, exec: ExecOpts) -> Result<(), ApiError> {
         matched = true;
         for cl in [&a, &b] {
             let f5 = multi_node::fig5_with(&executor, cl, &[1, 2, 4, 8])?;
-            outln!("{}", f5.render());
-            outln!("scaling cases ({}):", cl.name);
-            for (n, c) in multi_node::scaling_cases(&f5) {
-                outln!("  {n:<12} {c}");
+            if which != "fig6" {
+                outln!("{}", f5.render());
+                outln!("scaling cases ({}):", cl.name);
+                for (n, c) in multi_node::scaling_cases(&f5) {
+                    outln!("  {n:<12} {c}");
+                }
+            }
+            if which != "fig5" {
+                outln!("{}", multi_node::fig6(&f5).render());
             }
         }
     }

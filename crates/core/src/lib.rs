@@ -41,7 +41,6 @@ pub mod prelude {
     pub use spechpc_analysis::roofline::Roofline;
     pub use spechpc_analysis::scaling::{classify_scaling, ScalingCase, ScalingEvidence};
     pub use spechpc_analysis::speedup::{parallel_efficiency, SpeedupCurve};
-    pub use spechpc_analysis::stats::RunStats;
     pub use spechpc_harness::api::{
         ApiError, RunRequest, RunResponse, SuiteRequest, SuiteResponse,
     };

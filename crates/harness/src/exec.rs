@@ -1,8 +1,7 @@
 //! Parallel, cached, fault-tolerant execution of experiment grids.
 //!
 //! The [`Executor`] is the single entry point every experiment driver,
-//! the suite, the CLI and the benches funnel their runs through. It
-//! combines:
+//! the suite and the CLI funnel their runs through. It combines:
 //!
 //! * the [`RunCache`] — each run is looked up
 //!   by its [`RunKey`] before the simulation is

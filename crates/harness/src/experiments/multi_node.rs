@@ -220,6 +220,37 @@ pub fn fig6(f5: &Fig5) -> Fig6 {
     }
 }
 
+impl Fig6 {
+    /// Render the two panels of Fig. 6 as one table.
+    pub fn render(&self) -> String {
+        let mut t = Table::new(
+            format!(
+                "Fig. 6 ({}) — small suite multi-node power and energy",
+                self.cluster
+            ),
+            &[
+                "benchmark",
+                "nodes",
+                "total power [kW]",
+                "total energy [MJ]",
+            ],
+        );
+        for (name, pts) in &self.series {
+            for &(nodes, kw, mj) in pts {
+                // Four decimals: most small-suite runs spend tens of kJ.
+                t.row(vec![
+                    name.clone(),
+                    nodes.to_string(),
+                    fmt(kw),
+                    format!("{mj:.4}"),
+                ])
+                .expect("row matches header");
+            }
+        }
+        t.render()
+    }
+}
+
 /// The §5.1.2 soma-anomaly diagnostics.
 #[derive(Debug, Clone)]
 pub struct SomaAnomaly {
@@ -351,6 +382,26 @@ mod tests {
         let soma = series("soma");
         let soma_ratio = soma.last().unwrap().2 / soma[0].2;
         assert!(soma_ratio > 1.5, "soma energy must rise: ×{soma_ratio}");
+    }
+
+    #[test]
+    fn fig6_renders_one_row_per_benchmark_and_node_count() {
+        let f6 = Fig6 {
+            cluster: "ClusterA".into(),
+            series: vec![
+                ("lbm".into(), vec![(1, 0.5123, 1.66118), (2, 1.0412, 1.25)]),
+                ("soma".into(), vec![(1, 0.4877, 0.018749)]),
+            ],
+        };
+        assert_eq!(
+            f6.render(),
+            "## Fig. 6 (ClusterA) — small suite multi-node power and energy\n\
+             | benchmark | nodes | total power [kW] | total energy [MJ] |\n\
+             |-----------|-------|------------------|-------------------|\n\
+             | lbm       | 1     | 0.51             | 1.6612            |\n\
+             | lbm       | 2     | 1.04             | 1.2500            |\n\
+             | soma      | 1     | 0.49             | 0.0187            |\n"
+        );
     }
 
     #[test]
