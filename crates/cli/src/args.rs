@@ -40,7 +40,7 @@ pub fn parse_class(s: &str) -> Result<WorkloadClass, String> {
 pub struct ExecOpts {
     /// `--jobs N`: worker threads (`None` = one per host core).
     pub jobs: Option<usize>,
-    /// `--no-cache`: re-simulate everything, and do not touch
+    /// `--no-cache`: keep results in memory only, and do not touch
     /// `results/cache/`.
     pub no_cache: bool,
     /// `--metrics`: print executor/cache counters after the command and
@@ -251,7 +251,7 @@ COMMANDS:
 
 EXECUTION (run/suite/score/figures/profile):
     --jobs N                     worker threads             [default: all cores]
-    --no-cache                   re-simulate; skip results/cache/
+    --no-cache                   memory cache only; skip results/cache/
     --metrics                    report executor/cache counters; CSV under
                                  results/metrics/
 

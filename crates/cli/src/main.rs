@@ -40,12 +40,13 @@ fn cluster_key(c: ClusterChoice) -> &'static str {
     }
 }
 
-/// Build the execution layer from the CLI options: all host cores and
-/// the persistent `results/cache/` store unless overridden.
-fn executor_of(config: RunConfig, opts: ExecOpts) -> Executor {
+/// Build the execution layer from the CLI options: all host cores, a
+/// memory cache backed by the persistent `results/cache/` store unless
+/// `--no-cache`, and a per-run budget of `timeout_s` (`0.0` = none).
+fn executor_of(config: RunConfig, opts: ExecOpts, timeout_s: f64) -> Executor {
     let mut exec_cfg = ExecConfig::default()
         .with_jobs(opts.jobs.unwrap_or(0))
-        .with_no_cache(opts.no_cache);
+        .with_timeout_s(timeout_s);
     if !opts.no_cache {
         exec_cfg = exec_cfg.with_cache_dir(RunCache::default_dir());
     }
@@ -199,7 +200,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
                         .with_threads(threads.unwrap_or(1))
                         .with_faults(fault_plan_of(&faults)?),
                 );
-            let executor = executor_of(req.config.clone(), exec);
+            let executor = executor_of(req.config.clone(), exec, 0.0);
             let cl = api::resolve_cluster(&req.cluster)?;
             // Only a trace export needs the timeline; everything else
             // goes through (and populates) the run cache via the same
@@ -240,7 +241,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
                         .with_threads(threads.unwrap_or(1)),
                 )
                 .with_faults(fault_plan_of(&faults)?);
-            let executor = executor_of(req.config.clone(), exec);
+            let executor = executor_of(req.config.clone(), exec, 0.0);
             let resp = api::dispatch_suite(&executor, &req)?;
             outln!("{}", resp.report.render());
             maybe_metrics(
@@ -276,7 +277,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
                         .with_threads(threads.unwrap_or(1))
                         .with_faults(fault_plan_of(&faults)?),
                 );
-            let executor = executor_of(req.config.clone(), exec);
+            let executor = executor_of(req.config.clone(), exec, 0.0);
             let cl = api::resolve_cluster(&req.cluster)?;
             let r = api::dispatch_run(&executor, &req)?.result;
             let n = r.nranks;
@@ -319,7 +320,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             let a = presets::cluster_a();
             let b = presets::cluster_b();
             let cfg = RunConfig::default().with_repetitions(1).with_trace(false);
-            let executor = executor_of(cfg, exec);
+            let executor = executor_of(cfg, exec, 0.0);
             let suite_a = Suite {
                 class,
                 nranks: a.node.cores(),
@@ -423,7 +424,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             let body = std::fs::read_to_string(&file)
                 .map_err(|e| ApiError::bad_request(format!("reading {file}: {e}")))?;
             let req = plan::PlanRequest::from_json(&body)?;
-            let executor = executor_of(req.config.clone(), exec);
+            let executor = executor_of(req.config.clone(), exec, 0.0);
             let resp = plan::dispatch_plan(&executor, &req)?;
             if json {
                 // Exact wire bytes of `POST /v1/plan`.
@@ -451,22 +452,15 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             // One resident executor for the daemon's whole life: its
             // run cache and metrics ledger persist across requests.
             // Unlike one-shot commands, the daemon always runs under a
-            // per-request budget (PR 4's cooperative cancel token) so a
-            // pathological request answers 504 instead of pinning a
-            // worker forever.
-            let mut exec_cfg = ExecConfig::default()
-                .with_jobs(exec.jobs.unwrap_or(0))
-                .with_no_cache(exec.no_cache)
-                .with_timeout_s(timeout_s.unwrap_or(300.0));
-            if !exec.no_cache {
-                exec_cfg = exec_cfg.with_cache_dir(RunCache::default_dir());
-            }
-            // `--threads` sets the resident default; a request's own
-            // `config.threads` forks the executor and overrides it.
+            // per-request budget (the engine's cooperative cancel token)
+            // so a pathological request answers 504 instead of pinning
+            // a worker forever. `--threads` sets the resident default; a
+            // request's own `config.threads` forks the executor and
+            // overrides it.
             let resident = RunConfig::default()
                 .with_trace(false)
                 .with_threads(threads.unwrap_or(1));
-            let mut executor = Executor::new(resident, exec_cfg);
+            let mut executor = executor_of(resident, exec, timeout_s.unwrap_or(300.0));
             // In a fleet, a local cache miss consults the peers'
             // GET /v1/cache/{key} before simulating: runs land on
             // whichever worker the coordinator hashed them to, but any
@@ -583,9 +577,10 @@ fn figures(which: &str, exec: ExecOpts) -> Result<(), ApiError> {
     let b = presets::cluster_b();
     let cfg = RunConfig::default().with_repetitions(3).with_trace(false);
     // One executor for the whole regeneration: `figures all` shares the
-    // fig1 grid between the fig1 and fig3/fig4 sections via the cache,
-    // and a second invocation replays entirely from results/cache/.
-    let executor = executor_of(cfg, exec);
+    // fig1 grid between the fig1 and fig3/fig4 sections through the
+    // memory tier (with or without `--no-cache`), and a second
+    // invocation replays entirely from results/cache/.
+    let executor = executor_of(cfg, exec, 0.0);
     let all = which == "all";
     let mut matched = false;
 

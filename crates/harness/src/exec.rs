@@ -5,7 +5,8 @@
 //!
 //! * the [`RunCache`] — each run is looked up
 //!   by its [`RunKey`] before the simulation is
-//!   ever constructed, and stored afterwards;
+//!   ever constructed, and stored afterwards. Every executor has the
+//!   memory tier; the disk tier is optional;
 //! * a work-stealing thread pool over the host cores
 //!   ([`Executor::run_all`]) with **deterministic result assembly**:
 //!   workers claim grid points through an atomic cursor and write into
@@ -22,7 +23,8 @@
 //!   the completed results plus a per-spec failure report.
 //!
 //! Traced runs ([`Executor::run_traced`]) bypass the cache: timelines
-//! are large and only the Fig. 2 insets and CSV export want them.
+//! are large and only the Fig. 2 insets and CSV export want them. They
+//! are otherwise supervised like every other run.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -60,8 +62,6 @@ pub struct ExecConfig {
     /// [`RunCache::default_dir`]); `None` keeps the cache in-memory
     /// only.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Disable memoization entirely (every run re-simulates).
-    pub no_cache: bool,
     /// Per-run wall-clock budget in seconds; `0.0` disables the
     /// timeout. A run over budget is cancelled cooperatively through
     /// the engine's cancellation token and reported as
@@ -79,12 +79,6 @@ impl ExecConfig {
     /// Builder: persist results under `dir`.
     pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Builder: disable memoization entirely.
-    pub fn with_no_cache(mut self, no_cache: bool) -> Self {
-        self.no_cache = no_cache;
         self
     }
 
@@ -207,7 +201,7 @@ pub const POINT_LEDGER_CAP: usize = 4096;
 pub struct ExecMetrics {
     /// Simulations actually constructed and run (cache hits excluded).
     pub runs_executed: u64,
-    /// Cache behaviour; all-zero when the executor runs uncached.
+    /// Cache behaviour (memory and, when configured, disk tier).
     pub cache: CacheMetrics,
     /// Grid points completed per worker slot during `run_all`
     /// (index = worker id; sums over the executor's lifetime).
@@ -256,8 +250,8 @@ enum Served {
     /// A cache hit: the resident entry.
     Hit(Entry),
     /// A result computed (or fetched from a peer) for this request,
-    /// with the resident entry the cache made of it. Traced and
-    /// uncached runs have none.
+    /// with the resident entry the cache made of it. Traced runs have
+    /// none.
     Fresh(Box<RunResult>, Option<Entry>),
 }
 
@@ -296,26 +290,22 @@ pub struct Executor {
     runner: SimRunner,
     jobs: usize,
     timeout_s: f64,
-    cache: Option<Arc<RunCache>>,
+    cache: Arc<RunCache>,
     counters: Arc<ExecCounters>,
     peer_fetch: Option<PeerFetch>,
 }
 
 impl Executor {
     pub fn new(run_config: RunConfig, exec: ExecConfig) -> Self {
-        let cache = if exec.no_cache {
-            None
-        } else {
-            Some(Arc::new(match &exec.cache_dir {
-                Some(dir) => RunCache::on_disk(dir.clone()),
-                None => RunCache::in_memory(),
-            }))
+        let cache = match &exec.cache_dir {
+            Some(dir) => RunCache::on_disk(dir.clone()),
+            None => RunCache::in_memory(),
         };
         Executor {
             jobs: exec.effective_jobs(),
             timeout_s: exec.timeout_s,
             runner: SimRunner::new(run_config),
-            cache,
+            cache: Arc::new(cache),
             counters: Arc::new(ExecCounters::default()),
             peer_fetch: None,
         }
@@ -329,17 +319,10 @@ impl Executor {
         self
     }
 
-    /// The memoization store, when this executor runs cached — how the
-    /// daemon's `GET /v1/cache/{key}` route serves raw entries to
-    /// fleet peers.
-    pub fn cache(&self) -> Option<&RunCache> {
-        self.cache.as_deref()
-    }
-
-    /// Serial, in-memory-cached executor — the drop-in replacement the
-    /// compatibility wrappers (`fig1(cluster, config, step)` …) use.
-    pub fn serial(run_config: RunConfig) -> Self {
-        Executor::new(run_config, ExecConfig::default().with_jobs(1))
+    /// The memoization store — how the daemon's `GET /v1/cache/{key}`
+    /// route serves raw entries to fleet peers.
+    pub fn cache(&self) -> &RunCache {
+        &self.cache
     }
 
     /// The run rules this executor applies.
@@ -357,7 +340,7 @@ impl Executor {
             runner: SimRunner::new(run_config),
             jobs: self.jobs,
             timeout_s: self.timeout_s,
-            cache: self.cache.clone(),
+            cache: Arc::clone(&self.cache),
             counters: Arc::clone(&self.counters),
             peer_fetch: self.peer_fetch.clone(),
         }
@@ -451,7 +434,7 @@ impl Executor {
                 .map(|r| Served::Fresh(Box::new(r), None));
         }
         let key = self.key_of(cluster, spec);
-        if let Some(hit) = self.cache.as_ref().and_then(|c| c.lookup(&key)) {
+        if let Some(hit) = self.cache.lookup(&key) {
             return Ok(Served::Hit(hit));
         }
         // Local miss: a fleet peer may already have this result.
@@ -462,8 +445,8 @@ impl Executor {
             }
             None => self.simulate(cluster, spec)?,
         };
-        let entry = self.cache.as_ref().map(|c| c.insert(&key, &result));
-        Ok(Served::Fresh(Box::new(result), entry))
+        let entry = self.cache.insert(&key, &result);
+        Ok(Served::Fresh(Box::new(result), Some(entry)))
     }
 
     /// One supervised simulation: panics are caught at this
@@ -541,21 +524,16 @@ impl Executor {
     }
 
     /// Run with full event tracing, bypassing the cache — for the
-    /// Fig. 2 insets and CSV export.
+    /// Fig. 2 insets and CSV export. This is [`Executor::run_one`] on a
+    /// trace-on fork, so the run is supervised (panic boundary,
+    /// timeout) and counted like any other.
     pub fn run_traced(
         &self,
         cluster: &ClusterSpec,
         spec: &RunSpec,
     ) -> Result<RunResult, HarnessError> {
-        let traced = SimRunner::new(self.runner.config.clone().with_trace(true));
-        let bench = resolve(&spec.benchmark)?;
-        let t0 = Instant::now();
-        let outcome = traced
-            .run(cluster, &*bench, spec.class, spec.nranks)
-            .map_err(HarnessError::from);
-        self.time_point(cluster, spec, t0);
-        self.counters.runs_executed.fetch_add(1, Ordering::Relaxed);
-        outcome
+        self.with_run_config(self.runner.config.clone().with_trace(true))
+            .run_one(cluster, spec)
     }
 
     /// Snapshot of the execution-layer counters accumulated so far.
@@ -570,7 +548,7 @@ impl Executor {
         };
         ExecMetrics {
             runs_executed: self.counters.runs_executed.load(Ordering::Relaxed),
-            cache: self.cache.as_ref().map(|c| c.metrics()).unwrap_or_default(),
+            cache: self.cache.metrics(),
             per_worker_runs: self
                 .counters
                 .per_worker
@@ -669,22 +647,6 @@ impl Executor {
         }
         report
     }
-
-    /// Strong-scaling sweep of one benchmark over `counts`, executed
-    /// concurrently. All-or-nothing: the first failure is returned.
-    pub fn sweep(
-        &self,
-        cluster: &ClusterSpec,
-        benchmark: &str,
-        class: WorkloadClass,
-        counts: &[usize],
-    ) -> Result<Vec<RunResult>, HarnessError> {
-        let specs: Vec<RunSpec> = counts
-            .iter()
-            .map(|&n| RunSpec::new(benchmark, class, n))
-            .collect();
-        self.run_all(cluster, &specs).into_results()
-    }
 }
 
 /// Resolve a registry name to its benchmark, or a typed failure.
@@ -744,14 +706,8 @@ mod tests {
     fn parallel_grid_matches_serial_byte_for_byte() {
         let cluster = presets::cluster_a();
         let specs = grid();
-        let serial = Executor::new(
-            quick(),
-            ExecConfig::default().with_jobs(1).with_no_cache(true),
-        );
-        let parallel = Executor::new(
-            quick(),
-            ExecConfig::default().with_jobs(8).with_no_cache(true),
-        );
+        let serial = Executor::new(quick(), ExecConfig::default().with_jobs(1));
+        let parallel = Executor::new(quick(), ExecConfig::default().with_jobs(8));
         let a = serial.run_all(&cluster, &specs).into_results().unwrap();
         let b = parallel.run_all(&cluster, &specs).into_results().unwrap();
         assert_eq!(render(&a), render(&b));
@@ -771,7 +727,7 @@ mod tests {
     #[test]
     fn traced_runs_bypass_cache_and_keep_timelines() {
         let cluster = presets::cluster_a();
-        let exec = Executor::serial(quick());
+        let exec = Executor::new(quick(), ExecConfig::default().with_jobs(1));
         let spec = RunSpec::new("lbm", WorkloadClass::Tiny, 4);
         let plain = exec.run_one(&cluster, &spec).unwrap();
         assert!(plain.timeline.events.is_empty());
@@ -784,10 +740,7 @@ mod tests {
     #[test]
     fn grid_results_stay_in_spec_order() {
         let cluster = presets::cluster_a();
-        let exec = Executor::new(
-            quick(),
-            ExecConfig::default().with_jobs(4).with_no_cache(true),
-        );
+        let exec = Executor::new(quick(), ExecConfig::default().with_jobs(4));
         // All points valid → full result set, order preserved.
         let specs = grid();
         let report = exec.run_all(&cluster, &specs);
@@ -803,7 +756,7 @@ mod tests {
     #[test]
     fn unknown_benchmark_is_a_typed_failure_not_a_panic() {
         let cluster = presets::cluster_a();
-        let exec = Executor::serial(quick());
+        let exec = Executor::new(quick(), ExecConfig::default().with_jobs(1));
         let specs = [
             RunSpec::new("hpl", WorkloadClass::Tiny, 1),
             RunSpec::new("lbm", WorkloadClass::Tiny, 4),
@@ -832,10 +785,7 @@ mod tests {
             seed: 1,
             events: vec![FaultEvent::Crash { rank: 2, at_s: 0.0 }],
         });
-        let exec = Executor::new(
-            faulted,
-            ExecConfig::default().with_jobs(2).with_no_cache(true),
-        );
+        let exec = Executor::new(faulted, ExecConfig::default().with_jobs(2));
         // Rank 2 exists only in the larger runs: those crash, the
         // smaller ones complete.
         let specs = [
@@ -859,10 +809,7 @@ mod tests {
     #[test]
     fn worker_panics_are_isolated_per_point() {
         let cluster = presets::cluster_a();
-        let exec = Executor::new(
-            quick(),
-            ExecConfig::default().with_jobs(2).with_no_cache(true),
-        );
+        let exec = Executor::new(quick(), ExecConfig::default().with_jobs(2));
         // nranks = 0 trips the runner's assertion — a genuine panic,
         // caught at the run boundary.
         let specs = [
@@ -876,6 +823,11 @@ mod tests {
             HarnessError::Panic { .. }
         ));
         assert!(report.results[1].is_some());
+        // A traced run panics inside the same boundary.
+        let before = exec.metrics().runs_executed;
+        let err = exec.run_traced(&cluster, &specs[0]).unwrap_err();
+        assert!(matches!(err, HarnessError::Panic { .. }), "{err}");
+        assert_eq!(exec.metrics().runs_executed, before + 1);
     }
 
     #[test]
@@ -884,22 +836,23 @@ mod tests {
         // No simulation finishes in a nanosecond.
         let exec = Executor::new(
             quick(),
-            ExecConfig::default()
-                .with_jobs(1)
-                .with_no_cache(true)
-                .with_timeout_s(1e-9),
+            ExecConfig::default().with_jobs(1).with_timeout_s(1e-9),
         );
         let spec = RunSpec::new("lbm", WorkloadClass::Tiny, 16);
         let err = exec.run_one(&cluster, &spec).unwrap_err();
         assert!(matches!(err, HarnessError::Timeout { .. }), "{err}");
         // One attempt, no retry.
         assert_eq!(exec.metrics().runs_executed, 1);
+        // A traced run is under the same budget.
+        let err = exec.run_traced(&cluster, &spec).unwrap_err();
+        assert!(matches!(err, HarnessError::Timeout { .. }), "{err}");
+        assert_eq!(exec.metrics().runs_executed, 2);
     }
 
     #[test]
     fn metrics_track_runs_hits_and_wall_time() {
         let cluster = presets::cluster_a();
-        let exec = Executor::serial(quick());
+        let exec = Executor::new(quick(), ExecConfig::default().with_jobs(1));
         let spec = RunSpec::new("lbm", WorkloadClass::Tiny, 4);
         exec.run_one(&cluster, &spec).unwrap();
         exec.run_one(&cluster, &spec).unwrap(); // memory hit
@@ -924,9 +877,8 @@ mod tests {
         let fresh = origin.run_one(&cluster, &spec).unwrap();
 
         let peer = Arc::clone(&origin);
-        let local = Executor::new(quick(), ExecConfig::default().with_jobs(1)).with_peer_fetch(
-            Arc::new(move |key: &RunKey| peer.cache().and_then(|c| c.get(key))),
-        );
+        let local = Executor::new(quick(), ExecConfig::default().with_jobs(1))
+            .with_peer_fetch(Arc::new(move |key: &RunKey| peer.cache().get(key)));
         let replayed = local.run_one(&cluster, &spec).unwrap();
         assert_eq!(
             fresh.step_seconds.to_bits(),
@@ -946,10 +898,7 @@ mod tests {
     #[test]
     fn metrics_attribute_grid_points_to_workers() {
         let cluster = presets::cluster_a();
-        let exec = Executor::new(
-            quick(),
-            ExecConfig::default().with_jobs(3).with_no_cache(true),
-        );
+        let exec = Executor::new(quick(), ExecConfig::default().with_jobs(3));
         let specs = grid();
         assert!(exec.run_all(&cluster, &specs).is_complete());
         let m = exec.metrics();
@@ -959,7 +908,8 @@ mod tests {
             specs.len() as u64,
             "every grid point must be credited to exactly one worker"
         );
-        // Uncached executor: the cache counters stay zero.
-        assert_eq!(m.cache, CacheMetrics::default());
+        // Distinct points: every one is a miss, none a hit.
+        assert_eq!(m.cache.misses, specs.len() as u64);
+        assert_eq!(m.cache.hits_mem + m.cache.hits_disk, 0);
     }
 }

@@ -14,7 +14,7 @@ use spechpc_simmpi::trace::EventKind;
 
 use crate::exec::{Executor, RunSpec};
 use crate::report::{fmt, Table};
-use crate::runner::{RunConfig, RunResult};
+use crate::runner::RunResult;
 
 /// One benchmark's multi-node sweep.
 #[derive(Debug, Clone)]
@@ -70,24 +70,9 @@ pub struct Fig5 {
     pub sweeps: Vec<MultiNodeSweep>,
 }
 
-/// Run the small-suite sweep over `node_counts` full nodes.
-///
-/// Convenience wrapper over [`fig5_with`] using a default (parallel,
-/// memory-cached) executor.
-pub fn fig5(
-    cluster: &ClusterSpec,
-    config: &RunConfig,
-    node_counts: &[usize],
-) -> Result<Fig5, HarnessError> {
-    fig5_with(
-        &Executor::new(config.clone(), Default::default()),
-        cluster,
-        node_counts,
-    )
-}
-
-/// Run the small-suite sweep through `exec`: the full 9-benchmark ×
-/// node-count grid is dispatched as one concurrent batch.
+/// Run the small-suite sweep over `node_counts` full nodes through
+/// `exec`: the full 9-benchmark × node-count grid is dispatched as one
+/// concurrent batch.
 pub fn fig5_with(
     exec: &Executor,
     cluster: &ClusterSpec,
@@ -282,10 +267,19 @@ pub fn soma_anomaly(f5: &Fig5) -> Option<SomaAnomaly> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecConfig;
+    use crate::runner::RunConfig;
     use spechpc_machine::presets;
 
-    fn quick() -> RunConfig {
-        RunConfig::default().with_repetitions(1).with_trace(true)
+    fn exec() -> Executor {
+        Executor::new(
+            RunConfig::default().with_repetitions(1).with_trace(true),
+            ExecConfig::default(),
+        )
+    }
+
+    fn fig5(cluster: &ClusterSpec, node_counts: &[usize]) -> Fig5 {
+        fig5_with(&exec(), cluster, node_counts).unwrap()
     }
 
     const NODES: [usize; 3] = [1, 2, 4];
@@ -296,7 +290,7 @@ mod tests {
         // hpgmgfv case C; cloverleaf case D; soma/lbm/sph-exa/minisweep
         // poor. The full node range sharpens the signals.
         let cluster = presets::cluster_b();
-        let f5 = fig5(&cluster, &quick(), &[1, 2, 4, 8]).unwrap();
+        let f5 = fig5(&cluster, &[1, 2, 4, 8]);
         let cases = scaling_cases(&f5);
         let get = |n: &str| cases.iter().find(|(b, _)| b == n).unwrap().1;
         assert_eq!(
@@ -338,7 +332,7 @@ mod tests {
         // scaling stalls; aggregate volume grows ~linearly; Allreduce
         // dominates.
         let cluster = presets::cluster_a();
-        let f5 = fig5(&cluster, &quick(), &NODES).unwrap();
+        let f5 = fig5(&cluster, &NODES);
         let a = soma_anomaly(&f5).unwrap();
         let bw1 = a.per_node_bw.first().unwrap().1;
         let bw_last = a.per_node_bw.last().unwrap().1;
@@ -370,7 +364,7 @@ mod tests {
         // §5.2: scalable codes (tealeaf) have ~constant energy over
         // node counts; poor scalers burn more.
         let cluster = presets::cluster_a();
-        let f5 = fig5(&cluster, &quick(), &NODES).unwrap();
+        let f5 = fig5(&cluster, &NODES);
         let f6 = fig6(&f5);
         let series = |n: &str| &f6.series.iter().find(|(b, _)| b == n).unwrap().1;
         let tealeaf = series("tealeaf");
@@ -408,7 +402,7 @@ mod tests {
     fn power_fraction_of_tdp_in_paper_band() {
         // §5.2: 74–85 % of CPU TDP on ClusterA at the full node set.
         let cluster = presets::cluster_a();
-        let f5 = fig5(&cluster, &quick(), &[4]).unwrap();
+        let f5 = fig5(&cluster, &[4]);
         for s in &f5.sweeps {
             let r = s.results.last().unwrap();
             let tdp = cluster.node.tdp() * r.nodes_used as f64;
@@ -426,13 +420,13 @@ mod tests {
         // §5.1.3: weather's superlinear multi-node scaling is stronger
         // on ClusterB (larger caches). Weather-only sweep to 8 nodes,
         // where the cache fit fully engages on ClusterB.
-        let exec = Executor::new(quick(), Default::default());
-        let eff = |cluster: &spechpc_machine::cluster::ClusterSpec| {
-            let cores = cluster.node.cores();
-            let counts = [cores, 4 * cores, 8 * cores];
-            let res = exec
-                .sweep(cluster, "weather", WorkloadClass::Small, &counts)
-                .unwrap();
+        let exec = exec();
+        let eff = |cluster: &ClusterSpec| {
+            let specs: Vec<RunSpec> = [1, 4, 8]
+                .iter()
+                .map(|n| RunSpec::new("weather", WorkloadClass::Small, n * cluster.node.cores()))
+                .collect();
+            let res = exec.run_all(cluster, &specs).into_results().unwrap();
             (res[0].step_seconds / res[2].step_seconds) / 8.0
         };
         let ea = eff(&presets::cluster_a());
@@ -444,7 +438,7 @@ mod tests {
     #[test]
     fn comm_ranking_includes_the_reduction_codes() {
         let cluster = presets::cluster_a();
-        let f5 = fig5(&cluster, &quick(), &[1, 4]).unwrap();
+        let f5 = fig5(&cluster, &[1, 4]);
         let ranking = comm_breakdown(&f5);
         // soma leads the Allreduce users (§5).
         let soma_allred = ranking

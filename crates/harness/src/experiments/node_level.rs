@@ -11,7 +11,7 @@ use spechpc_simmpi::trace::EventKind;
 
 use crate::exec::{Executor, RunSpec};
 use crate::report::{fmt, Table};
-use crate::runner::{RunConfig, RunResult};
+use crate::runner::RunResult;
 
 /// One benchmark's node-level sweep on one cluster.
 #[derive(Debug, Clone)]
@@ -62,22 +62,10 @@ pub fn sweep_counts(cluster: &ClusterSpec, step: usize) -> Vec<usize> {
     v
 }
 
-/// Run the Fig. 1 sweep (`step` controls the sampling density; the
-/// paper uses every core count, i.e. `step = 1`).
-///
-/// Convenience wrapper over [`fig1_with`] using a default (parallel,
-/// memory-cached) executor.
-pub fn fig1(cluster: &ClusterSpec, config: &RunConfig, step: usize) -> Result<Fig1, HarnessError> {
-    fig1_with(
-        &Executor::new(config.clone(), Default::default()),
-        cluster,
-        step,
-    )
-}
-
-/// Run the Fig. 1 sweep through `exec`: the whole 9-benchmark ×
-/// rank-count grid is dispatched as one batch, so every point runs
-/// concurrently (and cached points are free).
+/// Run the Fig. 1 sweep through `exec` (`step` controls the sampling
+/// density; the paper uses every core count, i.e. `step = 1`): the
+/// whole 9-benchmark × rank-count grid is dispatched as one batch, so
+/// every point runs concurrently (and cached points are free).
 pub fn fig1_with(
     exec: &Executor,
     cluster: &ClusterSpec,
@@ -217,19 +205,9 @@ pub struct InsetStats {
     pub dominant: Option<EventKind>,
 }
 
-/// Run Fig. 2: bandwidth/volume curves plus the two pathology insets.
-///
-/// Convenience wrapper over [`fig2_with`] using a default executor.
-pub fn fig2(cluster: &ClusterSpec, config: &RunConfig, step: usize) -> Result<Fig2, HarnessError> {
-    fig2_with(
-        &Executor::new(config.clone(), Default::default()),
-        cluster,
-        step,
-    )
-}
-
-/// Run Fig. 2 through `exec`. The insets need full event timelines, so
-/// those two runs go through [`Executor::run_traced`] (uncached); the
+/// Run Fig. 2 through `exec`: bandwidth/volume curves plus the two
+/// pathology insets. The insets need full event timelines, so those
+/// two runs go through [`Executor::run_traced`] (uncached); the
 /// bandwidth curves reuse the Fig. 1 grid.
 pub fn fig2_with(
     exec: &Executor,
@@ -304,10 +282,15 @@ impl Fig2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecConfig;
+    use crate::runner::RunConfig;
     use spechpc_machine::presets;
 
-    fn quick() -> RunConfig {
-        RunConfig::default().with_repetitions(3).with_trace(false)
+    fn exec() -> Executor {
+        Executor::new(
+            RunConfig::default().with_repetitions(3).with_trace(false),
+            ExecConfig::default(),
+        )
     }
 
     #[test]
@@ -315,7 +298,7 @@ mod tests {
         // Paper §4.1.1 (ClusterA): tealeaf/pot3d ≈ 100 %, cloverleaf 98,
         // hpgmgfv 95, minisweep 73, soma 93, sph-exa 80.
         let cluster = presets::cluster_a();
-        let f1 = fig1(&cluster, &quick(), 17).unwrap();
+        let f1 = fig1_with(&exec(), &cluster, 17).unwrap();
         let eff = efficiency_table(&f1, &cluster);
         let get = |n: &str| eff.iter().find(|(b, _)| b == n).unwrap().1;
         for name in ["tealeaf", "pot3d", "cloverleaf", "hpgmgfv"] {
@@ -334,8 +317,9 @@ mod tests {
         // weather tops the suite at ≈ 2.03.
         let a = presets::cluster_a();
         let b = presets::cluster_b();
-        let f1a = fig1(&a, &quick(), 71).unwrap();
-        let f1b = fig1(&b, &quick(), 103).unwrap();
+        let exec = exec();
+        let f1a = fig1_with(&exec, &a, 71).unwrap();
+        let f1b = fig1_with(&exec, &b, 103).unwrap();
         let acc = acceleration_table(&f1a, &f1b);
         let get = |n: &str| acc.iter().find(|(x, _)| x == n).unwrap().1;
         for name in ["tealeaf", "cloverleaf", "pot3d", "hpgmgfv"] {
@@ -355,7 +339,7 @@ mod tests {
     fn vectorization_table_matches_paper_shape() {
         // §4.1.3: cloverleaf/pot3d/lbm highest; tealeaf and soma lowest.
         let cluster = presets::cluster_a();
-        let f1 = fig1(&cluster, &quick(), 71).unwrap();
+        let f1 = fig1_with(&exec(), &cluster, 71).unwrap();
         let v = vectorization_table(&f1);
         let get = |n: &str| v.iter().find(|(x, _)| x == n).unwrap().1;
         assert!(get("pot3d") > 90.0);
@@ -368,7 +352,7 @@ mod tests {
     #[test]
     fn fig2_insets_show_the_pathologies() {
         let cluster = presets::cluster_a();
-        let f2 = fig2(&cluster, &quick(), 71).unwrap();
+        let f2 = fig2_with(&exec(), &cluster, 71).unwrap();
         // minisweep@59: MPI_Recv dominates (paper: 75 %).
         assert_eq!(f2.minisweep_59.dominant, Some(EventKind::Recv));
         assert!(

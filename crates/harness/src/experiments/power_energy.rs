@@ -2,15 +2,12 @@
 //! power), Fig. 4 (Z-plots and total energy), the §4.2.1 hot/cool table
 //! and the §4.2.3 baseline-power comparison — all on the *tiny* suite.
 
-use crate::error::HarnessError;
 use spechpc_machine::cluster::ClusterSpec;
 use spechpc_machine::node::NodeSpec;
 use spechpc_power::zplot::{ZPlot, ZPoint};
 
-use crate::exec::Executor;
-use crate::experiments::node_level::{fig1_with, Fig1};
+use crate::experiments::node_level::Fig1;
 use crate::report::{fmt, Table};
-use crate::runner::RunConfig;
 
 /// Per-benchmark domain series: `(n, speedup, package W, DRAM W)` for
 /// n within the first ccNUMA domain.
@@ -147,45 +144,22 @@ pub fn baseline_table(nodes: &[&NodeSpec]) -> Table {
     t
 }
 
-/// Run the full tiny-suite power/energy pipeline for one cluster.
-///
-/// Convenience wrapper over [`run_power_energy_with`] using a default
-/// (parallel, memory-cached) executor.
-pub fn run_power_energy(
-    cluster: &ClusterSpec,
-    config: &RunConfig,
-    step: usize,
-) -> Result<(Fig1, Fig3, Fig4), HarnessError> {
-    run_power_energy_with(
-        &Executor::new(config.clone(), Default::default()),
-        cluster,
-        step,
-    )
-}
-
-/// Run the power/energy pipeline through `exec`; Fig. 3 and Fig. 4 are
-/// pure derivations, so one Fig. 1 grid feeds all three artifacts (and
-/// a warm cache makes the grid itself free).
-pub fn run_power_energy_with(
-    exec: &Executor,
-    cluster: &ClusterSpec,
-    step: usize,
-) -> Result<(Fig1, Fig3, Fig4), HarnessError> {
-    let f1 = fig1_with(exec, cluster, step)?;
-    let f3 = fig3(&f1, cluster);
-    let f4 = fig4(&f1);
-    Ok((f1, f3, f4))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::node_level::fig1;
+    use crate::exec::{ExecConfig, Executor};
+    use crate::experiments::node_level::fig1_with;
+    use crate::runner::RunConfig;
     use spechpc_machine::presets;
     use spechpc_power::rapl::RaplModel;
 
-    fn quick() -> RunConfig {
-        RunConfig::default().with_repetitions(1).with_trace(false)
+    /// The Fig. 1 sweep these tests derive from.
+    fn fig1(cluster: &ClusterSpec, step: usize) -> Fig1 {
+        let exec = Executor::new(
+            RunConfig::default().with_repetitions(1).with_trace(false),
+            ExecConfig::default(),
+        );
+        fig1_with(&exec, cluster, step).unwrap()
     }
 
     #[test]
@@ -193,7 +167,7 @@ mod tests {
         // The extrapolated zero-core baseline must recover the CPU's
         // configured baseline power (§4.2.3: 95–101 W on Ice Lake).
         let cluster = presets::cluster_a();
-        let f1 = fig1(&cluster, &quick(), 4).unwrap();
+        let f1 = fig1(&cluster, 4);
         let f3 = fig3(&f1, &cluster);
         let base = f3.extrapolated_baseline_w;
         assert!(
@@ -207,7 +181,7 @@ mod tests {
         // Fig. 3 b/d: going from one socket to two roughly doubles the
         // dynamic power swing.
         let cluster = presets::cluster_a();
-        let f1 = fig1(&cluster, &quick(), 17).unwrap();
+        let f1 = fig1(&cluster, 17);
         let f3 = fig3(&f1, &cluster);
         let (_, series) = f3.node_series.iter().find(|(b, _)| b == "sph-exa").unwrap();
         let p36 = series.iter().find(|(n, _, _)| *n == 36).unwrap().1;
@@ -226,7 +200,7 @@ mod tests {
         // §4.3.1: E and EDP minima "so close together as to be hardly
         // discernible".
         let cluster = presets::cluster_b();
-        let f1 = fig1(&cluster, &quick(), 12).unwrap();
+        let f1 = fig1(&cluster, 12);
         let f4 = fig4(&f1);
         for z in &f4.zplots {
             if z.label.starts_with("lbm") || z.label.starts_with("minisweep") {
@@ -244,7 +218,7 @@ mod tests {
     #[test]
     fn hot_cool_table_matches_421() {
         let cluster = presets::cluster_a();
-        let f1 = fig1(&cluster, &quick(), 71).unwrap();
+        let f1 = fig1(&cluster, 71);
         let hc = hot_cool_table(&f1, &cluster);
         let get = |n: &str| hc.iter().find(|(b, _, _)| b == n).unwrap();
         let (_, w_sph, f_sph) = get("sph-exa");

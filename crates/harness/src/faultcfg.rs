@@ -381,7 +381,9 @@ fn convert_event(t: &TableData, line: usize) -> Result<FaultEvent, PlanError> {
                         .num("flops_fraction")
                         .transpose()?
                         .unwrap_or(DEFAULT_FLOPS_FRACTION);
-                    if base <= 0.0 || cap <= 0.0 {
+                    // Written so that NaN fails too: `throttle_slowdown`
+                    // asserts positive clocks.
+                    if !(base > 0.0 && cap > 0.0) {
                         return Err(PlanError::at(line, "clocks must be positive"));
                     }
                     throttle_slowdown(base, cap, phi)
@@ -555,6 +557,12 @@ flops_fraction = 1.0
         )
         .unwrap_err();
         assert!(e.to_string().contains("drop_prob"), "{e}");
+        // A NaN clock is refused before the slowdown law sees it.
+        let e = parse_plan(
+            "[[event]]\nkind = \"throttle\"\nranks = \"all\"\nt_start_s = 0.0\nt_end_s = 1.0\ncap_ghz = nan\nbase_clock_ghz = 2.4\n",
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("clocks must be positive"), "{e}");
     }
 
     #[test]

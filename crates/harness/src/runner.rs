@@ -311,20 +311,6 @@ impl SimRunner {
             profile,
         }
     }
-
-    /// Strong-scaling sweep over process counts.
-    pub fn sweep(
-        &self,
-        cluster: &ClusterSpec,
-        benchmark: &dyn Benchmark,
-        class: WorkloadClass,
-        counts: &[usize],
-    ) -> Result<Vec<RunResult>, SimError> {
-        counts
-            .iter()
-            .map(|&n| self.run(cluster, benchmark, class, n))
-            .collect()
-    }
 }
 
 /// Per-kind difference `full − warm` (the warm-up prefix's times are a
@@ -434,9 +420,10 @@ mod tests {
         let cluster = presets::cluster_a();
         let b = benchmark_by_name("weather").unwrap();
         let r = SimRunner::new(RunConfig::default().with_trace(false));
-        let res = r
-            .sweep(&cluster, &*b, WorkloadClass::Small, &[72, 144, 288])
-            .unwrap();
+        let res: Vec<RunResult> = [72, 144, 288]
+            .iter()
+            .map(|&n| r.run(&cluster, &*b, WorkloadClass::Small, n).unwrap())
+            .collect();
         assert_eq!(res[0].nodes_used, 1);
         assert_eq!(res[1].nodes_used, 2);
         assert_eq!(res[2].nodes_used, 4);

@@ -323,10 +323,9 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         // Sweep torn cache entries (crash-interrupted writes, corrupt
         // files) into quarantine before any request can read them.
-        if let Some(swept) = exec.cache().map(|c| c.scrub()) {
-            if swept > 0 {
-                eprintln!("spechpc serve: cache scrub quarantined {swept} torn entries");
-            }
+        let swept = exec.cache().scrub();
+        if swept > 0 {
+            eprintln!("spechpc serve: cache scrub quarantined {swept} torn entries");
         }
         Ok(Server::with_role(listener, Role::Daemon(exec), config))
     }
@@ -655,8 +654,9 @@ fn route_pooled(ctx: &Ctx, req: &HttpRequest) -> Result<(u16, String, Option<u32
 /// [`RunKey::hash_hex`](crate::cache::RunKey::hash_hex) value, served
 /// with the exact bytes the cache persists so a fleet peer's replay is
 /// byte-identical to a local one. Served inline on the loop thread
-/// (one map probe or one small file read); `404` for unknown keys and
-/// for daemons running `--no-cache`.
+/// (one map probe or one small file read); `404` for unknown keys. A
+/// daemon running `--no-cache` has no disk tier but serves its memory
+/// entries the same way.
 fn cache_entry(exec: &Executor, hash: &str) -> Result<(u16, String), ApiError> {
     // The hash is used as a file name: accept only the exact shape
     // `RunKey::hash_hex` emits (16 lowercase hex digits) so a crafted
@@ -670,7 +670,7 @@ fn cache_entry(exec: &Executor, hash: &str) -> Result<(u16, String), ApiError> {
             "cache key must be 16 lowercase hex digits",
         ));
     }
-    match exec.cache().and_then(|c| c.entry_by_hash(hash)) {
+    match exec.cache().entry_by_hash(hash) {
         Some(text) => Ok((200, text)),
         None => Err(ApiError::not_found(format!("no cache entry {hash}"))),
     }

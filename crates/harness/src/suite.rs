@@ -6,7 +6,7 @@ use spechpc_machine::cluster::ClusterSpec;
 
 use crate::exec::{Executor, GridFailure, RunSpec};
 use crate::report::{fmt, Table};
-use crate::runner::{RunConfig, RunResult};
+use crate::runner::RunResult;
 
 /// One suite execution: a workload class at one process count.
 #[derive(Debug, Clone)]
@@ -39,16 +39,8 @@ impl Suite {
     }
 
     /// Run every benchmark of the suite (skipping those that do not
-    /// ship the requested workload class).
-    ///
-    /// Convenience wrapper over [`Suite::run_with`] using a default
-    /// (parallel, memory-cached) executor.
-    pub fn run(&self, cluster: &ClusterSpec, config: RunConfig) -> SuiteReport {
-        self.run_with(&Executor::new(config, Default::default()), cluster)
-    }
-
-    /// Run the suite through `exec`: all nine benchmarks execute as one
-    /// concurrent batch, in Table 1 order.
+    /// ship the requested workload class) through `exec`: all nine
+    /// benchmarks execute as one concurrent batch, in Table 1 order.
     ///
     /// The suite always finishes: benchmarks that fail (e.g. under an
     /// injected fault plan) land in [`SuiteReport::failures`] while the
@@ -150,15 +142,21 @@ impl SuiteReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecConfig;
+    use crate::runner::RunConfig;
     use spechpc_machine::presets;
+
+    fn exec(config: RunConfig) -> Executor {
+        Executor::new(config, ExecConfig::default())
+    }
 
     #[test]
     fn tiny_suite_runs_all_nine_on_cluster_a() {
         let cluster = presets::cluster_a();
         let suite = Suite::tiny_full_node(&cluster);
-        let report = suite.run(
+        let report = suite.run_with(
+            &exec(RunConfig::default().with_repetitions(1).with_trace(false)),
             &cluster,
-            RunConfig::default().with_repetitions(1).with_trace(false),
         );
         assert!(report.is_complete());
         assert_eq!(report.results.len(), 9);
@@ -180,18 +178,20 @@ mod tests {
         // Crash a mid-grid rank immediately: every benchmark that
         // schedules rank 30 aborts with MPI-abort semantics, yet the
         // suite still renders the survivors and blames the rank.
-        let report = suite.run(
+        let report = suite.run_with(
+            &exec(
+                RunConfig::default()
+                    .with_repetitions(1)
+                    .with_trace(false)
+                    .with_faults(FaultPlan {
+                        seed: 11,
+                        events: vec![FaultEvent::Crash {
+                            rank: 30,
+                            at_s: 0.0,
+                        }],
+                    }),
+            ),
             &cluster,
-            RunConfig::default()
-                .with_repetitions(1)
-                .with_trace(false)
-                .with_faults(FaultPlan {
-                    seed: 11,
-                    events: vec![FaultEvent::Crash {
-                        rank: 30,
-                        at_s: 0.0,
-                    }],
-                }),
         );
         assert!(!report.is_complete());
         assert_eq!(report.results.len() + report.failures.len(), 9);
@@ -209,11 +209,11 @@ mod tests {
 
     #[test]
     fn spec_score_is_one_against_itself_and_favours_cluster_b() {
-        let cfg = RunConfig::default().with_repetitions(1).with_trace(false);
+        let exec = exec(RunConfig::default().with_repetitions(1).with_trace(false));
         let a = presets::cluster_a();
         let b = presets::cluster_b();
-        let ra = Suite::tiny_full_node(&a).run(&a, cfg.clone());
-        let rb = Suite::tiny_full_node(&b).run(&b, cfg);
+        let ra = Suite::tiny_full_node(&a).run_with(&exec, &a);
+        let rb = Suite::tiny_full_node(&b).run_with(&exec, &b);
         let self_score = ra.spec_score(&ra).unwrap();
         assert!((self_score - 1.0).abs() < 1e-12);
         let b_score = rb.spec_score(&ra).unwrap();
@@ -232,9 +232,9 @@ mod tests {
             class: WorkloadClass::Medium,
             nranks: cluster.node.cores(),
         };
-        let report = suite.run(
+        let report = suite.run_with(
+            &exec(RunConfig::default().with_repetitions(1).with_trace(false)),
             &cluster,
-            RunConfig::default().with_repetitions(1).with_trace(false),
         );
         // Six of nine ship medium/large workloads.
         assert_eq!(report.results.len(), 6);

@@ -8,7 +8,7 @@
 //! ```
 
 use spechpc::harness::experiments::multi_node::{
-    comm_breakdown, fig5, fig6, scaling_cases, soma_anomaly,
+    comm_breakdown, fig5_with, fig6, scaling_cases, soma_anomaly,
 };
 use spechpc::prelude::*;
 
@@ -22,7 +22,10 @@ fn main() {
         let n = nodes.last().unwrap() * 2;
         nodes.push(n);
     }
-    let config = RunConfig::default().with_repetitions(1);
+    let exec = Executor::new(
+        RunConfig::default().with_repetitions(1),
+        ExecConfig::default(),
+    );
 
     for cluster in [presets::cluster_a(), presets::cluster_b()] {
         let cores = cluster.node.cores();
@@ -32,7 +35,7 @@ fn main() {
             nodes,
             nodes.last().unwrap() * cores
         );
-        let f5 = fig5(&cluster, &config, &nodes).expect("multi-node sweep failed");
+        let f5 = fig5_with(&exec, &cluster, &nodes).expect("multi-node sweep failed");
 
         println!("\n-- Fig. 5: speedup / per-node bandwidth / aggregate volume --");
         println!(

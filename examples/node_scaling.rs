@@ -10,7 +10,7 @@
 //! 1, which takes a few minutes here).
 
 use spechpc::harness::experiments::node_level::{
-    acceleration_table, efficiency_table, fig1, fig2, vectorization_table,
+    acceleration_table, efficiency_table, fig1_with, fig2_with, vectorization_table,
 };
 use spechpc::prelude::*;
 
@@ -19,7 +19,9 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
-    let config = RunConfig::default();
+    // One executor for every section: Fig. 2 replays ClusterA's Fig. 1
+    // points from its memory cache instead of simulating them again.
+    let exec = Executor::new(RunConfig::default(), ExecConfig::default());
 
     let a = presets::cluster_a();
     let b = presets::cluster_b();
@@ -30,8 +32,8 @@ fn main() {
         b.node.cores(),
         b.name
     );
-    let f1a = fig1(&a, &config, step).expect("ClusterA sweep failed");
-    let f1b = fig1(&b, &config, step).expect("ClusterB sweep failed");
+    let f1a = fig1_with(&exec, &a, step).expect("ClusterA sweep failed");
+    let f1b = fig1_with(&exec, &b, step).expect("ClusterB sweep failed");
 
     println!("\n== §4.1.1 parallel efficiency: one ccNUMA domain → full node [%] ==");
     println!("{:<12} {:>9} {:>9}", "benchmark", a.name, b.name);
@@ -55,7 +57,7 @@ fn main() {
         "\n== Fig. 2 insets — the two node-level pathologies on {} ==",
         a.name
     );
-    let f2 = fig2(&a, &config, a.node.cores()).expect("fig2 failed");
+    let f2 = fig2_with(&exec, &a, a.node.cores()).expect("fig2 failed");
     let ms = f2.minisweep_59;
     println!(
         "minisweep @ 59 processes: {:.3} s/step — {:.0}% MPI_Recv, {:.0}% compute (dominant: {:?})",

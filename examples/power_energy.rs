@@ -7,14 +7,14 @@
 //! cargo run --release --example power_energy
 //! ```
 
-use spechpc::harness::experiments::node_level::fig1;
+use spechpc::harness::experiments::node_level::fig1_with;
 use spechpc::harness::experiments::power_energy::{baseline_table, fig3, fig4, hot_cool_table};
 use spechpc::power::classify::{classify_heat, HeatClass};
 use spechpc::power::race::{analyze, concurrency_sweep, saturating_speedup};
 use spechpc::prelude::*;
 
 fn main() {
-    let config = RunConfig::default();
+    let exec = Executor::new(RunConfig::default(), ExecConfig::default());
     let a = presets::cluster_a();
     let b = presets::cluster_b();
 
@@ -23,8 +23,8 @@ fn main() {
         "{:<12} {:>14} {:>8} {:>6} | {:>14} {:>8} {:>6}",
         "benchmark", "A [W/socket]", "%TDP", "class", "B [W/socket]", "%TDP", "class"
     );
-    let f1a = fig1(&a, &config, 8).expect("sweep A");
-    let f1b = fig1(&b, &config, 8).expect("sweep B");
+    let f1a = fig1_with(&exec, &a, 8).expect("sweep A");
+    let f1b = fig1_with(&exec, &b, 8).expect("sweep B");
     let hca = hot_cool_table(&f1a, &a);
     let hcb = hot_cool_table(&f1b, &b);
     for ((name, wa, fa), (_, wb, fb)) in hca.iter().zip(&hcb) {

@@ -46,11 +46,8 @@ fn parallel_output_is_byte_identical_to_serial() {
     let cluster = presets::cluster_a();
     let specs = grid();
 
-    let serial = Executor::serial(quick());
-    let parallel = Executor::new(
-        quick(),
-        ExecConfig::default().with_jobs(8).with_no_cache(true),
-    );
+    let serial = Executor::new(quick(), ExecConfig::default().with_jobs(1));
+    let parallel = Executor::new(quick(), ExecConfig::default().with_jobs(8));
 
     let rs = serial.run_all(&cluster, &specs).into_results().unwrap();
     let rp = parallel.run_all(&cluster, &specs).into_results().unwrap();

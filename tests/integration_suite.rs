@@ -8,11 +8,15 @@ fn quick() -> RunConfig {
     RunConfig::default().with_repetitions(2).with_trace(false)
 }
 
+fn exec() -> Executor {
+    Executor::new(quick(), ExecConfig::default())
+}
+
 #[test]
 fn tiny_suite_full_node_pipeline_consistency() {
     for cluster in [presets::cluster_a(), presets::cluster_b()] {
         let suite = Suite::tiny_full_node(&cluster);
-        let report = suite.run(&cluster, quick());
+        let report = suite.run_with(&exec(), &cluster);
         assert!(report.is_complete(), "{}", report.render());
         assert_eq!(report.results.len(), 9);
         let rapl = RaplModel::new(&cluster);
@@ -79,7 +83,7 @@ fn suite_report_renders_complete_table() {
         class: WorkloadClass::Tiny,
         nranks: 36,
     };
-    let report = suite.run(&cluster, quick());
+    let report = suite.run_with(&exec(), &cluster);
     let text = report.render();
     for name in BENCHMARK_NAMES {
         assert!(text.contains(name), "missing {name} in:\n{text}");

@@ -54,7 +54,7 @@ fn assert_profiled(r: &RunResult, ctx: &str) {
 #[test]
 fn fig2_cases_profile_without_tracing_on_both_presets() {
     for cluster in [presets::cluster_a(), presets::cluster_b()] {
-        let exec = Executor::serial(quick());
+        let exec = Executor::new(quick(), ExecConfig::default().with_jobs(1));
         let cases = [("minisweep", 59usize), ("lbm", cluster.node.cores() - 1)];
         for (name, n) in cases {
             let spec = RunSpec::new(name, WorkloadClass::Tiny, n);
@@ -69,7 +69,7 @@ fn fig2_cases_profile_without_tracing_on_both_presets() {
 /// dominant MPI phase.
 #[test]
 fn minisweep_profile_shows_recv_dominated_waits() {
-    let exec = Executor::serial(quick());
+    let exec = Executor::new(quick(), ExecConfig::default().with_jobs(1));
     let spec = RunSpec::new("minisweep", WorkloadClass::Tiny, 59);
     let r = exec.run_one(&presets::cluster_a(), &spec).unwrap();
     let tot = r.profile.totals();

@@ -1,7 +1,8 @@
 //! Property-style tests of the fault-injection subsystem: graceful
 //! termination under random crash plans, bit-exact reproducibility of
-//! the same `(plan, seed)`, monotone degradation, and byte-identical
-//! cached replay through the harness.
+//! the same `(plan, seed)`, monotone degradation, byte-identical
+//! cached replay through the harness, and the plan parsers' typed
+//! errors on mutated plan files.
 //!
 //! Cases are drawn from the in-tree deterministic RNG with fixed
 //! seeds, so every run explores the same parameter sample — failures
@@ -9,6 +10,7 @@
 
 use std::path::PathBuf;
 
+use spechpc::harness::{api, chaos, faultcfg};
 use spechpc::kernels::common::rng::Rng;
 use spechpc::machine::presets;
 use spechpc::prelude::*;
@@ -292,4 +294,251 @@ fn cached_replay_of_a_faulty_run_is_byte_identical() {
     for dir in &dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Plan-parser mutation suite
+// ---------------------------------------------------------------------------
+
+/// Seeded mutations fed to both parsers per shipped plan file.
+const MUTATIONS_PER_PLAN: usize = 800;
+
+/// Values written over a `key = value` line's value: non-finite and
+/// out-of-range numbers, signed zero, one past `u64::MAX`, and strings
+/// where numbers belong.
+const HOSTILE_VALUES: &[&str] = &[
+    "nan",
+    "NaN",
+    "inf",
+    "-inf",
+    "+inf",
+    "1e309",
+    "-1e309",
+    "-0",
+    "-0.0",
+    "18446744073709551616",
+    "-1",
+    "0.5",
+    "1e-320",
+    "\"nan\"",
+    "\"\"",
+    "\"all\"",
+];
+
+/// Rank sets with empty parts.
+const EMPTY_RANK_PARTS: &[&str] = &["\"0,,1\"", "\",\"", "\"1,\"", "\",2\"", "\" , \"", "\"\""];
+
+/// Garbled section headers, and the other dialect's header.
+const GARBLED_HEADERS: &[&str] = &[
+    "[[event]",
+    "[event]]",
+    "[[ event ]]",
+    "[[]]",
+    "[[event]]]",
+    "[[",
+    "[[event]] x",
+    "[[EVENT]]",
+    "[[fault",
+    "[[évent]]",
+    "[[event]]",
+    "[[fault]]",
+];
+
+/// Non-ASCII text spliced into a line.
+const NON_ASCII: &[&str] = &[
+    "é",
+    "ランク",
+    "\u{feff}",
+    "\u{0}",
+    "🔥",
+    "\u{202e}",
+    "ß = ß",
+];
+
+fn below(rng: &mut Rng, n: usize) -> usize {
+    (rng.next_u64() % n.max(1) as u64) as usize
+}
+
+fn pick<'a>(rng: &mut Rng, items: &[&'a str]) -> &'a str {
+    items[below(rng, items.len())]
+}
+
+/// Indices of the lines of `lines` for which `keep` holds.
+fn lines_where(lines: &[String], keep: impl Fn(&str) -> bool) -> Vec<usize> {
+    (0..lines.len()).filter(|&i| keep(&lines[i])).collect()
+}
+
+/// One seeded mutation of `text`.
+fn mutate(text: &str, rng: &mut Rng) -> String {
+    let bytes = text.as_bytes();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    if bytes.is_empty() || lines.is_empty() {
+        return pick(rng, GARBLED_HEADERS).to_string();
+    }
+    let n = lines.len();
+    match below(rng, 10) {
+        // Byte flip; a broken UTF-8 sequence reads as U+FFFD.
+        0 => {
+            let mut flipped = bytes.to_vec();
+            let i = below(rng, flipped.len());
+            flipped[i] ^= 1 + below(rng, 255) as u8;
+            return String::from_utf8_lossy(&flipped).into_owned();
+        }
+        1 => return String::from_utf8_lossy(&bytes[..below(rng, bytes.len())]).into_owned(),
+        2 => {
+            lines.remove(below(rng, n));
+        }
+        3 => {
+            let i = below(rng, n);
+            lines.insert(i, lines[i].clone());
+        }
+        4 => lines.swap(below(rng, n), below(rng, n)),
+        5 => {
+            let headers = lines_where(&lines, |l| l.trim_start().starts_with('['));
+            let garbled = pick(rng, GARBLED_HEADERS).to_string();
+            match headers.as_slice() {
+                [] => lines.insert(below(rng, n + 1), garbled),
+                _ => lines[headers[below(rng, headers.len())]] = garbled,
+            }
+        }
+        6 | 7 => {
+            let values = lines_where(&lines, |l| l.contains('='));
+            let ranks = lines_where(&lines, |l| l.trim_start().starts_with("ranks"));
+            let (targets, pool) = if below(rng, 2) == 0 && !ranks.is_empty() {
+                (ranks, EMPTY_RANK_PARTS)
+            } else {
+                (values, HOSTILE_VALUES)
+            };
+            if let Some(&i) = targets.get(below(rng, targets.len())) {
+                let key = lines[i].split('=').next().unwrap_or("").trim().to_string();
+                lines[i] = format!("{key} = {}", pick(rng, pool));
+            }
+        }
+        // Unterminated string: drop a line's last quote.
+        8 => {
+            let quoted = lines_where(&lines, |l| l.contains('"'));
+            if let Some(&i) = quoted.get(below(rng, quoted.len())) {
+                let at = lines[i].rfind('"').expect("line has a quote");
+                lines[i].remove(at);
+            }
+        }
+        _ => {
+            let i = below(rng, n);
+            let boundaries: Vec<usize> = lines[i]
+                .char_indices()
+                .map(|(at, _)| at)
+                .chain([lines[i].len()])
+                .collect();
+            let at = boundaries[below(rng, boundaries.len())];
+            let fragment = pick(rng, NON_ASCII);
+            lines[i].insert_str(at, fragment);
+        }
+    }
+    lines.join("\n")
+}
+
+/// A rejection must be a well-formed [`faultcfg::PlanError`]: a message,
+/// and a line number inside the text when it names one.
+fn check_rejection(e: &faultcfg::PlanError, text: &str) -> Result<(), String> {
+    if e.message.is_empty() {
+        return Err("empty error message".into());
+    }
+    match e.line {
+        Some(line) if line == 0 || line > text.lines().count() => Err(format!(
+            "error names line {line} of a {}-line text: {e}",
+            text.lines().count()
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Feed `text` to both parsers. Neither may panic, every rejection is
+/// a well-formed `PlanError`, and an accepted fault plan keeps its
+/// canonical form through the wire codec. Returns which parsers
+/// accepted `text`.
+fn check_parsers(text: &str) -> Result<(bool, bool), String> {
+    let fault = std::panic::catch_unwind(|| faultcfg::parse_plan(text))
+        .map_err(|_| "faultcfg::parse_plan panicked".to_string())?;
+    let fault_ok = match fault {
+        Ok(plan) => {
+            let back = api::fault_plan_from_json(&api::fault_plan_to_json(&plan))
+                .map_err(|e| format!("accepted plan fails the JSON codec: {}", e.message))?;
+            if back.canonical() != plan.canonical() {
+                return Err(format!(
+                    "canonical {} became {} through JSON",
+                    plan.canonical(),
+                    back.canonical()
+                ));
+            }
+            true
+        }
+        Err(e) => {
+            check_rejection(&e, text)?;
+            false
+        }
+    };
+    let chaos = std::panic::catch_unwind(|| chaos::parse_chaos_plan(text))
+        .map_err(|_| "chaos::parse_chaos_plan panicked".to_string())?;
+    let chaos_ok = match chaos {
+        Ok(_) => true,
+        Err(e) => {
+            check_rejection(&e, text)?;
+            false
+        }
+    };
+    Ok((fault_ok, chaos_ok))
+}
+
+/// Seeded mutations of every shipped `plans/*.toml` file: byte flips,
+/// truncations, dropped, duplicated and swapped lines, garbled headers,
+/// hostile values, empty rank-set parts, unterminated strings and
+/// non-ASCII text, stacked one to three deep.
+#[test]
+fn mutated_plan_files_get_typed_errors_and_never_panic() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("plans");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("plans/ directory")
+        .map(|e| e.expect("plans/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .collect();
+    files.sort();
+    assert!(
+        files.len() >= 2,
+        "expected shipped plans under {}",
+        dir.display()
+    );
+
+    let (mut fault_accepted, mut chaos_accepted) = (0, 0);
+    let mut failures = Vec::new();
+    for (k, path) in files.iter().enumerate() {
+        let original = std::fs::read_to_string(path).expect("read plan");
+        let mut rng = Rng::seed_from_u64(0x7015_0000 + k as u64);
+        for m in 0..=MUTATIONS_PER_PLAN {
+            let mut text = original.clone();
+            if m > 0 {
+                for _ in 0..1 + below(&mut rng, 3) {
+                    text = mutate(&text, &mut rng);
+                }
+            }
+            match check_parsers(&text) {
+                Ok((f, c)) => {
+                    fault_accepted += f as usize;
+                    chaos_accepted += c as usize;
+                }
+                Err(why) => failures.push(format!("{} #{m}: {why}\n{text}", path.display())),
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {} inputs failed; first:\n{}",
+        failures.len(),
+        files.len() * (MUTATIONS_PER_PLAN + 1),
+        failures[0]
+    );
+    // Both acceptance paths ran, so the round trip was exercised.
+    assert!(
+        fault_accepted > 0 && chaos_accepted > 0,
+        "{fault_accepted} {chaos_accepted}"
+    );
 }

@@ -850,12 +850,9 @@ fn run_bodies_are_identical_from_every_cache_tier() {
         "{}",
         key(&requests[2])
     );
-    // The reference: the in-process dispatcher on a cold, uncached
-    // executor.
-    let reference = Executor::new(
-        RunConfig::default(),
-        ExecConfig::default().with_jobs(1).with_no_cache(true),
-    );
+    // The reference: the in-process dispatcher on a cold in-memory
+    // executor (every request is a distinct key, so each simulates).
+    let reference = Executor::new(RunConfig::default(), ExecConfig::default().with_jobs(1));
     let want: Vec<String> = requests
         .iter()
         .map(|req| api::dispatch_run(&reference, req).unwrap().to_json())
