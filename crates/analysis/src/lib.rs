@@ -5,7 +5,6 @@
 //! (Contributions, §1). This crate implements those metrics on top of
 //! simulation output:
 //!
-//! * [`roofline`] — Roofline model (§4.1.2's "Roofline-like view"),
 //! * [`speedup`] — speedup and parallel-efficiency curves, saturation
 //!   and superlinearity detection (§4.1.1),
 //! * [`counters`] — LIKWID-style counter groups (MEM_DP, L3, L2):
@@ -16,11 +15,9 @@
 
 pub mod counters;
 pub mod perfctr;
-pub mod roofline;
 pub mod scaling;
 pub mod speedup;
 
 pub use counters::{CounterGroup, CounterSample};
-pub use roofline::Roofline;
 pub use scaling::{classify_scaling, ScalingCase, ScalingEvidence};
-pub use speedup::{parallel_efficiency, speedup_curve, SpeedupCurve};
+pub use speedup::{parallel_efficiency, SpeedupCurve};

@@ -70,11 +70,6 @@ pub fn parallel_efficiency(
     Some(100.0 * (t_base / t_big) / ideal)
 }
 
-/// Build a speedup curve from `(resources, runtime)` measurements.
-pub fn speedup_curve(points: Vec<(usize, f64)>) -> SpeedupCurve {
-    SpeedupCurve::new(points)
-}
-
 /// Classification of a node-level scaling pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeScalingPattern {

@@ -373,13 +373,9 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             let bench = benchmark_by_name(&benchmark)
                 .ok_or_else(|| ApiError::bad_request(format!("unknown benchmark '{benchmark}'")))?;
             let sig = bench.signature(WorkloadClass::Tiny);
-            let n = cl.node.cores();
-            let model = NodeModel::new(&cl, n);
-            let ct = model.compute_times(&sig, &[]);
             // Socket-level in-core vs memory split of a representative
             // rank at the full node.
-            let t_flops = ct.t_flops[0];
-            let t_mem = ct.t_mem[0];
+            let (t_flops, t_mem) = NodeModel::new(&cl, cl.node.cores()).split(&sig);
             let sweep = dvfs::frequency_sweep(
                 &cl.node.cpu,
                 sig.heat,

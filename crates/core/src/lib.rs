@@ -8,7 +8,7 @@
 //! * [`simmpi`] — discrete-event MPI simulator + native thread comm,
 //! * [`kernels`] — executable analogs of all nine suite benchmarks,
 //! * [`power`] — RAPL-style power/energy models, Z-plots, race-to-idle,
-//! * [`analysis`] — roofline, counters, speedup and scaling classifiers,
+//! * [`analysis`] — counters, speedup and scaling classifiers,
 //! * [`harness`] — SPEC-like run rules and per-figure experiment drivers.
 //!
 //! ## Quickstart
@@ -38,7 +38,6 @@ pub use spechpc_simmpi as simmpi;
 /// The common imports for working with the framework.
 pub mod prelude {
     pub use spechpc_analysis::counters::CounterSample;
-    pub use spechpc_analysis::roofline::Roofline;
     pub use spechpc_analysis::scaling::{classify_scaling, ScalingCase, ScalingEvidence};
     pub use spechpc_analysis::speedup::{parallel_efficiency, SpeedupCurve};
     pub use spechpc_harness::api::{

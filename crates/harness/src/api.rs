@@ -550,7 +550,9 @@ pub fn fault_plan_to_json(plan: &FaultPlan) -> Json {
     ])
 }
 
-/// Decode the `"faults"` wire JSON back into a plan.
+/// Decode the `"faults"` wire JSON back into a plan. A plan that
+/// [`FaultPlan::validate`] rejects is a 400, as the TOML reader refuses
+/// it too.
 pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, ApiError> {
     let seed = v.f64_of("seed").unwrap_or(0.0) as u64;
     let events = v
@@ -604,7 +606,9 @@ pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, ApiError> {
             }
         });
     }
-    Ok(FaultPlan { seed, events: out })
+    let plan = FaultPlan { seed, events: out };
+    plan.validate().map_err(ApiError::bad_request)?;
+    Ok(plan)
 }
 
 // ---------------------------------------------------------------------------
@@ -1236,9 +1240,12 @@ mod tests {
             r#"{"benchmark": "lbm", "class": "epic"}"#,
             r#"{"benchmark": "lbm", "config": {"faults": {"seed": 1}}}"#,
             r#"{"benchmark": "lbm", "config": {"faults": {"events": [{"kind": "warp"}]}}}"#,
+            // 1e400 reads as +inf: a window the wire could not echo.
+            r#"{"benchmark": "lbm", "config": {"faults": {"events": [{"kind": "throttle", "ranks": "all", "t_start_s": 0.5, "t_end_s": 1e400, "slowdown": 1.25}]}}}"#,
         ] {
             let err = RunRequest::from_json(body).unwrap_err();
             assert_eq!(err.status, 400, "{body} → {err}");
+            assert_eq!(err.code, "bad_request", "{body} → {err}");
         }
     }
 

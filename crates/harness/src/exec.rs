@@ -123,12 +123,6 @@ impl RunSpec {
         }
     }
 
-    /// Builder: replace the workload class.
-    pub fn with_class(mut self, class: WorkloadClass) -> Self {
-        self.class = class;
-        self
-    }
-
     /// Builder: replace the rank count.
     pub fn with_nranks(mut self, nranks: usize) -> Self {
         self.nranks = nranks;

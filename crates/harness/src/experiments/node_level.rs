@@ -97,40 +97,6 @@ pub fn fig1_with(
     })
 }
 
-impl Fig1 {
-    /// Render the speedup panel (Fig. 1 a/d) as a table.
-    pub fn render_speedup(&self) -> String {
-        let mut t = Table::new(
-            format!("Fig. 1 ({}) — tiny suite speedup vs. cores", self.cluster),
-            &[
-                "benchmark",
-                "n",
-                "speedup",
-                "min",
-                "max",
-                "DP Gflop/s",
-                "DP-AVX Gflop/s",
-            ],
-        );
-        for s in &self.sweeps {
-            let t1 = s.results.first().map(|r| r.step_seconds).unwrap_or(1.0);
-            for r in &s.results {
-                t.row(vec![
-                    s.benchmark.clone(),
-                    r.nranks.to_string(),
-                    fmt(t1 / r.step_seconds),
-                    fmt(t1 / r.step_seconds_max),
-                    fmt(t1 / r.step_seconds_min),
-                    fmt(r.counters.dp_gflops()),
-                    fmt(r.counters.dp_avx_gflops()),
-                ])
-                .expect("row matches header");
-            }
-        }
-        t.render()
-    }
-}
-
 /// The §4.1.1 parallel-efficiency table: speedup percentage from one
 /// ccNUMA domain to the full node, per benchmark.
 pub fn efficiency_table(fig1: &Fig1, cluster: &ClusterSpec) -> Vec<(String, f64)> {

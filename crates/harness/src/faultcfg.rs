@@ -563,6 +563,13 @@ flops_fraction = 1.0
         )
         .unwrap_err();
         assert!(e.to_string().contains("clocks must be positive"), "{e}");
+        // The wire cannot carry an infinite window end (it would come
+        // back as NaN), so the plan is refused here.
+        let e = parse_plan(
+            "[[event]]\nkind = \"throttle\"\nranks = \"all\"\nt_start_s = 0.5\nt_end_s = inf\nslowdown = 1.25\n",
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("must be finite"), "{e}");
     }
 
     #[test]

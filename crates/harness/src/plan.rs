@@ -515,8 +515,9 @@ pub struct JobShape {
     pub flops_fraction: f64,
 }
 
-/// The roofline flops/memory split the DVFS slowdown model needs,
-/// derived from the same per-rank compute-time model the engine runs.
+/// The roofline flops/memory split the DVFS slowdown model needs: rank
+/// 0's [`NodeModel::split`], from the node model the engine's compute
+/// times come from.
 pub fn flops_fraction(
     cluster: &ClusterSpec,
     benchmark: &str,
@@ -526,9 +527,7 @@ pub fn flops_fraction(
     let Some(bench) = benchmark_by_name(benchmark) else {
         return 0.5; // unreachable after a successful engine run
     };
-    let sig = bench.signature(class);
-    let ct = NodeModel::new(cluster, nranks).compute_times(&sig, &[]);
-    let (t_flops, t_mem) = (ct.t_flops[0], ct.t_mem[0]);
+    let (t_flops, t_mem) = NodeModel::new(cluster, nranks).split(&bench.signature(class));
     if t_flops + t_mem > 0.0 {
         t_flops / (t_flops + t_mem)
     } else {

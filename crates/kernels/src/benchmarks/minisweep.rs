@@ -442,8 +442,6 @@ mod tests {
     fn step_program_encodes_the_wavefront_dependency() {
         let ct = ComputeTimes {
             per_rank: vec![0.01; 6],
-            t_flops: vec![0.01; 6],
-            t_mem: vec![0.0; 6],
             utilization: vec![1.0; 6],
             effective_mem_bytes: 0.0,
             effective_l3_bytes: 0.0,

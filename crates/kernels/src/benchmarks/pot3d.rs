@@ -553,8 +553,6 @@ mod tests {
     fn step_program_has_two_reductions_and_face_exchanges() {
         let ct = ComputeTimes {
             per_rank: vec![0.01; 8],
-            t_flops: vec![0.0; 8],
-            t_mem: vec![0.01; 8],
             utilization: vec![0.2; 8],
             effective_mem_bytes: 0.0,
             effective_l3_bytes: 0.0,

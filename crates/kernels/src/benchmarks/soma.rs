@@ -419,8 +419,6 @@ mod tests {
     fn step_program_is_reduction_dominated() {
         let ct = ComputeTimes {
             per_rank: vec![0.01; 4],
-            t_flops: vec![0.01; 4],
-            t_mem: vec![0.0; 4],
             utilization: vec![1.0; 4],
             effective_mem_bytes: 0.0,
             effective_l3_bytes: 0.0,

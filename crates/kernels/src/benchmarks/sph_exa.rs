@@ -550,8 +550,6 @@ mod tests {
     fn step_program_mixes_p2p_and_reductions() {
         let ct = ComputeTimes {
             per_rank: vec![0.01; 8],
-            t_flops: vec![0.01; 8],
-            t_mem: vec![0.0; 8],
             utilization: vec![1.0; 8],
             effective_mem_bytes: 0.0,
             effective_l3_bytes: 0.0,

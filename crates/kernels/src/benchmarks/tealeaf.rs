@@ -531,8 +531,6 @@ mod tests {
     fn step_program_has_two_dot_reductions() {
         let ct = ComputeTimes {
             per_rank: vec![0.01; 9],
-            t_flops: vec![0.0; 9],
-            t_mem: vec![0.01; 9],
             utilization: vec![0.2; 9],
             effective_mem_bytes: 0.0,
             effective_l3_bytes: 0.0,

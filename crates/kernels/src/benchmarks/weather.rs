@@ -491,8 +491,6 @@ mod tests {
     fn step_program_is_pure_p2p() {
         let ct = ComputeTimes {
             per_rank: vec![0.02; 4],
-            t_flops: vec![0.01; 4],
-            t_mem: vec![0.01; 4],
             utilization: vec![0.5; 4],
             effective_mem_bytes: 0.0,
             effective_l3_bytes: 0.0,

@@ -3,9 +3,8 @@
 //!
 //! A Roofline/ECM-style model (paper §4.1.2 adopts the same view): the
 //! compute phase of a step takes
-//! `max(t_flops, t_mem) + γ·min(t_flops, t_mem)` per rank (γ = 0.5, the
-//! ECM-style partial-overlap penalty: in-core execution and memory
-//! transfers overlap imperfectly on Intel server cores), where
+//! [`overlapped`]`(t_flops, t_mem) = max(t_flops, t_mem) + 0.5·min(t_flops, t_mem)`
+//! per rank, where
 //!
 //! * `t_flops` follows from the core's SIMD-adjusted instruction
 //!   throughput, and
@@ -13,14 +12,19 @@
 //!   saturating memory bandwidth — the mechanism behind the saturation
 //!   speedup patterns of `pot3d`, `tealeaf`, `cloverleaf` and `hpgmgfv`.
 //!
+//! Both depend only on the rank's node and ccNUMA domain, so the model
+//! computes them once per (node, domain) class and expands them to
+//! ranks only for the per-rank times, utilizations and penalties.
+//!
 //! The model also applies the *cache-fit* correction: under strong
 //! scaling the per-node share of the working set shrinks; once it
 //! approaches the effective LLC (victim L3 + L2, paper footnote 6) the
 //! memory traffic collapses and scaling turns superlinear (`weather`,
 //! §5.1 case A). Replicated working sets (`soma`) never benefit.
 
-use spechpc_machine::affinity::{Pinning, PinningPolicy};
+use spechpc_machine::affinity::Pinning;
 use spechpc_machine::cluster::ClusterSpec;
+use spechpc_machine::cpu::overlapped;
 
 use crate::common::signature::WorkloadSignature;
 
@@ -28,19 +32,11 @@ use crate::common::signature::WorkloadSignature;
 /// allocations, first touches), even for a fully cache-resident set.
 const CACHE_TRAFFIC_FLOOR: f64 = 0.12;
 
-/// ECM-style non-overlap factor: the fraction of the shorter of
-/// (in-core time, memory time) that does *not* hide behind the longer.
-const OVERLAP_PENALTY: f64 = 0.5;
-
 /// Per-step, per-rank timing produced by the model.
 #[derive(Debug, Clone)]
 pub struct ComputeTimes {
     /// Compute seconds per rank for one step (before communication).
     pub per_rank: Vec<f64>,
-    /// Pure in-core time per rank (flops path).
-    pub t_flops: Vec<f64>,
-    /// Pure memory time per rank (bandwidth path).
-    pub t_mem: Vec<f64>,
     /// Core busy fraction per rank (`t_flops / t_step`): stalled cores
     /// draw less package power (paper §4.2).
     pub utilization: Vec<f64>,
@@ -60,36 +56,22 @@ impl ComputeTimes {
     pub fn max_seconds(&self) -> f64 {
         self.per_rank.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Mean core utilization over all ranks.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.utilization.is_empty() {
-            return 0.0;
-        }
-        self.utilization.iter().sum::<f64>() / self.utilization.len() as f64
-    }
 }
 
 /// Performance model bound to a cluster and a compact pinning of
 /// `nranks` ranks.
 #[derive(Debug, Clone)]
-pub struct NodeModel {
-    cluster: ClusterSpec,
+pub struct NodeModel<'a> {
+    cluster: &'a ClusterSpec,
     pinning: Pinning,
 }
 
-impl NodeModel {
+impl<'a> NodeModel<'a> {
     /// Model for `nranks` compactly pinned ranks (the paper's setup).
-    pub fn new(cluster: &ClusterSpec, nranks: usize) -> Self {
-        Self::with_policy(cluster, nranks, PinningPolicy::Compact)
-    }
-
-    /// Model with an explicit pinning policy (scatter is used by the
-    /// SNC/pinning ablation).
-    pub fn with_policy(cluster: &ClusterSpec, nranks: usize, policy: PinningPolicy) -> Self {
+    pub fn new(cluster: &'a ClusterSpec, nranks: usize) -> Self {
         NodeModel {
-            cluster: cluster.clone(),
-            pinning: Pinning::new(cluster, nranks, policy),
+            cluster,
+            pinning: Pinning::new(cluster, nranks),
         }
     }
 
@@ -101,8 +83,8 @@ impl NodeModel {
         &self.pinning
     }
 
-    pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
+    pub fn cluster(&self) -> &'a ClusterSpec {
+        self.cluster
     }
 
     /// Effective per-core instruction throughput in flop/s for a given
@@ -132,6 +114,52 @@ impl NodeModel {
         (1.0 - r.powf(gamma)).max(CACHE_TRAFFIC_FLOOR)
     }
 
+    /// `(t_flops, t_mem, mem_rank)` of one rank of each (node, domain)
+    /// class on the first `nodes` nodes; outer index node, inner index
+    /// domain. `mem_rank` is the rank's memory traffic after the node's
+    /// cache-fit correction.
+    fn classes(&self, sig: &WorkloadSignature, nodes: usize) -> Vec<Vec<(f64, f64, f64)>> {
+        let node = &self.cluster.node;
+        let active = self.pinning.active_per_domain(node.numa_domains());
+        let nodes_used = active.len() as f64;
+        let nranks = self.nranks() as f64;
+        let t_flops = sig.flops / nranks / self.core_rate(sig);
+        let mem_nominal = sig.mem_bytes / nranks + sig.mem_bytes_per_rank;
+        active[..nodes]
+            .iter()
+            .map(|doms| {
+                // Per-node working-set share and cache scale. The LLC
+                // capacity available grows with the number of active
+                // cores/domains on the node (SNC L3 slices + private L2s).
+                let ranks: usize = doms.iter().sum();
+                let ws_node = sig.distributed_working_set() / nodes_used
+                    + sig.working_set_bytes * sig.replicated_fraction * ranks as f64;
+                let active_domains = doms.iter().filter(|&&c| c > 0).count();
+                let llc = node.effective_llc_active(ranks, active_domains) as f64;
+                let mem_rank =
+                    mem_nominal * self.cache_traffic_scale(ws_node, llc, sig.cache_exponent);
+                doms.iter()
+                    .map(|&count| {
+                        // Rank share of its ccNUMA domain's saturating
+                        // bandwidth.
+                        let n_active = count.max(1);
+                        let share = node.domain_memory.saturation.bandwidth(n_active) * 1e9
+                            / n_active as f64;
+                        (t_flops, mem_rank / share, mem_rank)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Rank 0's `(t_flops, t_mem)` for one step without penalties: the
+    /// in-core/memory split that [`overlapped`] turns into its compute
+    /// time, and that the DVFS and throttle laws stretch.
+    pub fn split(&self, sig: &WorkloadSignature) -> (f64, f64) {
+        let (t_flops, t_mem, _) = self.classes(sig, 1)[0][self.pinning.placement(0).domain];
+        (t_flops, t_mem)
+    }
+
     /// Per-step compute times for all ranks.
     ///
     /// `penalties` scales each rank's compute time (≥ 1.0); used for the
@@ -142,54 +170,20 @@ impl NodeModel {
             penalties.is_empty() || penalties.len() == nranks,
             "penalty vector must be empty or match the rank count"
         );
-        let node = &self.cluster.node;
-        let nodes_used = self.pinning.nodes_used();
-        let domains_per_node = node.numa_domains();
-        let active = self.pinning.active_per_domain(domains_per_node);
-
-        // Per-node working-set share and cache scale. The LLC capacity
-        // available grows with the number of active cores/domains on the
-        // node (SNC L3 slices + private L2s).
-        let mut node_scale = vec![1.0f64; nodes_used];
-        let mut ranks_per_node = vec![0usize; nodes_used];
-        for p in &self.pinning.placements {
-            ranks_per_node[p.node] += 1;
-        }
-        for n in 0..nodes_used {
-            let ws_node = sig.distributed_working_set() / nodes_used as f64
-                + sig.working_set_bytes * sig.replicated_fraction * ranks_per_node[n] as f64;
-            let active_domains = active[n].iter().filter(|&&c| c > 0).count();
-            let llc = node.effective_llc_active(ranks_per_node[n], active_domains) as f64;
-            node_scale[n] = self.cache_traffic_scale(ws_node, llc, sig.cache_exponent);
-        }
-
-        // Rank share of its ccNUMA domain's saturating bandwidth.
-        let rate = self.core_rate(sig);
-        let flops_rank = sig.flops / nranks as f64;
-        let mem_rank_nominal = sig.mem_bytes / nranks as f64;
+        let classes = self.classes(sig, self.pinning.nodes_used());
 
         let mut per_rank = Vec::with_capacity(nranks);
-        let mut t_flops_v = Vec::with_capacity(nranks);
-        let mut t_mem_v = Vec::with_capacity(nranks);
         let mut utilization = Vec::with_capacity(nranks);
         let mut effective_mem_total = 0.0;
 
         for p in &self.pinning.placements {
-            let n_active = active[p.node][p.domain].max(1);
-            let dom_bw = node.domain_memory.saturation.bandwidth(n_active) * 1e9;
-            let share = dom_bw / n_active as f64;
-            let mem_rank = (mem_rank_nominal + sig.mem_bytes_per_rank) * node_scale[p.node];
+            let (t_flops, t_mem, mem_rank) = classes[p.node][p.domain];
             effective_mem_total += mem_rank;
-
-            let t_flops = flops_rank / rate;
-            let t_mem = mem_rank / share;
-            let mut t = t_flops.max(t_mem) + OVERLAP_PENALTY * t_flops.min(t_mem);
+            let mut t = overlapped(t_flops, t_mem);
             if !penalties.is_empty() {
                 t *= penalties[p.rank].max(1.0);
             }
             per_rank.push(t);
-            t_flops_v.push(t_flops);
-            t_mem_v.push(t_mem);
             // Only the DRAM-stall time that is not hidden behind in-core
             // work idles the core; cache-resident data movement keeps
             // the pipelines busy.
@@ -206,8 +200,6 @@ impl NodeModel {
         let dropped = sig.mem_bytes - effective_mem_total;
         ComputeTimes {
             per_rank,
-            t_flops: t_flops_v,
-            t_mem: t_mem_v,
             utilization,
             effective_mem_bytes: effective_mem_total,
             effective_l3_bytes: sig.l3_bytes + dropped.max(0.0),
@@ -338,10 +330,11 @@ mod tests {
     #[test]
     fn utilization_low_when_memory_bound() {
         let cluster = presets::cluster_a();
+        let mean = |ct: ComputeTimes| ct.utilization.iter().sum::<f64>() / 18.0;
         let ct = NodeModel::new(&cluster, 18).compute_times(&mem_bound(), &[]);
-        assert!(ct.mean_utilization() < 0.5);
+        assert!(mean(ct) < 0.5);
         let ct = NodeModel::new(&cluster, 18).compute_times(&compute_bound(), &[]);
-        assert!(ct.mean_utilization() > 0.99);
+        assert!(mean(ct) > 0.99);
     }
 
     #[test]

@@ -1,22 +1,10 @@
 //! Process-to-core affinity — the `likwid-mpirun` analog.
 //!
 //! The study maps consecutive MPI ranks to consecutive cores ("compact"
-//! pinning). A "scatter" policy (round-robin over ccNUMA domains) is
-//! provided for ablation experiments: scattering changes when the
-//! per-domain memory-bandwidth bottleneck is hit.
+//! pinning): nodes fill in order, and within a node the ccNUMA domains
+//! fill one after another. Every model reads this one placement.
 
 use crate::cluster::ClusterSpec;
-
-/// Pinning policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PinningPolicy {
-    /// Consecutive ranks on consecutive cores, filling domain after
-    /// domain (the paper's setup).
-    Compact,
-    /// Ranks distributed round-robin over the ccNUMA domains of a node
-    /// before filling cores within a domain.
-    Scatter,
-}
 
 /// The placement of one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,20 +17,16 @@ pub struct Placement {
     pub domain: usize,
 }
 
-/// A full pinning of `nprocs` ranks onto a cluster.
+/// A compact pinning of `nprocs` ranks onto a cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pinning {
-    pub policy: PinningPolicy,
     pub placements: Vec<Placement>,
-    /// Cores per node of the underlying cluster (for locality queries).
-    cores_per_node: usize,
 }
 
 impl Pinning {
-    /// Pin `nprocs` ranks on `cluster` under `policy`. Nodes are always
-    /// filled in order (node 0 first); the policy controls placement
-    /// *within* a node.
-    pub fn new(cluster: &ClusterSpec, nprocs: usize, policy: PinningPolicy) -> Self {
+    /// Pin `nprocs` ranks compactly on `cluster`: rank `r` runs on core
+    /// `r mod cores` of node `r / cores`.
+    pub fn new(cluster: &ClusterSpec, nprocs: usize) -> Self {
         assert!(
             nprocs <= cluster.total_cores(),
             "cannot pin {nprocs} ranks on {} cores",
@@ -50,37 +34,21 @@ impl Pinning {
         );
         let cpn = cluster.node.cores();
         let layout = cluster.node.domain_layout();
-        let mut placements = Vec::with_capacity(nprocs);
-        for rank in 0..nprocs {
-            let node = rank / cpn;
-            let local = rank % cpn;
-            let core = match policy {
-                PinningPolicy::Compact => local,
-                PinningPolicy::Scatter => {
-                    // Round-robin over domains: local rank r goes to domain
-                    // r % ndom, slot r / ndom within that domain.
-                    let ndom = layout.len();
-                    let dom = &layout[local % ndom];
-                    let slot = local / ndom;
-                    debug_assert!(slot < dom.cores);
-                    dom.first_core + slot
+        let placements = (0..nprocs)
+            .map(|rank| {
+                let core = rank % cpn;
+                let domain = crate::numa::domain_of(&layout, core)
+                    .expect("core must belong to a domain")
+                    .id;
+                Placement {
+                    rank,
+                    node: rank / cpn,
+                    core,
+                    domain,
                 }
-            };
-            let domain = crate::numa::domain_of(&layout, core)
-                .expect("core must belong to a domain")
-                .id;
-            placements.push(Placement {
-                rank,
-                node,
-                core,
-                domain,
-            });
-        }
-        Pinning {
-            policy,
-            placements,
-            cores_per_node: cpn,
-        }
+            })
+            .collect();
+        Pinning { placements }
     }
 
     pub fn nprocs(&self) -> usize {
@@ -110,14 +78,6 @@ impl Pinning {
         }
         out
     }
-
-    /// Ranks resident on a given node.
-    pub fn ranks_on_node(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
-        self.placements
-            .iter()
-            .filter(move |p| p.node == node)
-            .map(|p| p.rank)
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +88,7 @@ mod tests {
     #[test]
     fn compact_fills_first_domain_first() {
         let c = presets::cluster_a();
-        let p = Pinning::new(&c, 20, PinningPolicy::Compact);
+        let p = Pinning::new(&c, 20);
         // Ranks 0..18 in domain 0, 18..20 in domain 1 of node 0.
         assert!(p.placements[..18].iter().all(|x| x.domain == 0));
         assert_eq!(p.placements[18].domain, 1);
@@ -137,17 +97,9 @@ mod tests {
     }
 
     #[test]
-    fn scatter_round_robins_over_domains() {
-        let c = presets::cluster_a();
-        let p = Pinning::new(&c, 8, PinningPolicy::Scatter);
-        let domains: Vec<usize> = p.placements.iter().map(|x| x.domain).collect();
-        assert_eq!(domains, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
     fn multi_node_compact_spills_to_next_node() {
         let c = presets::cluster_a();
-        let p = Pinning::new(&c, 100, PinningPolicy::Compact);
+        let p = Pinning::new(&c, 100);
         assert_eq!(p.placements[71].node, 0);
         assert_eq!(p.placements[72].node, 1);
         assert_eq!(p.placements[72].core, 0);
@@ -158,19 +110,17 @@ mod tests {
     #[test]
     fn every_core_assigned_at_most_once() {
         let c = presets::cluster_b();
-        for policy in [PinningPolicy::Compact, PinningPolicy::Scatter] {
-            let p = Pinning::new(&c, 2 * c.node.cores(), policy);
-            let mut seen = std::collections::BTreeSet::new();
-            for pl in &p.placements {
-                assert!(seen.insert((pl.node, pl.core)), "double booking {pl:?}");
-            }
+        let p = Pinning::new(&c, 2 * c.node.cores());
+        let mut seen = std::collections::BTreeSet::new();
+        for pl in &p.placements {
+            assert!(seen.insert((pl.node, pl.core)), "double booking {pl:?}");
         }
     }
 
     #[test]
     fn active_per_domain_counts() {
         let c = presets::cluster_a();
-        let p = Pinning::new(&c, 40, PinningPolicy::Compact);
+        let p = Pinning::new(&c, 40);
         let a = p.active_per_domain(4);
         assert_eq!(a, vec![vec![18, 18, 4, 0]]);
     }
@@ -179,6 +129,6 @@ mod tests {
     #[should_panic(expected = "cannot pin")]
     fn overcommit_panics() {
         let c = presets::cluster_a();
-        Pinning::new(&c, c.total_cores() + 1, PinningPolicy::Compact);
+        Pinning::new(&c, c.total_cores() + 1);
     }
 }

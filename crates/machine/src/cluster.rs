@@ -8,21 +8,11 @@
 use crate::node::NodeSpec;
 use crate::GBps;
 
-/// Interconnect topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// Full-bisection fat-tree (both studied clusters).
-    FatTree,
-    /// A simple torus, expressible for experiments.
-    Torus,
-}
-
 /// Network parameters, LogGP-style.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterconnectSpec {
     /// Human-readable name, e.g. "HDR100 InfiniBand".
     pub name: String,
-    pub topology: Topology,
     /// Raw link bandwidth per direction in GB/s (HDR100: 100 Gbit/s
     /// = 12.5 GB/s).
     pub link_bandwidth: GBps,
@@ -73,26 +63,6 @@ impl ClusterSpec {
         self.nodes * self.node.cores()
     }
 
-    /// Number of full nodes needed for `nprocs` compactly placed ranks.
-    pub fn nodes_for(&self, nprocs: usize) -> usize {
-        nprocs.div_ceil(self.node.cores())
-    }
-
-    /// Node index hosting a given rank under compact placement.
-    pub fn node_of_rank(&self, rank: usize) -> usize {
-        rank / self.node.cores()
-    }
-
-    /// Whether two ranks share a node under compact placement.
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of_rank(a) == self.node_of_rank(b)
-    }
-
-    /// Node-local core id of a rank under compact placement.
-    pub fn core_of_rank(&self, rank: usize) -> usize {
-        rank % self.node.cores()
-    }
-
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
             return Err("cluster must have at least one node".into());
@@ -116,20 +86,6 @@ mod tests {
         // Identical interconnects across clusters (paper §5.1.3).
         let b = presets::cluster_b();
         assert_eq!(c.interconnect, b.interconnect);
-    }
-
-    #[test]
-    fn compact_placement_arithmetic() {
-        let c = presets::cluster_a();
-        assert_eq!(c.node_of_rank(0), 0);
-        assert_eq!(c.node_of_rank(71), 0);
-        assert_eq!(c.node_of_rank(72), 1);
-        assert!(c.same_node(10, 20));
-        assert!(!c.same_node(71, 72));
-        assert_eq!(c.nodes_for(1), 1);
-        assert_eq!(c.nodes_for(72), 1);
-        assert_eq!(c.nodes_for(73), 2);
-        assert_eq!(c.core_of_rank(75), 3);
     }
 
     #[test]

@@ -1,8 +1,21 @@
 //! CPU (socket) specification: clock, core count, SIMD capability, and the
 //! RAPL-relevant power envelope (TDP, extrapolated zero-core baseline
-//! power, per-core dynamic power range).
+//! power, per-core dynamic power range), plus the overlap law that turns
+//! a core's in-core time and memory time into its step time.
 
 use crate::{GFlops, Watts};
+
+/// ECM-style non-overlap factor: the fraction of the shorter of
+/// (in-core time, memory time) that does *not* hide behind the longer.
+const OVERLAP_PENALTY: f64 = 0.5;
+
+/// Time of a compute phase whose in-core work takes `t_flops` and whose
+/// memory traffic takes `t_mem`: `max + 0.5·min`. In-core execution and
+/// memory transfers overlap imperfectly on Intel server cores. The node
+/// model and the DVFS analysis both read this one law.
+pub fn overlapped(t_flops: f64, t_mem: f64) -> f64 {
+    t_flops.max(t_mem) + OVERLAP_PENALTY * t_flops.min(t_mem)
+}
 
 /// Specification of one CPU socket.
 ///

@@ -33,17 +33,15 @@ pub mod affinity;
 pub mod cache;
 pub mod cluster;
 pub mod cpu;
-pub mod frequency;
 pub mod memory;
 pub mod node;
 pub mod numa;
 pub mod presets;
 
-pub use affinity::{Pinning, PinningPolicy};
+pub use affinity::Pinning;
 pub use cache::{CacheHierarchy, CacheLevel, CacheScope};
-pub use cluster::{ClusterSpec, InterconnectSpec, Topology};
+pub use cluster::{ClusterSpec, InterconnectSpec};
 pub use cpu::CpuSpec;
-pub use frequency::FrequencyPolicy;
 pub use memory::{MemorySpec, MemoryTech, SaturationCurve};
 pub use node::NodeSpec;
 pub use numa::NumaDomain;

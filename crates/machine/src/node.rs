@@ -74,31 +74,6 @@ impl NodeSpec {
         self.domain_memory.capacity_gib * self.numa_domains() as f64
     }
 
-    /// How many cores are active in each ccNUMA domain when the first
-    /// `nprocs` cores are populated compactly (likwid-mpirun style).
-    /// Returns one entry per domain.
-    pub fn active_per_domain(&self, nprocs: usize) -> Vec<usize> {
-        let layout = self.domain_layout();
-        layout
-            .iter()
-            .map(|d| {
-                let lo = d.first_core.min(nprocs);
-                let hi = (d.first_core + d.cores).min(nprocs);
-                hi - lo
-            })
-            .collect()
-    }
-
-    /// Achievable aggregate memory bandwidth with `nprocs` compactly
-    /// pinned processes on the node, in GB/s: sum of the per-domain
-    /// saturation curves.
-    pub fn mem_bandwidth_at(&self, nprocs: usize) -> GBps {
-        self.active_per_domain(nprocs)
-            .iter()
-            .map(|&n| self.domain_memory.saturation.bandwidth(n))
-            .sum()
-    }
-
     /// Effective last-level-cache capacity visible to a job with
     /// `active_cores` busy cores spread over `active_domains` ccNUMA
     /// domains: the victim-L3 slices of the active domains (SNC
@@ -159,6 +134,8 @@ mod tests {
         assert!((n.peak_flops() - 5529.6).abs() < 1.0);
         // Table 3: 4 × 102.4 GB/s theoretical
         assert!((n.theoretical_mem_bandwidth() - 409.6).abs() < 0.1);
+        // ≈306 GB/s saturated: the bandwidth roof of a full node.
+        assert!((n.saturated_mem_bandwidth() - 306.0).abs() < 2.0);
         assert!((n.memory_capacity_gib() - 256.0).abs() < 1e-9);
     }
 
@@ -185,25 +162,6 @@ mod tests {
         assert!((bw - 1.5).abs() < 0.15, "bandwidth ratio {bw}");
         // ClusterB has the higher machine balance (§5.1.3).
         assert!(b.machine_balance() > a.machine_balance());
-    }
-
-    #[test]
-    fn active_per_domain_fills_compactly() {
-        let n = presets::cluster_a().node;
-        assert_eq!(n.active_per_domain(0), vec![0, 0, 0, 0]);
-        assert_eq!(n.active_per_domain(10), vec![10, 0, 0, 0]);
-        assert_eq!(n.active_per_domain(18), vec![18, 0, 0, 0]);
-        assert_eq!(n.active_per_domain(19), vec![18, 1, 0, 0]);
-        assert_eq!(n.active_per_domain(72), vec![18, 18, 18, 18]);
-    }
-
-    #[test]
-    fn node_bandwidth_grows_with_domains() {
-        let n = presets::cluster_a().node;
-        // One saturated domain ≈ plateau; four saturated domains ≈ 4×.
-        let one = n.mem_bandwidth_at(18);
-        let four = n.mem_bandwidth_at(72);
-        assert!((four / one - 4.0).abs() < 0.2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! non-memory-bound codes).
 
 use crate::cache::{CacheHierarchy, CacheLevel, CacheScope};
-use crate::cluster::{ClusterSpec, InterconnectSpec, Topology};
+use crate::cluster::{ClusterSpec, InterconnectSpec};
 use crate::cpu::CpuSpec;
 use crate::memory::{MemorySpec, MemoryTech, SaturationCurve};
 use crate::node::NodeSpec;
@@ -20,7 +20,6 @@ const MIB: u64 = 1024 * 1024;
 pub fn hdr100() -> InterconnectSpec {
     InterconnectSpec {
         name: "HDR100 InfiniBand".to_string(),
-        topology: Topology::FatTree,
         link_bandwidth: 12.5,
         effective_bandwidth: 12.0,
         latency_s: 1.5e-6,

@@ -9,7 +9,7 @@
 //! runtime costs baseline energy that the dynamic-power reduction can
 //! no longer buy back. This module quantifies the trade.
 
-use spechpc_machine::cpu::CpuSpec;
+use spechpc_machine::cpu::{overlapped, CpuSpec};
 
 /// DVFS dynamic-power exponent: `P_dyn ∝ (f/f₀)^α`. Near the base
 /// operating point voltage scales mildly with frequency; α ≈ 1.8 is a
@@ -53,10 +53,10 @@ pub fn package_power_at(
 
 /// Runtime of a code at `clock_ghz` under the Roofline split: the
 /// in-core share `t_flops_base` stretches inversely with the clock, the
-/// memory share `t_mem` does not.
+/// memory share `t_mem` does not, and the node model's [`overlapped`]
+/// law combines the two.
 pub fn runtime_at(t_flops_base: f64, t_mem: f64, base_clock: f64, clock_ghz: f64) -> f64 {
-    let t_flops = t_flops_base * base_clock / clock_ghz;
-    t_flops.max(t_mem) + 0.5 * t_flops.min(t_mem)
+    overlapped(t_flops_base * base_clock / clock_ghz, t_mem)
 }
 
 /// Runtime stretch imposed by capping the core clock at `cap_ghz`,

@@ -40,15 +40,13 @@ impl JobPower {
 
 /// RAPL model bound to a cluster.
 #[derive(Debug, Clone)]
-pub struct RaplModel {
-    cluster: ClusterSpec,
+pub struct RaplModel<'a> {
+    cluster: &'a ClusterSpec,
 }
 
-impl RaplModel {
-    pub fn new(cluster: &ClusterSpec) -> Self {
-        RaplModel {
-            cluster: cluster.clone(),
-        }
+impl<'a> RaplModel<'a> {
+    pub fn new(cluster: &'a ClusterSpec) -> Self {
+        RaplModel { cluster }
     }
 
     /// Power drawn by a pinned job in the given state. Allocated nodes
@@ -115,16 +113,12 @@ impl RaplModel {
     pub fn tdp(&self, nodes: usize) -> f64 {
         self.cluster.node.tdp() * nodes as f64
     }
-
-    pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spechpc_machine::affinity::{Pinning, PinningPolicy};
+    use spechpc_machine::affinity::Pinning;
     use spechpc_machine::presets;
 
     fn state(nranks: usize, heat: f64, util: f64, dram: f64, nodes: usize) -> PowerState {
@@ -139,7 +133,7 @@ mod tests {
     fn hot_full_node_approaches_tdp() {
         let cluster = presets::cluster_a();
         let model = RaplModel::new(&cluster);
-        let pin = Pinning::new(&cluster, 72, PinningPolicy::Compact);
+        let pin = Pinning::new(&cluster, 72);
         let p = model.job_power(&pin, &state(72, 1.0, 1.0, 0.3, 1));
         // sph-exa: 244 W per socket (§4.2.1) ⇒ ~488 W per node.
         assert!(
@@ -154,7 +148,7 @@ mod tests {
     fn cool_code_draws_less() {
         let cluster = presets::cluster_a();
         let model = RaplModel::new(&cluster);
-        let pin = Pinning::new(&cluster, 72, PinningPolicy::Compact);
+        let pin = Pinning::new(&cluster, 72);
         let hot = model.job_power(&pin, &state(72, 1.0, 1.0, 0.2, 1));
         let cool = model.job_power(&pin, &state(72, 0.0, 1.0, 0.2, 1));
         // soma: 222 W per socket ⇒ ~444 W per node.
@@ -166,7 +160,7 @@ mod tests {
     fn single_domain_job_still_pays_both_baselines() {
         let cluster = presets::cluster_a();
         let model = RaplModel::new(&cluster);
-        let pin = Pinning::new(&cluster, 18, PinningPolicy::Compact);
+        let pin = Pinning::new(&cluster, 18);
         let p = model.job_power(&pin, &state(18, 0.5, 1.0, 0.0, 1));
         // Both sockets idle-baseline at minimum: ≥ 196 W.
         assert!(p.package_w > 2.0 * 98.0);
@@ -180,7 +174,7 @@ mod tests {
     fn dram_power_tracks_utilization() {
         let cluster = presets::cluster_a();
         let model = RaplModel::new(&cluster);
-        let pin = Pinning::new(&cluster, 72, PinningPolicy::Compact);
+        let pin = Pinning::new(&cluster, 72);
         let idle = model.job_power(&pin, &state(72, 0.5, 0.5, 0.0, 1));
         let busy = model.job_power(&pin, &state(72, 0.5, 0.5, 1.0, 1));
         assert!(busy.dram_w > idle.dram_w);
@@ -194,8 +188,8 @@ mod tests {
     fn ddr5_is_cooler_than_ddr4_at_same_utilization() {
         let a = presets::cluster_a();
         let b = presets::cluster_b();
-        let pa = Pinning::new(&a, 72, PinningPolicy::Compact);
-        let pb = Pinning::new(&b, 104, PinningPolicy::Compact);
+        let pa = Pinning::new(&a, 72);
+        let pb = Pinning::new(&b, 104);
         let da = RaplModel::new(&a).job_power(&pa, &state(72, 0.5, 0.5, 1.0, 1));
         let db = RaplModel::new(&b).job_power(&pb, &state(104, 0.5, 0.5, 1.0, 1));
         // ClusterB has twice the domains, yet its total DRAM power stays
@@ -208,11 +202,11 @@ mod tests {
         let cluster = presets::cluster_a();
         let model = RaplModel::new(&cluster);
         let p1 = {
-            let pin = Pinning::new(&cluster, 72, PinningPolicy::Compact);
+            let pin = Pinning::new(&cluster, 72);
             model.job_power(&pin, &state(72, 0.5, 1.0, 0.5, 1)).total()
         };
         let p4 = {
-            let pin = Pinning::new(&cluster, 288, PinningPolicy::Compact);
+            let pin = Pinning::new(&cluster, 288);
             model.job_power(&pin, &state(288, 0.5, 1.0, 0.5, 4)).total()
         };
         assert!((p4 / p1 - 4.0).abs() < 0.01, "ratio {}", p4 / p1);
@@ -224,7 +218,7 @@ mod tests {
         // growing but more slowly (§4.2).
         let cluster = presets::cluster_a();
         let model = RaplModel::new(&cluster);
-        let pin18 = Pinning::new(&cluster, 18, PinningPolicy::Compact);
+        let pin18 = Pinning::new(&cluster, 18);
         let busy = model.job_power(&pin18, &state(18, 0.5, 1.0, 1.0, 1));
         let stalled = model.job_power(&pin18, &state(18, 0.5, 0.2, 1.0, 1));
         assert!(stalled.package_w < busy.package_w);
@@ -233,8 +227,8 @@ mod tests {
 
     #[test]
     fn baseline_fractions_match_paper() {
-        let a = RaplModel::new(&presets::cluster_a());
-        let b = RaplModel::new(&presets::cluster_b());
+        let (ca, cb) = (presets::cluster_a(), presets::cluster_b());
+        let (a, b) = (RaplModel::new(&ca), RaplModel::new(&cb));
         let fa = a.baseline_power(1) / a.tdp(1);
         let fb = b.baseline_power(1) / b.tdp(1);
         assert!((fa - 0.392).abs() < 0.02, "Ice Lake {fa}");

@@ -240,13 +240,13 @@ impl FaultPlan {
                     if !slowdown.is_finite() || *slowdown < 1.0 {
                         return bad(format!("throttle slowdown {slowdown} must be finite >= 1"));
                     }
-                    if t_start_s.is_nan()
-                        || t_end_s.is_nan()
+                    if !t_start_s.is_finite()
+                        || !t_end_s.is_finite()
                         || *t_end_s <= *t_start_s
                         || *t_start_s < 0.0
                     {
                         return bad(format!(
-                            "throttle window [{t_start_s}, {t_end_s}) must be non-empty and start >= 0"
+                            "throttle window [{t_start_s}, {t_end_s}) must be finite, non-empty and start >= 0"
                         ));
                     }
                 }

@@ -6,7 +6,7 @@
 //! models: dissemination barrier and recursive-doubling /
 //! Rabenseifner all-reduce.
 
-use spechpc_machine::affinity::{Pinning, PinningPolicy};
+use spechpc_machine::affinity::Pinning;
 use spechpc_machine::cluster::{ClusterSpec, InterconnectSpec};
 
 /// Communication cost model bound to a concrete placement of ranks.
@@ -21,17 +21,9 @@ pub struct NetModel {
 impl NetModel {
     /// Build a model for `nprocs` compactly pinned ranks.
     pub fn compact(cluster: &ClusterSpec, nprocs: usize) -> Self {
-        Self::with_pinning(
-            cluster,
-            Pinning::new(cluster, nprocs, PinningPolicy::Compact),
-        )
-    }
-
-    /// Build a model from an explicit pinning.
-    pub fn with_pinning(cluster: &ClusterSpec, pinning: Pinning) -> Self {
         NetModel {
             interconnect: cluster.interconnect.clone(),
-            pinning,
+            pinning: Pinning::new(cluster, nprocs),
             send_overhead: 0.2e-6,
         }
     }

@@ -24,7 +24,10 @@ fn main() {
         let r = runner
             .run(&cluster, &*bench, WorkloadClass::Tiny, cores)
             .expect("simulation failed");
-        let roof = Roofline::of_node(&cluster.node);
+        // Roofline-like reading (paper §4.1.2): the node model's split
+        // of one rank's step into in-core and memory time.
+        let (t_flops, t_mem) =
+            NodeModel::new(&cluster, cores).split(&bench.signature(WorkloadClass::Tiny));
         println!(
             "{} — full node ({} cores, {} ccNUMA domains):",
             cluster.name,
@@ -45,8 +48,8 @@ fn main() {
         println!(
             "  memory bandwidth       : {:8.1} GB/s of {:.0} GB/s saturated ({}.)",
             r.counters.mem_bandwidth(),
-            roof.mem_bandwidth_gbps,
-            if roof.is_memory_bound(r.counters.intensity()) {
+            cluster.node.saturated_mem_bandwidth(),
+            if t_mem > t_flops {
                 "memory-bound"
             } else {
                 "compute-bound"

@@ -437,6 +437,28 @@ fn mutate(text: &str, rng: &mut Rng) -> String {
     lines.join("\n")
 }
 
+/// `text` with each hostile value written over each `key = value` line
+/// in turn, labelled `key=value`: the seeded mutations draw these pairs
+/// at random and can miss one, so this sweep makes every value meet
+/// every key.
+fn hostile_sweep(text: &str) -> Vec<(String, String)> {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let Some((key, _)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.trim();
+        for value in HOSTILE_VALUES {
+            let replaced = format!("{key} = {value}");
+            let mut swept = lines.clone();
+            swept[i] = &replaced;
+            out.push((format!("{key}={value}"), swept.join("\n")));
+        }
+    }
+    out
+}
+
 /// A rejection must be a well-formed [`faultcfg::PlanError`]: a message,
 /// and a line number inside the text when it names one.
 fn check_rejection(e: &faultcfg::PlanError, text: &str) -> Result<(), String> {
@@ -454,18 +476,20 @@ fn check_rejection(e: &faultcfg::PlanError, text: &str) -> Result<(), String> {
 
 /// Feed `text` to both parsers. Neither may panic, every rejection is
 /// a well-formed `PlanError`, and an accepted fault plan keeps its
-/// canonical form through the wire codec. Returns which parsers
+/// canonical form through the rendered wire text. Returns which parsers
 /// accepted `text`.
 fn check_parsers(text: &str) -> Result<(bool, bool), String> {
     let fault = std::panic::catch_unwind(|| faultcfg::parse_plan(text))
         .map_err(|_| "faultcfg::parse_plan panicked".to_string())?;
     let fault_ok = match fault {
         Ok(plan) => {
-            let back = api::fault_plan_from_json(&api::fault_plan_to_json(&plan))
-                .map_err(|e| format!("accepted plan fails the JSON codec: {}", e.message))?;
+            let wire = api::fault_plan_to_json(&plan).render();
+            let json = parse_json(&wire).ok_or_else(|| format!("unparsable wire text {wire}"))?;
+            let back = api::fault_plan_from_json(&json)
+                .map_err(|e| format!("accepted plan fails the wire codec: {}", e.message))?;
             if back.canonical() != plan.canonical() {
                 return Err(format!(
-                    "canonical {} became {} through JSON",
+                    "canonical {} became {} through {wire}",
                     plan.canonical(),
                     back.canonical()
                 ));
@@ -492,7 +516,8 @@ fn check_parsers(text: &str) -> Result<(bool, bool), String> {
 /// Seeded mutations of every shipped `plans/*.toml` file: byte flips,
 /// truncations, dropped, duplicated and swapped lines, garbled headers,
 /// hostile values, empty rank-set parts, unterminated strings and
-/// non-ASCII text, stacked one to three deep.
+/// non-ASCII text, stacked one to three deep; then every hostile value
+/// over every value line, one at a time.
 #[test]
 fn mutated_plan_files_get_typed_errors_and_never_panic() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("plans");
@@ -508,32 +533,35 @@ fn mutated_plan_files_get_typed_errors_and_never_panic() {
         dir.display()
     );
 
-    let (mut fault_accepted, mut chaos_accepted) = (0, 0);
+    let (mut fault_accepted, mut chaos_accepted, mut inputs) = (0, 0, 0);
     let mut failures = Vec::new();
     for (k, path) in files.iter().enumerate() {
         let original = std::fs::read_to_string(path).expect("read plan");
         let mut rng = Rng::seed_from_u64(0x7015_0000 + k as u64);
-        for m in 0..=MUTATIONS_PER_PLAN {
+        let mutated = (0..=MUTATIONS_PER_PLAN).map(|m| {
             let mut text = original.clone();
             if m > 0 {
                 for _ in 0..1 + below(&mut rng, 3) {
                     text = mutate(&text, &mut rng);
                 }
             }
+            (format!("#{m}"), text)
+        });
+        for (label, text) in mutated.chain(hostile_sweep(&original)) {
+            inputs += 1;
             match check_parsers(&text) {
                 Ok((f, c)) => {
                     fault_accepted += f as usize;
                     chaos_accepted += c as usize;
                 }
-                Err(why) => failures.push(format!("{} #{m}: {why}\n{text}", path.display())),
+                Err(why) => failures.push(format!("{} {label}: {why}\n{text}", path.display())),
             }
         }
     }
     assert!(
         failures.is_empty(),
-        "{} of {} inputs failed; first:\n{}",
+        "{} of {inputs} inputs failed; first:\n{}",
         failures.len(),
-        files.len() * (MUTATIONS_PER_PLAN + 1),
         failures[0]
     );
     // Both acceptance paths ran, so the round trip was exercised.

@@ -9,7 +9,8 @@
 use spechpc::kernels::common::model::NodeModel;
 use spechpc::kernels::common::rng::Rng;
 use spechpc::kernels::{block_range, factor_2d, factor_3d, Grid2d, WorkloadSignature};
-use spechpc::machine::affinity::{Pinning, PinningPolicy};
+use spechpc::machine::affinity::Pinning;
+use spechpc::machine::cpu::overlapped;
 use spechpc::machine::memory::SaturationCurve;
 use spechpc::machine::presets;
 use spechpc::power::energy::energy_to_solution;
@@ -54,20 +55,15 @@ fn saturation_monotone_bounded() {
     }
 }
 
-/// Compact and scatter pinning partition ranks over distinct cores, and
-/// the per-domain active counts sum to the rank count.
+/// Compact pinning partitions ranks over distinct cores, and the
+/// per-domain active counts sum to the rank count.
 #[test]
 fn pinning_partitions() {
     let cluster = presets::cluster_a();
     let mut rng = Rng::seed_from_u64(0xA2);
-    for case in 0..64 {
+    for _ in 0..64 {
         let nranks = 1 + rng.range(0.0, cluster.total_cores() as f64) as usize;
-        let policy = if case % 2 == 0 {
-            PinningPolicy::Scatter
-        } else {
-            PinningPolicy::Compact
-        };
-        let p = Pinning::new(&cluster, nranks, policy);
+        let p = Pinning::new(&cluster, nranks);
         let mut seen = std::collections::HashSet::new();
         for pl in &p.placements {
             assert!(seen.insert((pl.node, pl.core)), "double booking");
@@ -83,7 +79,9 @@ fn pinning_partitions() {
 
 /// The node model returns finite, non-negative per-rank times with
 /// utilization in [0, 1], and never inflates memory traffic beyond the
-/// nominal total (the victim L3 absorbs whatever was dropped).
+/// nominal total (the victim L3 absorbs whatever was dropped). Without
+/// penalties, ranks that share a node and a ccNUMA domain share a time,
+/// and rank 0's time is its split under the overlap law, bit for bit.
 #[test]
 fn node_model_sanity() {
     let cluster = presets::cluster_b();
@@ -97,6 +95,25 @@ fn node_model_sanity() {
         for (i, &t) in ct.per_rank.iter().enumerate() {
             assert!(t.is_finite() && t >= 0.0, "rank {i} time {t}");
             assert!((0.0..=1.0).contains(&ct.utilization[i]));
+        }
+        let (t_flops, t_mem) = model.split(&sig);
+        assert_eq!(
+            overlapped(t_flops, t_mem).to_bits(),
+            ct.per_rank[0].to_bits()
+        );
+        let mut class_time = std::collections::HashMap::new();
+        for p in &model.pinning().placements {
+            let t = *class_time
+                .entry((p.node, p.domain))
+                .or_insert(ct.per_rank[p.rank]);
+            assert_eq!(
+                t.to_bits(),
+                ct.per_rank[p.rank].to_bits(),
+                "rank {} differs from its (node {}, domain {}) class",
+                p.rank,
+                p.node,
+                p.domain
+            );
         }
         let nominal = sig.mem_bytes + sig.mem_bytes_per_rank * nranks as f64;
         assert!(ct.effective_mem_bytes <= nominal * (1.0 + 1e-9));
@@ -126,6 +143,36 @@ fn node_model_monotone_scaling() {
             .collect();
         for w in t.windows(2) {
             assert!(w[1] <= w[0] * 1.001, "scaling reversed: {t:?}");
+        }
+    }
+}
+
+/// The paper's §4.1 split on a full node of either cluster: tealeaf,
+/// cloverleaf, pot3d and hpgmgfv spend longer on memory than in-core,
+/// and lbm, soma, minisweep and sph-exa the other way round.
+#[test]
+fn full_node_split_matches_the_papers_memory_bound_set() {
+    for cluster in [presets::cluster_a(), presets::cluster_b()] {
+        let model = NodeModel::new(&cluster, cluster.node.cores());
+        let split = |name: &str| {
+            let bench = spechpc::kernels::benchmark_by_name(name).expect("benchmark");
+            model.split(&bench.signature(WorkloadClass::Tiny))
+        };
+        for name in ["tealeaf", "cloverleaf", "pot3d", "hpgmgfv"] {
+            let (t_flops, t_mem) = split(name);
+            assert!(
+                t_mem > t_flops,
+                "{name} on {}: t_mem {t_mem} <= t_flops {t_flops}",
+                cluster.name
+            );
+        }
+        for name in ["lbm", "soma", "minisweep", "sph-exa"] {
+            let (t_flops, t_mem) = split(name);
+            assert!(
+                t_flops > t_mem,
+                "{name} on {}: t_flops {t_flops} <= t_mem {t_mem}",
+                cluster.name
+            );
         }
     }
 }
