@@ -1,37 +1,8 @@
 //! Hand-rolled argument parsing for the `spechpc` binary (no external
 //! CLI dependency).
 
+use spechpc::harness::{api, experiments, json};
 use spechpc::prelude::WorkloadClass;
-
-/// Which cluster preset to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterChoice {
-    A,
-    B,
-}
-
-impl ClusterChoice {
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "a" | "clustera" | "icelake" | "icx" => Ok(ClusterChoice::A),
-            "b" | "clusterb" | "sapphirerapids" | "spr" => Ok(ClusterChoice::B),
-            other => Err(format!("unknown cluster '{other}' (use a|b)")),
-        }
-    }
-}
-
-pub fn parse_class(s: &str) -> Result<WorkloadClass, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "test" => Ok(WorkloadClass::Test),
-        "tiny" | "t" => Ok(WorkloadClass::Tiny),
-        "small" | "s" => Ok(WorkloadClass::Small),
-        "medium" | "m" => Ok(WorkloadClass::Medium),
-        "large" | "l" => Ok(WorkloadClass::Large),
-        other => Err(format!(
-            "unknown workload class '{other}' (use test|tiny|small|medium|large)"
-        )),
-    }
-}
 
 /// Execution-layer options shared by the simulating commands: worker
 /// count, run-cache policy and metrics reporting (see
@@ -64,7 +35,8 @@ pub enum Command {
     List,
     Run {
         benchmark: String,
-        cluster: ClusterChoice,
+        /// Cluster name or alias, checked by `api::resolve_cluster`.
+        cluster: String,
         class: WorkloadClass,
         nranks: Option<usize>,
         trace_csv: Option<String>,
@@ -75,7 +47,7 @@ pub enum Command {
         faults: FaultOpts,
     },
     Suite {
-        cluster: ClusterChoice,
+        cluster: String,
         class: WorkloadClass,
         nranks: Option<usize>,
         /// `--threads N`: PDES engine threads per simulation.
@@ -85,7 +57,7 @@ pub enum Command {
     },
     Profile {
         benchmark: String,
-        cluster: ClusterChoice,
+        cluster: String,
         class: WorkloadClass,
         nranks: Option<usize>,
         /// `--threads N`: PDES engine threads per simulation.
@@ -107,7 +79,7 @@ pub enum Command {
     },
     Dvfs {
         benchmark: String,
-        cluster: ClusterChoice,
+        cluster: String,
     },
     /// Capacity-plan a job queue against a modeled cluster (the same
     /// evaluator as `POST /v1/plan`).
@@ -249,7 +221,7 @@ COMMANDS:
         --validate               parse + describe the plan, then exit
     help                         show this message
 
-EXECUTION (run/suite/score/figures/profile):
+EXECUTION (run/suite/profile/score/figures/plan/serve):
     --jobs N                     worker threads             [default: all cores]
     --no-cache                   memory cache only; skip results/cache/
     --metrics                    report executor/cache counters; CSV under
@@ -266,44 +238,79 @@ FAULT INJECTION (run/suite/profile; see plans/ for examples):
     --fault-seed N               override the plan's seed
 ";
 
-/// Every `--option` the commands read, and whether it takes a value
-/// (`false`: a valueless flag). Anything else is refused, so a typo
-/// cannot run a command with the option silently left at its default.
-const KNOWN: &[(&str, bool)] = &[
-    ("cluster", true),
-    ("class", true),
-    ("ranks", true),
-    ("trace", true),
-    ("jobs", true),
-    ("no-cache", false),
-    ("metrics", false),
-    ("threads", true),
-    ("faults", true),
-    ("fault-seed", true),
-    ("json", false),
-    ("addr", true),
-    ("workers", true),
-    ("queue-depth", true),
-    ("max-inflight", true),
-    ("timeout-s", true),
-    ("max-conns", true),
-    ("keepalive-max", true),
-    ("idle-timeout-s", true),
-    ("read-timeout-s", true),
-    ("peers", true),
-    ("vnodes", true),
-    ("listen", true),
-    ("upstream", true),
-    ("chaos-seed", true),
-    ("validate", false),
+/// The valueless options; every other option takes a value.
+const FLAGS: &[&str] = &["no-cache", "metrics", "json", "validate"];
+
+/// The option groups `USAGE` lists under its EXECUTION, ENGINE and
+/// FAULT INJECTION headers.
+const EXEC: &[&str] = &["jobs", "no-cache", "metrics"];
+const ENGINE: &[&str] = &["threads"];
+const FAULT: &[&str] = &["faults", "fault-seed"];
+
+/// Each command with the options its arm in `main.rs` reads. Any other
+/// option is refused, so neither a typo nor an option another command
+/// reads (`dvfs --class`) runs the command with it silently ignored.
+const COMMANDS: &[(&str, &[&[&str]])] = &[
+    ("list", &[]),
+    (
+        "run",
+        &[&["cluster", "class", "ranks", "trace"], EXEC, ENGINE, FAULT],
+    ),
+    (
+        "suite",
+        &[&["cluster", "class", "ranks"], EXEC, ENGINE, FAULT],
+    ),
+    (
+        "profile",
+        &[&["cluster", "class", "ranks"], EXEC, ENGINE, FAULT],
+    ),
+    ("faults", &[]),
+    ("score", &[&["class"], EXEC]),
+    ("figures", &[EXEC]),
+    ("dvfs", &[&["cluster"]]),
+    ("plan", &[&["json"], EXEC]),
+    (
+        "serve",
+        &[
+            &[
+                "addr",
+                "workers",
+                "queue-depth",
+                "max-inflight",
+                "timeout-s",
+                "max-conns",
+                "keepalive-max",
+                "idle-timeout-s",
+                "read-timeout-s",
+                "peers",
+            ],
+            EXEC,
+            ENGINE,
+        ],
+    ),
+    ("fleet", &[&["addr", "workers", "vnodes", "timeout-s"]]),
+    (
+        "chaos",
+        &[&["listen", "upstream", "chaos-seed", "validate"]],
+    ),
+    ("help", &[]),
 ];
 
 /// Parse the argument vector (without `argv[0]`).
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     let Some(cmd) = it.next() else {
         return Ok(Command::Help);
     };
+    let cmd = match cmd.as_str() {
+        "-h" | "--help" => "help",
+        other => other,
+    };
+    let groups = COMMANDS
+        .iter()
+        .find(|(name, _)| *name == cmd)
+        .map(|(_, groups)| *groups)
+        .ok_or_else(|| format!("unknown command '{cmd}'\n\n{USAGE}"))?;
 
     // Collect options (--key value / -n value), valueless flags, and
     // positionals.
@@ -311,35 +318,37 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut options = std::collections::BTreeMap::new();
     let mut flags = std::collections::BTreeSet::new();
     while let Some(a) = it.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            match KNOWN.iter().find(|(name, _)| *name == key) {
-                Some((_, false)) => {
-                    flags.insert(key.to_string());
-                }
-                Some((_, true)) => {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| format!("option --{key} needs a value"))?;
-                    options.insert(key.to_string(), value.clone());
-                }
-                None => return Err(format!("unknown option --{key}")),
+        let key = match a.strip_prefix("--") {
+            Some(key) => key,
+            None if a == "-n" => "ranks",
+            None if a.len() > 1 && a.starts_with('-') => return Err(format!("unknown option {a}")),
+            None => {
+                positional.push(a.clone());
+                continue;
             }
-        } else if a == "-n" {
-            let value = it.next().ok_or("option -n needs a value")?;
-            options.insert("ranks".to_string(), value.clone());
-        } else if a.len() > 1 && a.starts_with('-') {
+        };
+        let reads = |groups: &[&[&str]]| groups.iter().any(|g| g.contains(&key));
+        if !COMMANDS.iter().any(|(_, groups)| reads(groups)) {
             return Err(format!("unknown option {a}"));
+        }
+        if !reads(groups) {
+            return Err(format!("option {a} does not apply to '{cmd}'"));
+        }
+        if FLAGS.contains(&key) {
+            flags.insert(key);
         } else {
-            positional.push(a.clone());
+            let value = it
+                .next()
+                .ok_or_else(|| format!("option {a} needs a value"))?;
+            options.insert(key, value.clone());
         }
     }
 
-    let cluster = match options.get("cluster") {
-        Some(s) => ClusterChoice::parse(s)?,
-        None => ClusterChoice::A,
-    };
+    let cluster = options.get("cluster").map_or("a", |s| s.as_str());
+    api::resolve_cluster(cluster).map_err(|e| e.message)?;
+    let cluster = cluster.to_string();
     let class = match options.get("class") {
-        Some(s) => parse_class(s)?,
+        Some(s) => api::parse_class(s).map_err(|e| e.message)?,
         None => WorkloadClass::Tiny,
     };
     let nranks = match options.get("ranks") {
@@ -361,15 +370,24 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         no_cache: flags.contains("no-cache"),
         metrics: flags.contains("metrics"),
     };
+    // Seeds in the range a plan file's `seed` accepts, so a plan keeps
+    // its seed through the wire.
+    let seed_opt = |key: &str| -> Result<Option<u64>, String> {
+        match options.get(key) {
+            Some(s) => s
+                .parse::<u64>()
+                .ok()
+                .and_then(|n| json::exact_u64(n as f64))
+                .map(Some)
+                .ok_or(format!(
+                    "bad --{key} '{s}': must be a non-negative integer below 2^53"
+                )),
+            None => Ok(None),
+        }
+    };
     let faults = FaultOpts {
         plan: options.get("faults").cloned(),
-        seed: match options.get("fault-seed") {
-            Some(s) => Some(
-                s.parse::<u64>()
-                    .map_err(|e| format!("bad fault seed '{s}': {e}"))?,
-            ),
-            None => None,
-        },
+        seed: seed_opt("fault-seed")?,
     };
 
     let usize_opt = |key: &str| -> Result<Option<usize>, String> {
@@ -422,7 +440,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             .unwrap_or_default()
     };
 
-    match cmd.as_str() {
+    match cmd {
         "list" => Ok(Command::List),
         "run" => {
             let benchmark = positional
@@ -471,10 +489,17 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Faults { plan })
         }
         "score" => Ok(Command::Score { class, exec }),
-        "figures" => Ok(Command::Figures {
-            which: positional.first().cloned().unwrap_or_else(|| "all".into()),
-            exec,
-        }),
+        "figures" => {
+            let which = positional.first().cloned().unwrap_or_else(|| "all".into());
+            let names = experiments::section_names();
+            if !names.contains(&which.as_str()) {
+                return Err(format!(
+                    "unknown figure '{which}' (use {})",
+                    names.join("|")
+                ));
+            }
+            Ok(Command::Figures { which, exec })
+        }
         "dvfs" => {
             let benchmark = positional.first().ok_or("dvfs: which benchmark?")?.clone();
             Ok(Command::Dvfs { benchmark, cluster })
@@ -539,24 +564,19 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .cloned()
                     .unwrap_or_else(|| "127.0.0.1:8799".into()),
                 upstream,
-                seed: match options.get("chaos-seed") {
-                    Some(s) => Some(
-                        s.parse::<u64>()
-                            .map_err(|e| format!("bad --chaos-seed '{s}': {e}"))?,
-                    ),
-                    None => None,
-                },
+                seed: seed_opt("chaos-seed")?,
                 validate,
             })
         }
-        "help" | "-h" | "--help" => Ok(Command::Help),
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+        "help" => Ok(Command::Help),
+        other => unreachable!("COMMANDS lists '{other}' without an arm"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spechpc::prelude::presets;
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -591,7 +611,7 @@ mod tests {
             c,
             Command::Run {
                 benchmark: "tealeaf".into(),
-                cluster: ClusterChoice::B,
+                cluster: "b".into(),
                 class: WorkloadClass::Small,
                 nranks: Some(208),
                 trace_csv: Some("out.csv".into()),
@@ -644,6 +664,21 @@ mod tests {
         );
         assert!(parse(&v(&["faults"])).is_err());
         assert!(parse(&v(&["suite", "--fault-seed", "minus-one"])).is_err());
+        // Both seed options take what a plan file's `seed` takes.
+        for cmd in [
+            &["suite", "--fault-seed"][..],
+            &["chaos", "p.toml", "--validate", "--chaos-seed"],
+        ] {
+            let key = cmd[cmd.len() - 1];
+            let seed = |s: &str| parse(&v(&[cmd, &[s]].concat()));
+            assert!(seed("9007199254740991").is_ok(), "{key}");
+            assert_eq!(
+                seed("9007199254740992"),
+                Err(format!(
+                    "bad {key} '9007199254740992': must be a non-negative integer below 2^53"
+                ))
+            );
+        }
     }
 
     #[test]
@@ -653,7 +688,7 @@ mod tests {
             c,
             Command::Profile {
                 benchmark: "minisweep".into(),
-                cluster: ClusterChoice::B,
+                cluster: "b".into(),
                 class: WorkloadClass::Tiny,
                 nranks: Some(59),
                 threads: None,
@@ -671,7 +706,7 @@ mod tests {
             c,
             Command::Run {
                 benchmark: "lbm".into(),
-                cluster: ClusterChoice::A,
+                cluster: "a".into(),
                 class: WorkloadClass::Tiny,
                 nranks: None,
                 trace_csv: None,
@@ -724,17 +759,35 @@ mod tests {
     }
 
     #[test]
-    fn cluster_aliases() {
-        assert_eq!(ClusterChoice::parse("SPR").unwrap(), ClusterChoice::B);
-        assert_eq!(ClusterChoice::parse("icelake").unwrap(), ClusterChoice::A);
-        assert!(ClusterChoice::parse("c").is_err());
-    }
-
-    #[test]
-    fn class_aliases() {
-        assert_eq!(parse_class("t").unwrap(), WorkloadClass::Tiny);
-        assert_eq!(parse_class("MEDIUM").unwrap(), WorkloadClass::Medium);
-        assert!(parse_class("gigantic").is_err());
+    fn cluster_and_class_names_are_the_apis() {
+        let point = |cluster: &str, class: &str| {
+            parse(&v(&["run", "lbm", "--cluster", cluster, "--class", class])).map(|c| match c {
+                Command::Run { cluster, class, .. } => (cluster, class),
+                other => panic!("{other:?}"),
+            })
+        };
+        // The name passes through unchanged, and the API resolves each
+        // alias to its own preset.
+        let preset = |alias: &str| {
+            let (cluster, _) = point(alias, "tiny").unwrap();
+            assert_eq!(cluster, alias);
+            api::resolve_cluster(&cluster).unwrap().name
+        };
+        for alias in ["a", "ClusterA", "icelake", "ICX"] {
+            assert_eq!(preset(alias), presets::cluster_a().name, "{alias}");
+        }
+        for alias in ["b", "clusterb", "SapphireRapids", "SPR"] {
+            assert_eq!(preset(alias), presets::cluster_b().name, "{alias}");
+        }
+        assert_eq!(point("a", "t").unwrap().1, WorkloadClass::Tiny);
+        assert_eq!(point("a", "MEDIUM").unwrap().1, WorkloadClass::Medium);
+        assert_eq!(
+            point("c", "tiny"),
+            Err("unknown cluster 'c' (use a|b)".into())
+        );
+        assert!(point("a", "gigantic")
+            .unwrap_err()
+            .contains("unknown workload class"));
     }
 
     #[test]
@@ -870,13 +923,110 @@ mod tests {
     }
 
     #[test]
+    fn every_listed_command_has_an_arm() {
+        // A missing arm is `unreachable!`; a missing positional or
+        // required option is an ordinary error.
+        for (name, _) in COMMANDS {
+            let _ = parse(&v(&[name]));
+        }
+    }
+
+    #[test]
+    fn options_a_command_does_not_read_are_refused_by_name() {
+        for (args, refusal) in [
+            (
+                &["dvfs", "tealeaf", "--class", "small"][..],
+                "option --class does not apply to 'dvfs'",
+            ),
+            (
+                &["figures", "--faults", "plans/noisy-node.toml"],
+                "option --faults does not apply to 'figures'",
+            ),
+            (&["score", "-n", "8"], "option -n does not apply to 'score'"),
+            (
+                &["fleet", "--workers", "a:1", "--jobs", "2"],
+                "option --jobs does not apply to 'fleet'",
+            ),
+            (
+                &["list", "--metrics"],
+                "option --metrics does not apply to 'list'",
+            ),
+        ] {
+            assert_eq!(parse(&v(args)), Err(refusal.to_string()), "{args:?}");
+        }
+    }
+
+    /// The `--options` of one block of `USAGE` text (`-n` is `--ranks`).
+    fn named(text: &str) -> std::collections::BTreeSet<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| {
+                if w == "-n" {
+                    Some("ranks")
+                } else {
+                    w.strip_prefix("--")
+                }
+            })
+            .collect()
+    }
+
+    #[test]
     fn known_options_are_the_ones_usage_names() {
-        let named: std::collections::BTreeSet<&str> = USAGE
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-            .filter_map(|w| w.strip_prefix("--"))
+        let known: std::collections::BTreeSet<&str> = COMMANDS
+            .iter()
+            .flat_map(|(_, groups)| groups.iter().flat_map(|g| g.iter().copied()))
             .collect();
-        let known: std::collections::BTreeSet<&str> = KNOWN.iter().map(|(k, _)| *k).collect();
-        assert_eq!(named, known);
+        assert_eq!(named(USAGE), known);
+        assert!(
+            FLAGS.iter().all(|f| known.contains(f)),
+            "a flag no command reads"
+        );
+    }
+
+    #[test]
+    fn each_commands_options_are_the_ones_usage_lists_for_it() {
+        let (commands, groups) = USAGE
+            .split_once("\nCOMMANDS:\n")
+            .and_then(|(_, rest)| rest.split_once("\n\n"))
+            .expect("USAGE has a COMMANDS section");
+        // A command's block: its line at four spaces' indent and every
+        // deeper line up to the next command.
+        let mut blocks: Vec<(&str, String)> = Vec::new();
+        for line in commands.lines() {
+            match line.strip_prefix("    ") {
+                Some(rest) if !rest.starts_with(' ') => {
+                    let name = rest.split_whitespace().next().unwrap();
+                    blocks.push((name, String::new()));
+                }
+                _ => blocks.last_mut().expect("a command first").1 += line,
+            }
+        }
+        // The group headers: `NAME (cmd/cmd/...; note):` and their options.
+        let headers: Vec<(Vec<&str>, _)> = groups
+            .split("\n\n")
+            .map(|g| {
+                let (header, body) = g.split_once('\n').expect("header and options");
+                let cmds = header
+                    .split_once('(')
+                    .and_then(|(_, c)| c.split([';', ')']).next())
+                    .expect("header names its commands");
+                (cmds.split('/').collect(), named(body))
+            })
+            .collect();
+        assert_eq!(
+            blocks.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
+            COMMANDS.iter().map(|(c, _)| *c).collect::<Vec<_>>()
+        );
+        for ((cmd, block), (_, groups)) in blocks.iter().zip(COMMANDS) {
+            let mut listed = named(block);
+            for (cmds, options) in &headers {
+                if cmds.contains(cmd) {
+                    listed.extend(options);
+                }
+            }
+            let reads: std::collections::BTreeSet<&str> =
+                groups.iter().flat_map(|g| g.iter().copied()).collect();
+            assert_eq!(listed, reads, "{cmd}");
+        }
     }
 
     #[test]
@@ -937,6 +1087,12 @@ mod tests {
                     metrics: false,
                 },
             }
+        );
+        // An unknown section is a parse error (exit 2), like any other
+        // bad name on the command line.
+        assert_eq!(
+            parse(&v(&["figures", "fig9"])),
+            Err("unknown figure 'fig9' (use tables|fig1|fig2|fig3|fig4|fig5|fig6|all)".into())
         );
     }
 }

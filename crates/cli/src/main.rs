@@ -21,24 +21,16 @@ mod args;
 #[macro_use]
 mod output;
 
-use args::{ClusterChoice, Command, ExecOpts, FaultOpts, USAGE};
+use args::{Command, ExecOpts, FaultOpts, USAGE};
 use spechpc::harness::api;
 use spechpc::harness::chaos;
-use spechpc::harness::experiments::{multi_node, node_level, power_energy, tables};
+use spechpc::harness::experiments;
 use spechpc::harness::faultcfg;
 use spechpc::harness::fleet;
 use spechpc::harness::obs;
 use spechpc::harness::serve;
 use spechpc::power::dvfs;
 use spechpc::prelude::*;
-
-/// The canonical cluster key the API resolves (`a` | `b`).
-fn cluster_key(c: ClusterChoice) -> &'static str {
-    match c {
-        ClusterChoice::A => "a",
-        ClusterChoice::B => "b",
-    }
-}
 
 /// Build the execution layer from the CLI options: all host cores, a
 /// memory cache backed by the persistent `results/cache/` store unless
@@ -193,7 +185,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             faults,
         } => {
             let req = RunRequest::new(&benchmark, class, nranks.unwrap_or(0))
-                .with_cluster(cluster_key(cluster))
+                .with_cluster(cluster)
                 .with_config(
                     RunConfig::default()
                         .with_trace(false)
@@ -233,7 +225,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             faults,
         } => {
             let req = SuiteRequest::new(class)
-                .with_cluster(cluster_key(cluster))
+                .with_cluster(cluster)
                 .with_nranks(nranks.unwrap_or(0))
                 .with_config(
                     RunConfig::default()
@@ -271,7 +263,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             // With `--faults` the per-rank table attributes the injected
             // stall time in its own column.
             let req = RunRequest::new(&benchmark, class, nranks.unwrap_or(0))
-                .with_cluster(cluster_key(cluster))
+                .with_cluster(cluster)
                 .with_config(
                     RunConfig::default()
                         .with_threads(threads.unwrap_or(1))
@@ -369,7 +361,7 @@ fn run(cmd: Command) -> Result<(), ApiError> {
             Ok(())
         }
         Command::Dvfs { benchmark, cluster } => {
-            let cl = api::resolve_cluster(cluster_key(cluster))?;
+            let cl = api::resolve_cluster(&cluster)?;
             let bench = benchmark_by_name(&benchmark)
                 .ok_or_else(|| ApiError::bad_request(format!("unknown benchmark '{benchmark}'")))?;
             let sig = bench.signature(WorkloadClass::Tiny);
@@ -569,94 +561,14 @@ fn run(cmd: Command) -> Result<(), ApiError> {
 }
 
 fn figures(which: &str, exec: ExecOpts) -> Result<(), ApiError> {
-    let a = presets::cluster_a();
-    let b = presets::cluster_b();
-    let cfg = RunConfig::default().with_repetitions(3).with_trace(false);
-    // One executor for the whole regeneration: `figures all` shares the
-    // fig1 grid between the fig1 and fig3/fig4 sections through the
-    // memory tier (with or without `--no-cache`), and a second
-    // invocation replays entirely from results/cache/.
-    let executor = executor_of(cfg, exec, 0.0);
-    let all = which == "all";
-    let mut matched = false;
-
-    if all || which == "tables" {
-        matched = true;
-        outln!("{}", tables::table1().render());
-        outln!("{}", tables::table2().render());
-        outln!("{}", tables::table3(&[&a, &b]).render());
-    }
-    if all || which == "fig1" {
-        matched = true;
-        let f1a = node_level::fig1_with(&executor, &a, 8)?;
-        let f1b = node_level::fig1_with(&executor, &b, 8)?;
-        outln!("== §4.1.1 parallel efficiency [%] ==");
-        for ((n, x), (_, y)) in node_level::efficiency_table(&f1a, &a)
-            .iter()
-            .zip(&node_level::efficiency_table(&f1b, &b))
-        {
-            outln!("{n:<12} A {x:>5.0}  B {y:>5.0}");
-        }
-        outln!("== §4.1.2 acceleration B/A ==");
-        for (n, x) in node_level::acceleration_table(&f1a, &f1b) {
-            outln!("{n:<12} {x:>5.2}");
-        }
-        outln!("== §4.1.3 vectorization [%] ==");
-        for (n, x) in node_level::vectorization_table(&f1a) {
-            outln!("{n:<12} {x:>5.1}");
-        }
-    }
-    if all || which == "fig2" {
-        matched = true;
-        let f2 = node_level::fig2_with(&executor, &a, 24)?;
-        outln!(
-            "Fig. 2 insets: minisweep@59 Recv {:.0} %, lbm@{} wait+barrier {:.0} %",
-            f2.minisweep_59.recv_fraction * 100.0,
-            f2.lbm_odd.nranks,
-            (f2.lbm_odd.wait_fraction + f2.lbm_odd.barrier_fraction) * 100.0
-        );
-    }
-    if all || which == "fig3" || which == "fig4" {
-        matched = true;
-        let f1a = node_level::fig1_with(&executor, &a, 8)?;
-        let f3 = power_energy::fig3(&f1a, &a);
-        outln!(
-            "Fig. 3 ({}): extrapolated baseline {:.0} W/socket",
-            a.name,
-            f3.extrapolated_baseline_w
-        );
-        for (name, w, frac) in power_energy::hot_cool_table(&f1a, &a) {
-            outln!("  {name:<12} {w:>5.0} W/socket ({:.0} % TDP)", frac * 100.0);
-        }
-        let f4 = power_energy::fig4(&f1a);
-        for z in &f4.zplots {
-            outln!(
-                "  {:<24} E/EDP minima separation: {} step(s)",
-                z.label,
-                z.min_separation_steps().unwrap_or(0)
-            );
-        }
-    }
-    if all || which == "fig5" || which == "fig6" {
-        matched = true;
-        for cl in [&a, &b] {
-            let f5 = multi_node::fig5_with(&executor, cl, &[1, 2, 4, 8])?;
-            if which != "fig6" {
-                outln!("{}", f5.render());
-                outln!("scaling cases ({}):", cl.name);
-                for (n, c) in multi_node::scaling_cases(&f5) {
-                    outln!("  {n:<12} {c}");
-                }
-            }
-            if which != "fig5" {
-                outln!("{}", multi_node::fig6(&f5).render());
-            }
-        }
-    }
-    if !matched {
-        return Err(ApiError::bad_request(format!(
-            "unknown figure '{which}' (use tables|fig1|fig2|fig3|fig4|fig5|fig6|all)"
-        )));
+    // `args::parse` admits only the names of `experiments::SECTIONS`.
+    let renders = experiments::sections(which);
+    // One executor for the whole regeneration: the sections share grid
+    // points through its memory tier (with or without `--no-cache`),
+    // and a second invocation replays entirely from results/cache/.
+    let executor = executor_of(experiments::run_config(), exec, 0.0);
+    for render in renders {
+        out!("{}", render(&executor)?);
     }
     maybe_metrics(&executor, &format!("figures_{which}"), exec)?;
     Ok(())

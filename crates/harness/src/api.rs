@@ -318,7 +318,7 @@ impl RunRequest {
             .str_of("benchmark")
             .ok_or_else(|| ApiError::bad_request("missing field 'benchmark'"))?;
         let class = parse_class(&v.str_of("class").unwrap_or_else(|| "tiny".to_string()))?;
-        let nranks = v.usize_of("nranks").unwrap_or(0);
+        let nranks = uint_field(&v, "nranks", 0)? as usize;
         let cluster = v.str_of("cluster").unwrap_or_else(|| "a".to_string());
         let config = match v.get("config") {
             Some(c) => config_from_json(c)?,
@@ -407,7 +407,7 @@ impl SuiteRequest {
             .ok_or_else(|| ApiError::bad_request("request body is not valid JSON"))?;
         let class = parse_class(&v.str_of("class").unwrap_or_else(|| "tiny".to_string()))?;
         let cluster = v.str_of("cluster").unwrap_or_else(|| "a".to_string());
-        let nranks = v.usize_of("nranks").unwrap_or(0);
+        let nranks = uint_field(&v, "nranks", 0)? as usize;
         let config = match v.get("config") {
             Some(c) => config_from_json(c)?,
             None => RunConfig::default(),
@@ -444,24 +444,51 @@ pub(crate) fn config_to_json(c: &RunConfig) -> Json {
     Json::Obj(fields)
 }
 
+/// The largest warm-up step, measured step or repetition count a
+/// request may ask for. Engine time grows with the steps and memory
+/// with the repetitions, so a larger count is a 422, as `threads: 0`
+/// is.
+pub(crate) const MAX_RUN_COUNT: u64 = 1_000;
+
+/// `v[key]` as a strict non-negative integer with a default when
+/// absent: a fractional, negative, out-of-range or non-numeric value
+/// is a 400, never truncated.
+pub(crate) fn uint_field(v: &Json, key: &str, default: u64) -> Result<u64, ApiError> {
+    match v.get(key) {
+        None => Ok(default),
+        Some(x) => x.u64().ok_or_else(|| {
+            ApiError::bad_request(format!("'{key}' must be a non-negative integer"))
+        }),
+    }
+}
+
 /// Decode the `"config"` object; absent fields keep their defaults.
 pub(crate) fn config_from_json(v: &Json) -> Result<RunConfig, ApiError> {
     let d = RunConfig::default();
-    let mut c = RunConfig::default()
-        .with_warmup_steps(v.usize_of("warmup_steps").unwrap_or(d.warmup_steps))
-        .with_measured_steps(v.usize_of("measured_steps").unwrap_or(d.measured_steps))
-        .with_repetitions(v.usize_of("repetitions").unwrap_or(d.repetitions))
-        .with_trace(v.bool_of("trace").unwrap_or(d.trace));
-    if let Some(threads) = v.usize_of("threads") {
-        if threads == 0 {
-            return Err(ApiError::new(
+    let count = |key: &str, default: usize, min: u64| -> Result<usize, ApiError> {
+        match uint_field(v, key, default as u64)? {
+            n if (min..=MAX_RUN_COUNT).contains(&n) => Ok(n as usize),
+            n => Err(ApiError::new(
                 422,
-                "invalid_threads",
-                "'threads' must be >= 1 (1 = sequential engine)",
-            ));
+                "invalid_config",
+                format!("'{key}' must be in {min}..={MAX_RUN_COUNT}, got {n}"),
+            )),
         }
-        c = c.with_threads(threads);
+    };
+    let threads = uint_field(v, "threads", d.threads as u64)?;
+    if threads == 0 {
+        return Err(ApiError::new(
+            422,
+            "invalid_threads",
+            "'threads' must be >= 1 (1 = sequential engine)",
+        ));
     }
+    let mut c = RunConfig::default()
+        .with_warmup_steps(count("warmup_steps", d.warmup_steps, 0)?)
+        .with_measured_steps(count("measured_steps", d.measured_steps, 1)?)
+        .with_repetitions(count("repetitions", d.repetitions, 1)?)
+        .with_trace(v.bool_of("trace").unwrap_or(d.trace))
+        .with_threads(threads as usize);
     if let Some(f) = v.get("faults") {
         c = c.with_faults(fault_plan_from_json(f)?);
     }
@@ -481,8 +508,10 @@ fn rank_set_from_json(v: &Json) -> Result<RankSet, ApiError> {
         Json::Str(s) if s == "all" => Ok(RankSet::All),
         Json::Arr(items) => {
             let ranks: Option<Vec<usize>> =
-                items.iter().map(|i| i.num().map(|x| x as usize)).collect();
-            let ranks = ranks.ok_or_else(|| ApiError::bad_request("rank set must be numeric"))?;
+                items.iter().map(|i| i.u64().map(|r| r as usize)).collect();
+            let ranks = ranks.ok_or_else(|| {
+                ApiError::bad_request("rank set members must be non-negative integers")
+            })?;
             Ok(match ranks.as_slice() {
                 [one] => RankSet::One(*one),
                 _ => RankSet::List(ranks),
@@ -554,7 +583,7 @@ pub fn fault_plan_to_json(plan: &FaultPlan) -> Json {
 /// [`FaultPlan::validate`] rejects is a 400, as the TOML reader refuses
 /// it too.
 pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, ApiError> {
-    let seed = v.f64_of("seed").unwrap_or(0.0) as u64;
+    let seed = uint_field(v, "seed", 0)?;
     let events = v
         .get("events")
         .and_then(Json::arr)
@@ -568,6 +597,13 @@ pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, ApiError> {
             e.f64_of(key)
                 .ok_or_else(|| ApiError::bad_request(format!("{kind} event needs '{key}'")))
         };
+        let rank = |key: &str| -> Result<usize, ApiError> {
+            e.u64_of(key).map(|r| r as usize).ok_or_else(|| {
+                ApiError::bad_request(format!(
+                    "{kind} event needs '{key}' as a non-negative integer"
+                ))
+            })
+        };
         out.push(match kind.as_str() {
             "os_noise" => FaultEvent::OsNoise {
                 ranks: rank_set_from_json(
@@ -577,12 +613,12 @@ pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, ApiError> {
                 amplitude: need("amplitude")?,
             },
             "straggler" => FaultEvent::Straggler {
-                rank: need("rank")? as usize,
+                rank: rank("rank")?,
                 slowdown: need("slowdown")?,
             },
             "flaky_link" => FaultEvent::FlakyLink {
-                from: need("from")? as usize,
-                to: need("to")? as usize,
+                from: rank("from")?,
+                to: rank("to")?,
                 drop_prob: need("drop_prob")?,
                 retransmit_latency_s: need("retransmit_latency_s")?,
             },
@@ -596,7 +632,7 @@ pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, ApiError> {
                 slowdown: need("slowdown")?,
             },
             "crash" => FaultEvent::Crash {
-                rank: need("rank")? as usize,
+                rank: rank("rank")?,
                 at_s: need("at_s")?,
             },
             other => {
@@ -647,11 +683,21 @@ impl RunResponse {
 /// depth and is reused verbatim, so cached replays cannot drift from
 /// fresh runs.
 fn run_body(result_json: &str) -> String {
-    let mut s = String::with_capacity(result_json.len() + 32);
-    s.push_str("{\n  \"result\": ");
+    let mut s = String::with_capacity(result_json.len() + RUN_HEAD.len() + RUN_TAIL.len());
+    s.push_str(RUN_HEAD);
     s.push_str(result_json);
-    s.push_str("\n}\n");
+    s.push_str(RUN_TAIL);
     s
+}
+
+/// The envelope [`run_body`] writes around a result's encoding.
+const RUN_HEAD: &str = "{\n  \"result\": ";
+const RUN_TAIL: &str = "\n}\n";
+
+/// The inverse of [`run_body`]: the result encoding inside a run body,
+/// verbatim, or `None` when `body` is not exactly that envelope.
+pub(crate) fn run_result_of(body: &str) -> Option<&str> {
+    body.strip_prefix(RUN_HEAD)?.strip_suffix(RUN_TAIL)
 }
 
 /// A completed suite execution (possibly partial — failed benchmarks
@@ -771,15 +817,44 @@ fn run_target(
 ) -> Result<(Executor, ClusterSpec, RunSpec), ApiError> {
     let cluster = resolve_cluster(&req.cluster)?;
     let spec = req.spec(&cluster);
+    fits_cluster(
+        format_args!("run '{}'", spec.benchmark),
+        spec.nranks,
+        &cluster,
+    )?;
     Ok((exec.with_run_config(req.config.clone()), cluster, spec))
 }
 
 /// Execute one suite request against a resident executor.
 pub fn dispatch_suite(exec: &Executor, req: &SuiteRequest) -> Result<SuiteResponse, ApiError> {
     let cluster = resolve_cluster(&req.cluster)?;
+    let suite = req.suite(&cluster);
+    fits_cluster("the suite", suite.nranks, &cluster)?;
     let forked = exec.with_run_config(req.config.clone());
-    let report = req.suite(&cluster).run_with(&forked, &cluster);
+    let report = suite.run_with(&forked, &cluster);
     Ok(SuiteResponse { report })
+}
+
+/// Refuse a rank count larger than `cluster` models (422), as a plan
+/// job's is: the engine builds state for every rank, so the count must
+/// be bounded before it allocates.
+pub(crate) fn fits_cluster(
+    what: impl std::fmt::Display,
+    nranks: usize,
+    cluster: &ClusterSpec,
+) -> Result<(), ApiError> {
+    if nranks > cluster.total_cores() {
+        return Err(ApiError::new(
+            422,
+            "invalid_ranks",
+            format!(
+                "{what} needs {nranks} ranks but {} models at most {}",
+                cluster.name,
+                cluster.total_cores()
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// `nranks`, with `0` meaning one full node of `cluster`.
@@ -1232,6 +1307,76 @@ mod tests {
         assert_eq!(err.code, "invalid_threads");
     }
 
+    /// Every integer a request carries decodes through `Json::u64`: a
+    /// negative, fractional, oversized or non-numeric value is a 400
+    /// (it used to saturate or truncate into another run), and a step
+    /// or repetition count of zero or above `MAX_RUN_COUNT` is a 422.
+    #[test]
+    fn wire_integers_decode_strictly() {
+        let run = |body: &str| RunRequest::from_json(body).map(|r| r.config);
+        let fault = |event: &str| {
+            run(&format!(
+                r#"{{"benchmark": "lbm", "config": {{"faults": {{"seed": 1, "events": [{event}]}}}}}}"#
+            ))
+        };
+        for (body, status) in [
+            (r#"{"benchmark": "lbm", "nranks": -5}"#, 400),
+            (r#"{"benchmark": "lbm", "nranks": 2.7}"#, 400),
+            (r#"{"benchmark": "lbm", "nranks": "4"}"#, 400),
+            (
+                r#"{"benchmark": "lbm", "config": {"measured_steps": 0}}"#,
+                422,
+            ),
+            (r#"{"benchmark": "lbm", "config": {"repetitions": 0}}"#, 422),
+            (
+                r#"{"benchmark": "lbm", "config": {"repetitions": 1e30}}"#,
+                400,
+            ),
+            (
+                r#"{"benchmark": "lbm", "config": {"warmup_steps": 1e9}}"#,
+                422,
+            ),
+            (
+                r#"{"benchmark": "lbm", "config": {"measured_steps": 1001}}"#,
+                422,
+            ),
+            (
+                r#"{"benchmark": "lbm", "config": {"warmup_steps": -1}}"#,
+                400,
+            ),
+            (r#"{"benchmark": "lbm", "config": {"threads": 1.5}}"#, 400),
+            (
+                r#"{"benchmark": "lbm", "config": {"faults": {"seed": -5, "events": []}}}"#,
+                400,
+            ),
+        ] {
+            assert_eq!(run(body).unwrap_err().status, status, "{body}");
+        }
+        for event in [
+            r#"{"kind": "straggler", "rank": -1, "slowdown": 2}"#,
+            r#"{"kind": "straggler", "rank": 2.7, "slowdown": 2}"#,
+            r#"{"kind": "crash", "rank": 1e30, "at_s": 0}"#,
+            r#"{"kind": "flaky_link", "from": 0, "to": -3, "drop_prob": 0.1, "retransmit_latency_s": 1e-6}"#,
+            r#"{"kind": "os_noise", "ranks": [-3, 1.5], "amplitude": 0.1}"#,
+        ] {
+            assert_eq!(fault(event).unwrap_err().status, 400, "{event}");
+        }
+        let err = SuiteRequest::from_json(r#"{"nranks": -5}"#).unwrap_err();
+        assert_eq!(err.status, 400, "{err}");
+        // The bounds themselves are accepted.
+        let c = run(
+            r#"{"benchmark": "lbm", "nranks": 4, "config": {"warmup_steps": 0,
+                "measured_steps": 1000, "repetitions": 1000}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            (c.warmup_steps, c.measured_steps, c.repetitions),
+            (0, 1000, 1000)
+        );
+        let c = fault(r#"{"kind": "straggler", "rank": 3, "slowdown": 2}"#).unwrap();
+        assert_eq!(c.faults.events.len(), 1);
+    }
+
     #[test]
     fn malformed_requests_are_bad_request_errors() {
         for body in [
@@ -1321,8 +1466,13 @@ mod tests {
             replay.to_json(),
             "cached replay must serve identical bytes"
         );
+        // The envelope opens back to the cache encoding, verbatim.
+        let body = fresh.to_json();
+        let encoded = cache::encode_result(&fresh.result);
+        assert_eq!(run_result_of(&body), Some(encoded.as_str()));
+        assert_eq!(run_result_of(&body[..body.len() - 1]), None);
         // The response decodes back to the same physics.
-        let decoded = RunResponse::from_json(&fresh.to_json()).unwrap();
+        let decoded = RunResponse::from_json(&body).unwrap();
         assert_eq!(
             decoded.result.step_seconds.to_bits(),
             fresh.result.step_seconds.to_bits()

@@ -634,7 +634,7 @@ fn event_kind_from_name(name: &str) -> Option<EventKind> {
 /// disabled-profile [`Profile::default`]; anything else rebuilds the
 /// dense structure exactly.
 fn decode_profile(v: &Json) -> Option<Profile> {
-    let nranks = v.usize_of("nranks")?;
+    let nranks = v.u64_of("nranks")? as usize;
     if nranks == 0 {
         return Some(Profile::default());
     }
@@ -736,13 +736,13 @@ pub(crate) fn decode_result(r: &Json) -> Option<RunResult> {
     let profile = decode_profile(r.get("profile")?)?;
     let p = r.get("power")?;
     let e = r.get("energy")?;
-    let nranks = r.usize_of("nranks")?;
+    let nranks = r.u64_of("nranks")? as usize;
     Some(RunResult {
         benchmark: r.str_of("benchmark")?,
         cluster: r.str_of("cluster")?,
         class: r.str_of("class")?,
         nranks,
-        nodes_used: r.usize_of("nodes_used")?,
+        nodes_used: r.u64_of("nodes_used")? as usize,
         step_seconds: r.f64_of("step_seconds")?,
         step_seconds_min: r.f64_of("step_seconds_min")?,
         step_seconds_max: r.f64_of("step_seconds_max")?,

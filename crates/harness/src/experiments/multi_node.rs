@@ -10,6 +10,7 @@ use spechpc_analysis::speedup::SpeedupCurve;
 use spechpc_kernels::common::config::WorkloadClass;
 use spechpc_kernels::registry::all_benchmarks;
 use spechpc_machine::cluster::ClusterSpec;
+use spechpc_machine::presets;
 use spechpc_simmpi::trace::EventKind;
 
 use crate::exec::{Executor, RunSpec};
@@ -262,6 +263,62 @@ pub fn soma_anomaly(f5: &Fig5) -> Option<SomaAnomaly> {
             .map(|r| r.breakdown.fraction(EventKind::Allreduce))
             .unwrap_or(0.0),
     })
+}
+
+/// The node counts of Fig. 5 and Fig. 6 in `spechpc figures`: the
+/// paper's 1–16 nodes (§5.1).
+pub const FIG5_NODES: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// The `fig5` section, per cluster: Fig. 5, the §5.1 scaling cases,
+/// the §5.1.2 soma series and the §5 routine ranking at the largest
+/// node count.
+pub fn render_fig5(exec: &Executor) -> Result<String, HarnessError> {
+    let largest = FIG5_NODES[FIG5_NODES.len() - 1];
+    let mut out = Vec::new();
+    for cl in [presets::cluster_a(), presets::cluster_b()] {
+        let f5 = fig5_with(exec, &cl, &FIG5_NODES)?;
+        out.push(f5.render());
+        out.push(format!("scaling cases ({}):", cl.name));
+        for (n, c) in scaling_cases(&f5) {
+            out.push(format!("  {n:<12} {c}"));
+        }
+        if let Some(soma) = soma_anomaly(&f5) {
+            out.push(format!("§5.1.2 soma anomaly ({}):", cl.name));
+            for ((n, bw), (_, vol)) in soma.per_node_bw.iter().zip(&soma.volume) {
+                out.push(format!(
+                    "  {n:>2} node(s): {bw:>5.0} GB/s per node, {:>6.1} GB aggregate per step",
+                    vol / 1e9
+                ));
+            }
+            out.push(format!(
+                "  MPI_Allreduce share at {largest} nodes: {:.0} %",
+                soma.allreduce_fraction * 100.0
+            ));
+        }
+        let mut ranking = comm_breakdown(&f5);
+        ranking.sort_by(|x, y| y.2.total_cmp(&x.2));
+        out.push(format!(
+            "§5 communication-routine ranking ({}, {largest} nodes):",
+            cl.name
+        ));
+        for (bench, kind, frac) in ranking.iter().take(10) {
+            out.push(format!(
+                "  {bench:<12} {:<14} {:>5.1} %",
+                kind.to_string(),
+                frac * 100.0
+            ));
+        }
+    }
+    Ok(super::lines(out))
+}
+
+/// The `fig6` section: Fig. 6 of both clusters.
+pub fn render_fig6(exec: &Executor) -> Result<String, HarnessError> {
+    let mut out = Vec::new();
+    for cl in [presets::cluster_a(), presets::cluster_b()] {
+        out.push(fig6(&fig5_with(exec, &cl, &FIG5_NODES)?).render());
+    }
+    Ok(super::lines(out))
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@ use spechpc_analysis::speedup::{parallel_efficiency, SpeedupCurve};
 use spechpc_kernels::common::config::WorkloadClass;
 use spechpc_kernels::registry::all_benchmarks;
 use spechpc_machine::cluster::ClusterSpec;
+use spechpc_machine::presets;
 use spechpc_simmpi::trace::EventKind;
 
 use crate::exec::{Executor, RunSpec};
@@ -226,8 +227,6 @@ impl Fig2 {
         );
         for s in &self.sweeps {
             for r in &s.results {
-                let steps = r.counters.mem_bytes / r.counters.mem_bandwidth().max(1e-30) / 1e9;
-                let _ = steps;
                 let per_step = |total: f64| total / (r.runtime_s / r.step_seconds);
                 t.row(vec![
                     s.benchmark.clone(),
@@ -243,6 +242,110 @@ impl Fig2 {
         }
         t.render()
     }
+}
+
+/// The core-count stride of the Fig. 1 grid in `spechpc figures`
+/// (the paper samples every count).
+pub const FIG1_STEP: usize = 8;
+
+/// The core-count stride of Fig. 2's bandwidth panels.
+pub const FIG2_STEP: usize = 24;
+
+/// The `fig1` section: the §4.1.1–4.1.3 tables of both clusters.
+pub fn render_fig1(exec: &Executor) -> Result<String, HarnessError> {
+    let (a, b) = (presets::cluster_a(), presets::cluster_b());
+    let f1a = fig1_with(exec, &a, FIG1_STEP)?;
+    let f1b = fig1_with(exec, &b, FIG1_STEP)?;
+    let mut out = vec!["== §4.1.1 parallel efficiency [%] ==".to_string()];
+    for ((n, x), (_, y)) in efficiency_table(&f1a, &a)
+        .iter()
+        .zip(&efficiency_table(&f1b, &b))
+    {
+        out.push(format!("{n:<12} A {x:>5.0}  B {y:>5.0}"));
+    }
+    out.push("== §4.1.2 acceleration B/A ==".into());
+    for (n, x) in acceleration_table(&f1a, &f1b) {
+        out.push(format!("{n:<12} {x:>5.2}"));
+    }
+    out.push("== §4.1.3 vectorization [%] ==".into());
+    for (n, x) in vectorization_table(&f1a) {
+        out.push(format!("{n:<12} {x:>5.1}"));
+    }
+    Ok(super::lines(out))
+}
+
+/// The `fig2` section: ClusterA's bandwidth and volume panels, the
+/// memory bandwidth of one full ccNUMA domain on both clusters, then
+/// each ClusterA inset against its neighbouring count (minisweep at 58
+/// processes, lbm at the full node) with the first rows of its
+/// timeline.
+pub fn render_fig2(exec: &Executor) -> Result<String, HarnessError> {
+    let a = presets::cluster_a();
+    let f2 = fig2_with(exec, &a, FIG2_STEP)?;
+    let (ms, lb) = (f2.minisweep_59, f2.lbm_odd);
+    let against = |name: &str, inset: &InsetStats, n| -> Result<String, HarnessError> {
+        let t = exec
+            .run_one(&a, &RunSpec::new(name, WorkloadClass::Tiny, n))?
+            .step_seconds;
+        Ok(format!(
+            "{:.3} s/step against {t:.3} at {n} processes (×{:.2}, performance {:+.0} %)",
+            inset.step_seconds,
+            inset.step_seconds / t,
+            100.0 * (t / inset.step_seconds - 1.0)
+        ))
+    };
+    let plateau = |cl: &ClusterSpec| -> Result<String, HarnessError> {
+        let n = cl.node.cores_per_domain();
+        let mut bw = Vec::new();
+        for name in ["pot3d", "tealeaf", "cloverleaf"] {
+            let r = exec.run_one(cl, &RunSpec::new(name, WorkloadClass::Tiny, n))?;
+            bw.push(format!("{name} {:.1}", r.counters.mem_bandwidth()));
+        }
+        Ok(format!(
+            "memory bandwidth of one full ccNUMA domain ({}, {n} cores): {} GB/s",
+            cl.name,
+            bw.join(", ")
+        ))
+    };
+    let head = |timeline: &str, rows: usize, of: usize| {
+        let mut text = format!(
+            "  first {rows} of {of} ranks (# compute, r MPI_Recv, s MPI_Send, \
+             w MPI_Wait, B MPI_Barrier):"
+        );
+        for row in timeline.lines().take(rows) {
+            text.push_str("\n  ");
+            text.push_str(row);
+        }
+        text
+    };
+    let pct = |x: f64| x * 100.0;
+    Ok(super::lines(vec![
+        format!(
+            "Fig. 2 insets: minisweep@59 Recv {:.0} %, lbm@{} wait+barrier {:.0} %",
+            pct(ms.recv_fraction),
+            lb.nranks,
+            pct(lb.wait_fraction + lb.barrier_fraction)
+        ),
+        f2.render(),
+        plateau(&a)?,
+        plateau(&presets::cluster_b())?,
+        format!(
+            "minisweep@59: {}; {:.0} % MPI_Recv, {:.0} % compute (dominant: {})",
+            against("minisweep", &ms, 58)?,
+            pct(ms.recv_fraction),
+            pct(ms.compute_fraction),
+            ms.dominant.map_or("none".into(), |k| k.to_string())
+        ),
+        head(&f2.minisweep_inset, 16, ms.nranks),
+        format!(
+            "lbm@{}: {}; {:.0} % compute, {:.0} % wait+barrier",
+            lb.nranks,
+            against("lbm", &lb, a.node.cores())?,
+            pct(lb.compute_fraction),
+            pct(lb.wait_fraction + lb.barrier_fraction)
+        ),
+        head(&f2.lbm_inset, 12, lb.nranks),
+    ]))
 }
 
 #[cfg(test)]

@@ -1,12 +1,20 @@
 //! Power and energy experiments: the paper's Fig. 3 (CPU and DRAM
-//! power), Fig. 4 (Z-plots and total energy), the §4.2.1 hot/cool table
-//! and the §4.2.3 baseline-power comparison — all on the *tiny* suite.
+//! power), Fig. 4 (Z-plots and total energy), the §4.2.1 hot/cool table,
+//! the §4.2.3 baseline-power comparison and the §4.3 energy verdicts —
+//! all on the *tiny* suite.
 
+use spechpc_kernels::common::config::WorkloadClass;
+use spechpc_kernels::registry::all_benchmarks;
 use spechpc_machine::cluster::ClusterSpec;
 use spechpc_machine::node::NodeSpec;
+use spechpc_machine::presets;
+use spechpc_power::classify::{classify_heat, HeatClass};
+use spechpc_power::race::{analyze, concurrency_sweep, saturating_speedup};
 use spechpc_power::zplot::{ZPlot, ZPoint};
 
-use crate::experiments::node_level::Fig1;
+use crate::error::HarnessError;
+use crate::exec::Executor;
+use crate::experiments::node_level::{fig1_with, Fig1, FIG1_STEP};
 use crate::report::{fmt, Table};
 
 /// Per-benchmark domain series: `(n, speedup, package W, DRAM W)` for
@@ -142,6 +150,136 @@ pub fn baseline_table(nodes: &[&NodeSpec]) -> Table {
         .expect("row matches header");
     }
     t
+}
+
+/// The `fig3`/`fig4` section: Fig. 3 and the §4.2.1 hot/cool split of
+/// both clusters with their E/EDP minima, the heat classes and DRAM
+/// power per domain, the §4.2.3 baselines, pot3d's Z-plot on
+/// ClusterA, the §4.3.1 race-to-idle verdicts and the §4.3.2
+/// energy-parity line.
+pub fn render(exec: &Executor) -> Result<String, HarnessError> {
+    let (a, b) = (presets::cluster_a(), presets::cluster_b());
+    let sb = presets::sandy_bridge_node();
+    let f1a = fig1_with(exec, &a, FIG1_STEP)?;
+    let f1b = fig1_with(exec, &b, FIG1_STEP)?;
+    let mut out = Vec::new();
+    for (cl, f1) in [(&a, &f1a), (&b, &f1b)] {
+        out.push(format!(
+            "Fig. 3 ({}): extrapolated baseline {:.0} W/socket",
+            cl.name,
+            fig3(f1, cl).extrapolated_baseline_w
+        ));
+        for (name, w, frac) in hot_cool_table(f1, cl) {
+            out.push(format!(
+                "  {name:<12} {w:>5.0} W/socket ({:.0} % TDP)",
+                frac * 100.0
+            ));
+        }
+        for z in &fig4(f1).zplots {
+            out.push(format!(
+                "  {:<24} E/EDP minima separation: {} step(s)",
+                z.label,
+                z.min_separation_steps().unwrap_or(0)
+            ));
+        }
+    }
+
+    let mut heat = Table::new(
+        "§4.2.1 — calibrated heat class and DRAM power per ccNUMA domain at the full node",
+        &[
+            "benchmark",
+            "heat class A",
+            "heat class B",
+            "DRAM A [W/domain]",
+            "DRAM B [W/domain]",
+        ],
+    );
+    let class = |cl: &ClusterSpec, h| match classify_heat(&cl.node.cpu, h) {
+        HeatClass::Hot => "hot",
+        HeatClass::Warm => "warm",
+        HeatClass::Cool => "cool",
+    };
+    let dram = |f1: &Fig1, i: usize, cl: &ClusterSpec| {
+        let r = f1.sweeps[i].results.last().expect("non-empty sweep");
+        fmt(r.power.dram_w / cl.node.numa_domains() as f64)
+    };
+    for (i, bench) in all_benchmarks().iter().enumerate() {
+        let h = bench.signature(WorkloadClass::Tiny).heat;
+        heat.row(vec![
+            bench.meta().name.to_string(),
+            class(&a, h).into(),
+            class(&b, h).into(),
+            dram(&f1a, i, &a),
+            dram(&f1b, i, &b),
+        ])
+        .expect("row matches header");
+    }
+    out.push(heat.render());
+    out.push(baseline_table(&[&a.node, &b.node, &sb]).render());
+
+    let f4a = fig4(&f1a);
+    if let Some(z) = f4a.zplots.iter().find(|z| z.label.starts_with("pot3d")) {
+        out.push(
+            "Fig. 4 — Z-plot, energy against speedup with the core count as parameter:".into(),
+        );
+        out.push(z.render_ascii(60, 14).trim_end_matches('\n').to_string());
+        if let (Some(e), Some(edp)) = (z.energy_minimum(), z.edp_minimum()) {
+            out.push(format!(
+                "  E minimum at {} cores ({:.0} kJ), EDP minimum at {} cores",
+                e.resources,
+                e.value / 1e3,
+                edp.resources
+            ));
+        }
+    }
+
+    out.push("§4.3.1 race-to-idle vs. concurrency throttling (one ccNUMA domain):".into());
+    for (cpu, cores, s_max) in [
+        (&a.node.cpu, a.node.cores_per_domain(), 6.0),
+        (&b.node.cpu, b.node.cores_per_domain(), 6.0),
+        (&sb.cpu, sb.cores(), 3.5),
+    ] {
+        let sweep = concurrency_sweep(
+            cpu,
+            cores,
+            0.4,
+            100.0,
+            saturating_speedup(s_max, 1.0),
+            move |n| (s_max / n as f64).min(1.0),
+        );
+        if let Some(v) = analyze(&sweep) {
+            out.push(format!(
+                "  {:<20} E-opt {:>2} cores, EDP-opt {:>2}, throttling saves {:>4.1} % → {}",
+                cpu.model,
+                v.energy_optimal_cores,
+                v.edp_optimal_cores,
+                v.throttling_gain * 100.0,
+                if v.race_to_idle_is_optimal {
+                    "race-to-idle wins"
+                } else {
+                    "concurrency throttling pays off"
+                }
+            ));
+        }
+    }
+
+    let tealeaf = |f1: &Fig1| {
+        f1.sweeps
+            .iter()
+            .find(|s| s.benchmark == "tealeaf")
+            .and_then(|s| s.results.last())
+            .map_or(f64::NAN, |r| r.energy.total_j())
+    };
+    let (ea, eb) = (tealeaf(&f1a), tealeaf(&f1b));
+    out.push(format!(
+        "§4.3.2 tealeaf energy to solution at the full node: {} {:.1} kJ, {} {:.1} kJ (B/A ×{:.2})",
+        a.name,
+        ea / 1e3,
+        b.name,
+        eb / 1e3,
+        eb / ea
+    ));
+    Ok(super::lines(out))
 }
 
 #[cfg(test)]

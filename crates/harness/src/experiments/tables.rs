@@ -3,8 +3,22 @@
 use spechpc_kernels::common::config::WorkloadClass;
 use spechpc_kernels::registry::all_benchmarks;
 use spechpc_machine::cluster::ClusterSpec;
+use spechpc_machine::presets;
 
+use crate::error::HarnessError;
+use crate::exec::Executor;
 use crate::report::{fmt, Table};
+
+/// The `tables` section of `spechpc figures`: Tables 1–3, which
+/// simulate nothing.
+pub fn render(_exec: &Executor) -> Result<String, HarnessError> {
+    let (a, b) = (presets::cluster_a(), presets::cluster_b());
+    Ok(super::lines(vec![
+        table1().render(),
+        table2().render(),
+        table3(&[&a, &b]).render(),
+    ]))
+}
 
 /// Table 1 — key attributes of the SPEChpc 2021 parallel benchmarks.
 pub fn table1() -> Table {
@@ -128,7 +142,6 @@ pub fn table3(clusters: &[&ClusterSpec]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spechpc_machine::presets;
 
     #[test]
     fn table1_lists_all_nine_with_configs() {

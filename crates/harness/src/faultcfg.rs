@@ -53,6 +53,8 @@ use std::path::Path;
 use spechpc_power::dvfs::throttle_slowdown;
 use spechpc_simmpi::faults::{FaultEvent, FaultPlan, RankSet};
 
+use crate::json::exact_u64;
+
 /// Share of the base-clock runtime assumed frequency-sensitive when a
 /// throttle event gives a frequency cap without a `flops_fraction`.
 const DEFAULT_FLOPS_FRACTION: f64 = 0.6;
@@ -158,13 +160,12 @@ impl TableData {
 }
 
 fn count(key: &str, n: f64, line: usize) -> Result<u64, PlanError> {
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(PlanError::at(
+    exact_u64(n).ok_or_else(|| {
+        PlanError::at(
             line,
-            format!("'{key}' must be a non-negative integer, got {n}"),
-        ));
-    }
-    Ok(n as u64)
+            format!("'{key}' must be a non-negative integer below 2^53, got {n}"),
+        )
+    })
 }
 
 /// Load and validate a fault plan from a `.toml` file.
@@ -233,12 +234,11 @@ pub(crate) fn parse_sections(
     }
 
     let seed = match top.num("seed").transpose()? {
-        Some(s) if s >= 0.0 && s.fract() == 0.0 => s as u64,
-        Some(s) => {
-            return Err(PlanError::new(format!(
-                "seed must be a non-negative integer, got {s}"
-            )))
-        }
+        Some(s) => exact_u64(s).ok_or_else(|| {
+            PlanError::new(format!(
+                "seed must be a non-negative integer below 2^53, got {s}"
+            ))
+        })?,
         None => 0,
     };
     for key in top.entries.keys() {
@@ -288,9 +288,14 @@ fn parse_rank_set(text: &str, line: usize) -> Result<RankSet, PlanError> {
     let ranks = text
         .split(',')
         .map(|part| {
-            part.trim()
-                .parse::<usize>()
-                .map_err(|_| PlanError::at(line, format!("bad rank '{}' in rank set", part.trim())))
+            let part = part.trim();
+            match part.parse::<u64>().ok().and_then(|r| exact_u64(r as f64)) {
+                Some(r) => Ok(r as usize),
+                None => Err(PlanError::at(
+                    line,
+                    format!("bad rank '{part}' in rank set"),
+                )),
+            }
         })
         .collect::<Result<Vec<usize>, PlanError>>()?;
     match ranks.as_slice() {

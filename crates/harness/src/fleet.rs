@@ -1017,15 +1017,11 @@ fn vet_response(path: &str, resp: &WireResponse) -> Result<(), String> {
             resp.body.len()
         ));
     }
-    if path == EndpointId::Run.path() && resp.status == 200 {
-        let enveloped = resp
-            .body
-            .strip_prefix("{\n  \"result\": ")
-            .and_then(|s| s.strip_suffix("\n}\n"))
-            .is_some();
-        if !enveloped {
-            return Err("200 run body is not the result envelope".to_string());
-        }
+    if path == EndpointId::Run.path()
+        && resp.status == 200
+        && api::run_result_of(&resp.body).is_none()
+    {
+        return Err("200 run body is not the result envelope".to_string());
     }
     Ok(())
 }
@@ -1132,8 +1128,9 @@ type PointOutcome = Result<String, (String, String)>;
 fn fan_out_suite(ctx: &FleetCtx, body: &str) -> Result<(u16, String), ApiError> {
     let req = SuiteRequest::from_json(body)?;
     let cluster = resolve_cluster(&req.cluster)?;
-    let points: Vec<SuitePoint> = req
-        .suite(&cluster)
+    let suite = req.suite(&cluster);
+    api::fits_cluster("the suite", suite.nranks, &cluster)?;
+    let points: Vec<SuitePoint> = suite
         .specs()
         .into_iter()
         .map(|spec| {
@@ -1236,12 +1233,8 @@ fn fan_out_suite(ctx: &FleetCtx, body: &str) -> Result<(u16, String), ApiError> 
     for (i, outcome) in collected.iter().enumerate() {
         match outcome {
             Ok(run_body) => {
-                // A run body is `{\n  "result": <encoded>\n}\n`; splice
-                // the cache-encoded result back out verbatim.
-                let inner = run_body
-                    .strip_prefix("{\n  \"result\": ")
-                    .and_then(|s| s.strip_suffix("\n}\n"));
-                match inner {
+                // Splice the cache-encoded result back out verbatim.
+                match api::run_result_of(run_body) {
                     Some(encoded) => results.push(encoded),
                     None => failures.push((
                         points[i].label.clone(),

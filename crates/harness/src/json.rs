@@ -82,11 +82,6 @@ impl Json {
         }
     }
 
-    /// `self[key]` as a usize (floats truncate).
-    pub fn usize_of(&self, key: &str) -> Option<usize> {
-        Some(self.get(key)?.num()? as usize)
-    }
-
     /// `self[key]` as an f64.
     pub fn f64_of(&self, key: &str) -> Option<f64> {
         self.get(key)?.num()
@@ -99,9 +94,13 @@ impl Json {
     /// truncated — the strict accessor wire-protocol integer fields
     /// decode through.
     pub fn u64_of(&self, key: &str) -> Option<u64> {
-        let x = self.get(key)?.num()?;
-        (x.is_finite() && x.fract() == 0.0 && (0.0..9.007_199_254_740_992e15).contains(&x))
-            .then_some(x as u64)
+        self.get(key)?.u64()
+    }
+
+    /// This value as an exact non-negative integer (see
+    /// [`Json::u64_of`]).
+    pub fn u64(&self) -> Option<u64> {
+        exact_u64(self.num()?)
     }
 
     /// `self[key]` as an exact `u16` (see [`Json::u64_of`]) — small
@@ -219,6 +218,18 @@ fn write_f64(out: &mut String, x: f64) {
     }
 }
 
+/// 2⁵³: every integer below it is exact in an `f64`.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// `x` as a non-negative integer below 2⁵³, or `None` for a negative,
+/// fractional, non-finite or larger value: the one rule for the
+/// integers the wire carries ([`Json::u64`]), the plan files'
+/// integers and the command line's seeds, so a number accepted
+/// anywhere survives the wire unchanged.
+pub fn exact_u64(x: f64) -> Option<u64> {
+    (x.fract() == 0.0 && (0.0..MAX_EXACT_INT).contains(&x)).then_some(x as u64)
+}
+
 /// Append `x` in the wire number format [`Json::render`] uses: an
 /// integral value in the exactly-representable range without a
 /// fraction (`3`, not `3.0`), everything else through [`fmt_f64`].
@@ -229,7 +240,7 @@ pub(crate) fn write_num(out: &mut String, x: f64) {
     // through fmt_f64.
     if x.is_finite()
         && x.fract() == 0.0
-        && x.abs() < 9.007_199_254_740_992e15
+        && x.abs() < MAX_EXACT_INT
         && (x != 0.0 || x.is_sign_positive())
     {
         write!(out, "{}", x as i64).expect("writing to a String cannot fail");
@@ -499,7 +510,7 @@ mod tests {
     fn accessors_cover_all_shapes() {
         let j = parse_json(r#"{"f": 2.5, "s": "hi", "b": false, "a": [1], "n": null}"#).unwrap();
         assert_eq!(j.f64_of("f"), Some(2.5));
-        assert_eq!(j.usize_of("f"), Some(2));
+        assert_eq!(j.u64_of("f"), None);
         assert_eq!(j.str_of("s").as_deref(), Some("hi"));
         assert_eq!(j.bool_of("b"), Some(false));
         assert_eq!(j.get("a").unwrap().arr().unwrap().len(), 1);

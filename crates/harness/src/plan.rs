@@ -45,7 +45,7 @@ use spechpc_simmpi::faults::FaultPlan;
 
 use crate::api::{
     self, config_from_json, config_to_json, fault_plan_from_json, fault_plan_to_json, parse_class,
-    resolve_cluster, ApiError,
+    resolve_cluster, uint_field, ApiError,
 };
 use crate::exec::{Executor, RunSpec};
 use crate::json::{parse_json, write_num, write_str, Json};
@@ -459,17 +459,6 @@ impl PlanRequest {
             }
         }
         Ok(out)
-    }
-}
-
-/// `v[key]` as a strict non-negative integer with a default when
-/// absent; fractional or out-of-range values reject, never truncate.
-fn uint_field(v: &Json, key: &str, default: u64) -> Result<u64, ApiError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(_) => v.u64_of(key).ok_or_else(|| {
-            ApiError::bad_request(format!("'{key}' must be a non-negative integer"))
-        }),
     }
 }
 

@@ -177,6 +177,16 @@ fn coordinator_is_byte_identical_to_a_single_daemon() {
         got_suite, want_suite,
         "sharded suite must reassemble byte-identically"
     );
+    // More ranks than the cluster models: the coordinator answers the
+    // daemon's 422, not a report of nine refused points.
+    for (path, body) in [
+        ("/v1/run", r#"{"benchmark":"lbm","nranks":4e15}"#),
+        ("/v1/suite", r#"{"nranks":4e15}"#),
+    ] {
+        let want = http(solo, "POST", path, body);
+        assert_eq!(want.0, 422, "{path}: {}", want.1);
+        assert_eq!(http(fleet, "POST", path, body), want, "{path}");
+    }
 
     // The suite really was sharded: more than one worker executed runs.
     let busy = workers

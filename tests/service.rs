@@ -609,6 +609,55 @@ fn deeply_nested_json_bodies_are_a_typed_400() {
     join.join().unwrap().unwrap();
 }
 
+/// Integer fields decode strictly on the wire: a value that is not a
+/// non-negative integer is a typed 400 instead of another run (`-5`
+/// ranks used to run a full node, `2.7` two ranks), and step or
+/// repetition counts out of range are a typed 422 before any work
+/// starts (`1e30` repetitions used to panic, `1e9` warm-up steps to
+/// hold a worker until the timeout).
+#[test]
+fn out_of_range_integers_are_typed_errors_not_other_runs() {
+    let (addr, _, join) = spawn_server(executor(), serve_config());
+    for (body, status, code) in [
+        (r#"{"benchmark":"lbm","nranks":-5}"#, 400, "bad_request"),
+        (r#"{"benchmark":"lbm","nranks":2.7}"#, 400, "bad_request"),
+        (
+            r#"{"benchmark":"lbm","config":{"repetitions":1e30}}"#,
+            400,
+            "bad_request",
+        ),
+        (
+            r#"{"benchmark":"lbm","config":{"measured_steps":0}}"#,
+            422,
+            "invalid_config",
+        ),
+        (
+            r#"{"benchmark":"lbm","config":{"warmup_steps":1e9}}"#,
+            422,
+            "invalid_config",
+        ),
+        // An exact integer, but more ranks than the cluster models: the
+        // engine would allocate per-rank state for all of them.
+        (r#"{"benchmark":"lbm","nranks":4e15}"#, 422, "invalid_ranks"),
+        (r#"{"benchmark":"lbm","nranks":2305}"#, 422, "invalid_ranks"),
+    ] {
+        let (got, _, answer) = http(addr, "POST", "/v1/run", body);
+        assert_eq!(got, status, "{body}: {answer}");
+        assert!(answer.contains(&format!("\"{code}\"")), "{body}: {answer}");
+    }
+    let (got, _, answer) = http(addr, "POST", "/v1/suite", r#"{"nranks":4e15}"#);
+    assert_eq!(got, 422, "{answer}");
+    assert!(answer.contains("\"invalid_ranks\""), "{answer}");
+    assert_eq!(
+        lookups(addr),
+        [0, 0, 0],
+        "no refused request reached the cache"
+    );
+    let (status, _, _) = http(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    join.join().unwrap().unwrap();
+}
+
 #[test]
 fn slow_loris_is_reaped_by_the_read_deadline() {
     let cfg = serve_config().with_read_timeout_s(0.2);
