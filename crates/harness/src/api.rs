@@ -317,9 +317,9 @@ impl RunRequest {
         let benchmark = v
             .str_of("benchmark")
             .ok_or_else(|| ApiError::bad_request("missing field 'benchmark'"))?;
-        let class = parse_class(&v.str_of("class").unwrap_or_else(|| "tiny".to_string()))?;
+        let class = parse_class(&str_field(&v, "class", "tiny")?)?;
         let nranks = uint_field(&v, "nranks", 0)? as usize;
-        let cluster = v.str_of("cluster").unwrap_or_else(|| "a".to_string());
+        let cluster = str_field(&v, "cluster", "a")?;
         let config = match v.get("config") {
             Some(c) => config_from_json(c)?,
             None => RunConfig::default(),
@@ -405,8 +405,8 @@ impl SuiteRequest {
     pub fn from_json(text: &str) -> Result<SuiteRequest, ApiError> {
         let v = parse_json(text)
             .ok_or_else(|| ApiError::bad_request("request body is not valid JSON"))?;
-        let class = parse_class(&v.str_of("class").unwrap_or_else(|| "tiny".to_string()))?;
-        let cluster = v.str_of("cluster").unwrap_or_else(|| "a".to_string());
+        let class = parse_class(&str_field(&v, "class", "tiny")?)?;
+        let cluster = str_field(&v, "cluster", "a")?;
         let nranks = uint_field(&v, "nranks", 0)? as usize;
         let config = match v.get("config") {
             Some(c) => config_from_json(c)?,
@@ -450,16 +450,39 @@ pub(crate) fn config_to_json(c: &RunConfig) -> Json {
 /// is.
 pub(crate) const MAX_RUN_COUNT: u64 = 1_000;
 
+/// `v[key]` as `read` takes it, or `default` when absent: a present
+/// value `read` refuses (another type, a fraction, a negative) is a
+/// 400 saying what `key` must be, never the default.
+pub(crate) fn field<'v, T>(
+    v: &'v Json,
+    key: &str,
+    default: T,
+    must_be: &str,
+    read: impl FnOnce(&'v Json) -> Option<T>,
+) -> Result<T, ApiError> {
+    match v.get(key) {
+        None => Ok(default),
+        Some(x) => {
+            read(x).ok_or_else(|| ApiError::bad_request(format!("'{key}' must be {must_be}")))
+        }
+    }
+}
+
 /// `v[key]` as a strict non-negative integer with a default when
 /// absent: a fractional, negative, out-of-range or non-numeric value
 /// is a 400, never truncated.
 pub(crate) fn uint_field(v: &Json, key: &str, default: u64) -> Result<u64, ApiError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(x) => x.u64().ok_or_else(|| {
-            ApiError::bad_request(format!("'{key}' must be a non-negative integer"))
-        }),
-    }
+    field(v, key, default, "a non-negative integer", Json::u64)
+}
+
+/// `v[key]` as a string with a default when absent.
+pub(crate) fn str_field(v: &Json, key: &str, default: &str) -> Result<String, ApiError> {
+    field(v, key, default, "a string", Json::str).map(str::to_string)
+}
+
+/// `v[key]` as a bool with a default when absent.
+pub(crate) fn bool_field(v: &Json, key: &str, default: bool) -> Result<bool, ApiError> {
+    field(v, key, default, "true or false", Json::bool)
 }
 
 /// Decode the `"config"` object; absent fields keep their defaults.
@@ -487,7 +510,7 @@ pub(crate) fn config_from_json(v: &Json) -> Result<RunConfig, ApiError> {
         .with_warmup_steps(count("warmup_steps", d.warmup_steps, 0)?)
         .with_measured_steps(count("measured_steps", d.measured_steps, 1)?)
         .with_repetitions(count("repetitions", d.repetitions, 1)?)
-        .with_trace(v.bool_of("trace").unwrap_or(d.trace))
+        .with_trace(bool_field(v, "trace", d.trace)?)
         .with_threads(threads as usize);
     if let Some(f) = v.get("faults") {
         c = c.with_faults(fault_plan_from_json(f)?);

@@ -603,19 +603,11 @@ fn encode_profile(p: &Profile) -> String {
         s.push_str("], ");
     }
     s.push_str("\"comm_matrix\": [");
-    let mut first = true;
-    for from in 0..p.nranks {
-        for to in 0..p.nranks {
-            let bytes = p.comm_matrix[from * p.nranks + to];
-            if bytes == 0 {
-                continue;
-            }
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("[{from}, {to}, {bytes}]"));
+    for (i, (from, to, bytes)) in p.pairs().enumerate() {
+        if i > 0 {
+            s.push_str(", ");
         }
+        s.push_str(&format!("[{from}, {to}, {bytes}]"));
     }
     s.push_str("] },\n");
     s
@@ -630,21 +622,19 @@ fn event_kind_from_name(name: &str) -> Option<EventKind> {
     EventKind::ALL.into_iter().find(|k| k.to_string() == name)
 }
 
-/// Inverse of [`encode_profile`]. A `nranks` of zero reconstructs the
-/// disabled-profile [`Profile::default`]; anything else rebuilds the
-/// dense structure exactly.
+/// Inverse of [`encode_profile`]. Every count is an exact
+/// non-negative integer, and the histogram and matrix entries must come
+/// as the encoder writes them: non-empty, strictly increasing by bucket
+/// and by `(from, to)`.
 fn decode_profile(v: &Json) -> Option<Profile> {
     let nranks = v.u64_of("nranks")? as usize;
-    if nranks == 0 {
-        return Some(Profile::default());
-    }
-    let mut p = Profile::new(nranks);
     let Json::Arr(rows) = v.get("per_rank")? else {
         return None;
     };
     if rows.len() != nranks {
         return None;
     }
+    let mut p = Profile::new(nranks);
     for (i, row) in rows.iter().enumerate() {
         let Json::Arr(cols) = row else { return None };
         if cols.len() != 6 {
@@ -666,16 +656,19 @@ fn decode_profile(v: &Json) -> Option<Profile> {
         let Json::Arr(rows) = v.get(name)? else {
             return None;
         };
+        let mut next = 0;
         for row in rows {
             let Json::Arr(cols) = row else { return None };
-            let bucket = cols.first()?.num()? as usize;
-            if bucket >= hist.len() {
+            let bucket = cols.first()?.u64()? as usize;
+            let b = SizeBucket {
+                count: cols.get(1)?.u64()?,
+                bytes: cols.get(2)?.u64()?,
+            };
+            if bucket < next || bucket >= hist.len() || b == SizeBucket::default() {
                 return None;
             }
-            hist[bucket] = SizeBucket {
-                count: cols.get(1)?.num()? as u64,
-                bytes: cols.get(2)?.num()? as u64,
-            };
+            hist[bucket] = b;
+            next = bucket + 1;
         }
     }
     let Json::Arr(rows) = v.get("comm_matrix")? else {
@@ -683,12 +676,11 @@ fn decode_profile(v: &Json) -> Option<Profile> {
     };
     for row in rows {
         let Json::Arr(cols) = row else { return None };
-        let from = cols.first()?.num()? as usize;
-        let to = cols.get(1)?.num()? as usize;
-        if from >= nranks || to >= nranks {
+        let from = cols.first()?.u64()? as usize;
+        let to = cols.get(1)?.u64()? as usize;
+        if !p.push_pair(from, to, cols.get(2)?.u64()?) {
             return None;
         }
-        p.comm_matrix[from * nranks + to] = cols.get(2)?.num()? as u64;
     }
     Some(p)
 }
@@ -770,14 +762,17 @@ mod tests {
     use super::*;
 
     fn sample_profile() -> Profile {
-        use spechpc_simmpi::profile::{bucket_of, Regime};
-        let mut p = Profile::new(3);
-        p.record_phase(0, spechpc_simmpi::profile::Phase::Compute, 0.1 + 0.2);
-        p.record_phase(1, spechpc_simmpi::profile::Phase::RecvWait, 1e-17);
-        p.record_phase(2, spechpc_simmpi::profile::Phase::RendezvousStall, 3.25);
-        p.record_message(0, 1, 8, Regime::Eager);
-        p.record_message(1, 2, 1 << 20, Regime::Rendezvous);
-        p.record_message(2, 2, 0, Regime::Eager);
+        use spechpc_simmpi::engine::Prepass;
+        use spechpc_simmpi::profile::bucket_of;
+        use spechpc_simmpi::program::{Op, Program};
+        let mut progs: Vec<Program> = (0..3).map(|_| Program::new()).collect();
+        progs[0].push(Op::send(1, 0, 8));
+        progs[1].push(Op::send(2, 0, 1 << 20));
+        progs[2].push(Op::send(2, 0, 0));
+        let mut p = Prepass::analyze(&progs).unwrap().traffic(1, 64 << 10);
+        p.per_rank[0].compute_s = 0.1 + 0.2;
+        p.per_rank[1].recv_wait_s = 1e-17;
+        p.per_rank[2].rendezvous_stall_s = 3.25;
         assert!(p.eager_hist[bucket_of(8)].count > 0);
         p
     }
@@ -926,14 +921,35 @@ mod tests {
         assert_eq!(cache.len_in_memory(), 1);
     }
 
+    /// A profile count that is not an exact non-negative integer, or a
+    /// histogram or matrix row the encoder would not write (repeated,
+    /// out of order, empty), makes the entry corrupt instead of reading
+    /// as some other profile.
     #[test]
-    fn disabled_profile_round_trips() {
-        let mut r = sample_result();
-        r.profile = Profile::default();
+    fn profile_counts_and_matrix_rows_decode_strictly() {
         let key = "k";
-        let back = decode_entry(&encode_entry(key, &r), key).unwrap();
-        assert_eq!(back.profile, Profile::default());
-        assert!(!back.profile.is_enabled());
+        let text = encode_entry(key, &sample_result());
+        let hist = "\"eager_hist\": [[0, 1, 0], [3, 1, 8]]";
+        let matrix = "\"comm_matrix\": [[0, 1, 8], [1, 2, 1048576]]";
+        assert!(text.contains(hist) && text.contains(matrix), "{text}");
+        assert!(decode_entry(&text, key).is_some());
+        let buckets = |r: &str| format!("\"eager_hist\": [{r}]");
+        let rows = |r: &str| format!("\"comm_matrix\": [{r}]");
+        for (from, to) in [
+            (hist, buckets("[0, 1, 0], [3, 1, 2.5]")),
+            (hist, buckets("[0, 1, 0], [3, -1, 8]")),
+            (hist, buckets("[0, 1, 0], [3, 1, 8], [3, 1, 8]")),
+            (hist, buckets("[3, 1, 8], [0, 1, 0]")),
+            (hist, buckets("[0, 1, 0], [2, 0, 0], [3, 1, 8]")),
+            (matrix, rows("[0, 1, 2.5], [1, 2, 1048576]")),
+            (matrix, rows("[0, 1, -1], [1, 2, 1048576]")),
+            (matrix, rows("[0, 1, 8], [0, 1, 8], [1, 2, 1048576]")),
+            (matrix, rows("[1, 2, 1048576], [0, 1, 8]")),
+            (matrix, rows("[0, 1, 8], [0, 2, 0], [1, 2, 1048576]")),
+        ] {
+            let bad = text.replace(from, &to);
+            assert!(decode_entry(&bad, key).is_none(), "{to} decoded");
+        }
     }
 
     #[test]

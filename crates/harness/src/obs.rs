@@ -92,17 +92,9 @@ pub fn profile_histogram_table(title: &str, p: &Profile) -> Result<Table, Report
 /// The heaviest sender→receiver pairs of the communication matrix
 /// (ITAC message-statistics view), at most `top` rows.
 pub fn profile_matrix_table(title: &str, p: &Profile, top: usize) -> Result<Table, ReportError> {
-    let mut pairs: Vec<(usize, usize, u64)> = Vec::new();
-    for from in 0..p.nranks {
-        for to in 0..p.nranks {
-            let bytes = p.bytes_between(from, to);
-            if bytes > 0 {
-                pairs.push((from, to, bytes));
-            }
-        }
-    }
-    // Heaviest first; ties broken by (from, to) so the output is stable.
-    pairs.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+    let mut pairs: Vec<(usize, usize, u64)> = p.pairs().collect();
+    // Heaviest first; the stable sort keeps ties in (from, to) order.
+    pairs.sort_by_key(|&(_, _, bytes)| std::cmp::Reverse(bytes));
     pairs.truncate(top);
     let mut t = Table::new(title, &["from", "to", "payload B"]);
     for (from, to, bytes) in pairs {
@@ -225,15 +217,17 @@ pub fn write_metrics_csv(dir: &Path, stem: &str, m: &ExecMetrics) -> io::Result<
 mod tests {
     use super::*;
     use crate::cache::CacheMetrics;
-    use spechpc_simmpi::profile::Phase;
+    use spechpc_simmpi::engine::Prepass;
+    use spechpc_simmpi::program::{Op, Program};
 
     fn sample_profile() -> Profile {
-        let mut p = Profile::new(2);
-        p.record_phase(0, Phase::Compute, 2.0);
-        p.record_phase(1, Phase::RecvWait, 1.5);
-        p.record_phase(1, Phase::Compute, 0.5);
-        p.record_message(0, 1, 4096, Regime::Eager);
-        p.record_message(1, 0, 1 << 20, Regime::Rendezvous);
+        let mut progs = vec![Program::new(), Program::new()];
+        progs[0].push(Op::send(1, 0, 4096));
+        progs[1].push(Op::send(0, 0, 1 << 20));
+        let mut p = Prepass::analyze(&progs).unwrap().traffic(1, 64 << 10);
+        p.per_rank[0].compute_s = 2.0;
+        p.per_rank[1].recv_wait_s = 1.5;
+        p.per_rank[1].compute_s = 0.5;
         p
     }
 

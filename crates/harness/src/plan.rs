@@ -45,7 +45,7 @@ use spechpc_simmpi::faults::FaultPlan;
 
 use crate::api::{
     self, config_from_json, config_to_json, fault_plan_from_json, fault_plan_to_json, parse_class,
-    resolve_cluster, uint_field, ApiError,
+    resolve_cluster, str_field, uint_field, ApiError,
 };
 use crate::exec::{Executor, RunSpec};
 use crate::json::{parse_json, write_num, write_str, Json};
@@ -149,7 +149,7 @@ impl PlanJob {
         let benchmark = v
             .str_of("benchmark")
             .ok_or_else(|| ApiError::bad_request("missing field 'benchmark' in plan job"))?;
-        let class = parse_class(&v.str_of("class").unwrap_or_else(|| "tiny".to_string()))?;
+        let class = parse_class(&str_field(v, "class", "tiny")?)?;
         let nranks = uint_field(v, "nranks", 0)? as usize;
         let arrival_s = float_field(v, "arrival_s", 0.0)?;
         let count = uint_field(v, "count", 1)? as usize;
@@ -242,6 +242,10 @@ impl PlanVariant {
                 "variant names must be non-empty and 'baseline' is reserved",
             ));
         }
+        let cluster = match v.get("cluster") {
+            None => None,
+            Some(_) => Some(str_field(v, "cluster", "")?),
+        };
         let nodes = match v.get("nodes") {
             None => None,
             Some(_) => Some(uint_field(v, "nodes", 0)? as usize),
@@ -252,7 +256,7 @@ impl PlanVariant {
         };
         Ok(PlanVariant {
             name,
-            cluster: v.str_of("cluster"),
+            cluster,
             nodes,
             power_cap_w,
         })
@@ -361,7 +365,7 @@ impl PlanRequest {
     pub fn from_json(text: &str) -> Result<PlanRequest, ApiError> {
         let v = parse_json(text)
             .ok_or_else(|| ApiError::bad_request("request body is not valid JSON"))?;
-        let cluster = v.str_of("cluster").unwrap_or_else(|| "a".to_string());
+        let cluster = str_field(&v, "cluster", "a")?;
         let nodes = uint_field(&v, "nodes", 0)? as usize;
         if nodes > MAX_PLAN_NODES {
             return Err(invalid(format!("'nodes' must be <= {MAX_PLAN_NODES}")));
@@ -464,15 +468,9 @@ impl PlanRequest {
 
 /// `v[key]` as a finite non-negative number with a default when absent.
 fn float_field(v: &Json, key: &str, default: f64) -> Result<f64, ApiError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(x) => match x.num() {
-            Some(x) if x.is_finite() && x >= 0.0 => Ok(x),
-            _ => Err(ApiError::bad_request(format!(
-                "'{key}' must be a finite non-negative number"
-            ))),
-        },
-    }
+    api::field(v, key, default, "a finite non-negative number", |x| {
+        x.num().filter(|x| x.is_finite() && *x >= 0.0)
+    })
 }
 
 /// One resolved scenario (baseline or variant).

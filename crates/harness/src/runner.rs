@@ -206,7 +206,8 @@ impl SimRunner {
         // One pass over `W×step + Barrier + M×step`, replayed from the
         // step template: the engine reports the state at the warm-up
         // barrier, which is what a run of the warm-up alone would end
-        // in, so the measured region is the difference.
+        // in, so the measured region's time is the difference. Its
+        // traffic is the step's, `M` times over.
         let step_prepass = Prepass::analyze(&step_progs)?;
         let sim_cfg = SimConfig::default()
             .with_trace(self.config.trace)
@@ -221,21 +222,25 @@ impl SimRunner {
             self.config.warmup_steps,
             self.config.measured_steps,
         )?;
-        Ok(self.result_from(benchmark, class, &model, &ct, full, &cut))
+        Ok(self.result_from(benchmark, class, &model, &ct, &step_prepass, full, &cut))
     }
 
     /// The [`RunResult`] of `full`, an engine run of `benchmark`'s step
     /// template at `class` (with this runner's warm-up and measured
-    /// steps) whose compute times `ct` come from `model`, measured from
-    /// its warm-up state `cut`: the measured region is `full − cut`.
+    /// steps) whose compute times `ct` come from `model` and whose
+    /// prepass is `step`, measured from its warm-up state `cut`: the
+    /// measured region's time is `full − cut`, and its message
+    /// statistics are the step's, `measured_steps` times over.
     /// [`SimRunner::run`] is [`Engine::run_replayed`] followed by this
     /// step.
+    #[allow(clippy::too_many_arguments)]
     pub fn result_from(
         &self,
         benchmark: &dyn Benchmark,
         class: WorkloadClass,
         model: &NodeModel,
         ct: &ComputeTimes,
+        step: &Prepass,
         full: SimResult,
         cut: &WarmupCut,
     ) -> RunResult {
@@ -266,11 +271,18 @@ impl SimRunner {
             l2_bytes: ct.effective_l2_bytes * sig.steps as f64,
         };
 
-        // Breakdown and profile of the measured region: the warm-up
-        // prefix's per-kind times, phase split, histograms and
-        // communication matrix subtract out exactly.
+        // Breakdown and phase split of the measured region: the warm-up
+        // prefix's per-kind and per-phase times subtract out exactly.
         let breakdown = subtract_breakdown(&full.breakdown(), &cut.breakdown());
-        let profile = full.profile.saturating_sub(&cut.profile);
+        let measured_steps = self.config.measured_steps as u64;
+        let mut profile = step.traffic(measured_steps, cluster.interconnect.eager_threshold);
+        profile.per_rank = full
+            .profile
+            .per_rank
+            .iter()
+            .zip(&cut.per_rank_phases)
+            .map(|(all, warm)| all.saturating_sub(warm))
+            .collect();
 
         // Power: compute-phase utilization from the node model, MPI
         // phases busy-wait at MPI_SPIN_UTILIZATION.

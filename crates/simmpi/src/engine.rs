@@ -62,17 +62,27 @@
 //! run-wide id with it and never writes its slot again.
 //!
 //! While replaying, the scheduler records a [`WarmupCut`]: the finish
-//! time of the warm-up barrier, each rank's breakdown and profile row
-//! as it leaves the barrier, and the cross-rank profile views (message
-//! histograms, communication matrix) when the barrier finishes. No
-//! rank can post past the barrier before it finishes, so the cut equals
-//! the final state of a run of `W×step + Barrier` alone, bit for bit.
+//! time of the warm-up barrier, and each rank's breakdown and phase
+//! rows as it leaves the barrier. No rank can post past the barrier
+//! before it finishes, so the cut equals the time-side state of a run
+//! of `W×step + Barrier` alone, bit for bit.
+//!
+//! ## Traffic from the programs, time from the engine
+//!
+//! The scheduler measures time only: clocks, breakdown rows and the
+//! profile's phase rows, each written by the rank's owner. The message
+//! statistics — the profile's size histograms and rank×rank matrix,
+//! [`SimResult::p2p_bytes`] and [`SimResult::internode_bytes`] — depend
+//! only on the programs: a completed run posts every send of its
+//! template once per repetition. The validation [`Prepass`] groups the
+//! sends of one walk, and [`Prepass::traffic`] scales them by the
+//! replay's repetition count once per run; nothing is booked per send.
 //!
 //! ## One step loop for every partition count
 //!
 //! The step loop exists once, in the crate-private `Scheduler`. It is
-//! monomorphized over the profile sink, the fault hook, the `TRACE`
-//! flag and a `Boundary`: the hook that says which ranks the loop owns
+//! monomorphized over the fault hook, the `TRACE` flag and a
+//! `Boundary`: the hook that says which ranks the loop owns
 //! and how it reaches the others. A boundary answers four questions —
 //! does this partition own rank `r` (and the channels into it); where
 //! does a send to a rank it does not own go; where does the rendezvous
@@ -104,7 +114,7 @@ use std::sync::Arc;
 
 use crate::faults::{ActiveFaults, FaultPlan};
 use crate::netmodel::NetModel;
-use crate::profile::{Phase, Profile, Regime};
+use crate::profile::{Phase, Profile, RankPhases, Sends};
 use crate::program::{Op, Program, ReqId};
 use crate::trace::{EventKind, Timeline};
 
@@ -116,16 +126,9 @@ pub struct SimConfig {
     /// one entry per executed op and dominate memory on large sweeps;
     /// the Fig. 2 insets and CSV export request tracing explicitly.
     pub trace: bool,
-    /// Accumulate the online [`Profile`] (per-rank phase split,
-    /// message-size histograms, rank×rank communication matrix). Cheap
-    /// (O(ranks²) memory, O(1) per op) and on by default; works
-    /// independently of `trace`. When off, the run is monomorphized
-    /// against a no-op recorder, so the hot path carries no profile
-    /// branches at all.
-    pub profile: bool,
     /// Seeded fault-injection plan ([`FaultPlan::none()`] by default).
-    /// Like the profile/trace sinks, the run loop is monomorphized over
-    /// the fault hook: an empty plan selects a no-op hook, carries no
+    /// Like the `trace` flag, the run loop is monomorphized over the
+    /// fault hook: an empty plan selects a no-op hook, carries no
     /// fault branches on the hot path, and keeps [`SimResult`]
     /// bit-identical to a faults-free build.
     pub faults: FaultPlan,
@@ -143,7 +146,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             trace: false,
-            profile: true,
             faults: FaultPlan::none(),
             threads: 1,
         }
@@ -154,12 +156,6 @@ impl SimConfig {
     /// Builder: set [`SimConfig::trace`].
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Builder: set [`SimConfig::profile`].
-    pub fn with_profile(mut self, profile: bool) -> Self {
-        self.profile = profile;
         self
     }
 
@@ -262,14 +258,16 @@ pub struct SimResult {
     pub finish_times: Vec<f64>,
     /// Event timeline (empty if tracing was disabled).
     pub timeline: Timeline,
-    /// Total point-to-point payload bytes moved.
+    /// Total point-to-point payload bytes moved (from the programs).
     pub p2p_bytes: u64,
-    /// Point-to-point payload bytes that crossed a node boundary.
+    /// Point-to-point payload bytes that crossed a node boundary (from
+    /// the programs).
     pub internode_bytes: u64,
     /// Per-rank time per event kind (indexed by [`EventKind::ALL`]
     /// order), accumulated online — available even without tracing.
     pub per_rank_breakdown: Vec<[f64; EventKind::COUNT]>,
-    /// Online observability profile (empty if profiling was disabled).
+    /// Observability profile: phase rows booked online, message
+    /// statistics computed from the programs.
     pub profile: Profile,
 }
 
@@ -296,18 +294,18 @@ fn breakdown_of(rows: &[[f64; EventKind::COUNT]]) -> crate::trace::Breakdown {
 }
 
 /// The state of a [`Engine::run_replayed`] run at its warm-up barrier:
-/// what a run of the `W×step + Barrier` prefix alone would have
-/// returned, bit for bit (see the module docs).
+/// the time-side outputs a run of the `W×step + Barrier` prefix alone
+/// would have returned, bit for bit (see the module docs). Its message
+/// statistics are `W` repetitions of the step's, so the cut does not
+/// carry them.
 #[derive(Debug, Clone)]
 pub struct WarmupCut {
     /// Finish time of the warm-up barrier; every rank leaves it then.
     pub finish: f64,
     /// Each rank's breakdown row as it left the barrier.
     pub per_rank_breakdown: Vec<[f64; EventKind::COUNT]>,
-    /// The profile at the barrier: each rank's phase row as it left,
-    /// and the message histograms and communication matrix when it
-    /// finished (empty if profiling was disabled).
-    pub profile: Profile,
+    /// Each rank's profile phase row as it left the barrier.
+    pub per_rank_phases: Vec<RankPhases>,
 }
 
 impl WarmupCut {
@@ -320,8 +318,10 @@ impl WarmupCut {
 
 /// Output of the engine's fused validation prepass: one walk over every
 /// program performing the structural checks of [`Program::validate`]
-/// (same rules, same messages), the peer range checks, and the
-/// point-to-point post count that sizes the request arena.
+/// (same rules, same messages), the peer range checks, the
+/// point-to-point post count that sizes the request arena, and the
+/// sends a walk posts, from which [`Prepass::traffic`] derives a run's
+/// message statistics.
 ///
 /// A `Prepass` is reusable: it depends only on the programs, not on the
 /// configuration, network model or fault plan, so a caller simulating
@@ -332,10 +332,13 @@ pub struct Prepass {
     /// Point-to-point posts per rank (`Send`/`Isend`/`Recv`/`Irecv`
     /// count 1, `Sendrecv` counts 2).
     p2p_ops: Vec<usize>,
+    /// The sends of one walk, grouped by `(from, to, bytes)` and sorted.
+    sends: Vec<Sends>,
 }
 
 impl Prepass {
-    /// Run the fused validate/range/count walk over `programs`.
+    /// Run the fused validate/range/count walk over `programs`,
+    /// grouping the sends as it goes.
     ///
     /// Error precedence matches running [`Program::validate`] first: a
     /// structural error on a rank wins over any range error on that
@@ -344,19 +347,24 @@ impl Prepass {
     pub fn analyze(programs: &[Program]) -> Result<Self, SimError> {
         let nranks = programs.len();
         let mut p2p_ops: Vec<usize> = vec![0; nranks];
+        let mut sends: Vec<Sends> = Vec::new();
+        let mut rank_sends: Vec<(usize, usize)> = Vec::new();
         let mut open: std::collections::BTreeSet<ReqId> = std::collections::BTreeSet::new();
         for (rank, p) in programs.iter().enumerate() {
             open.clear();
+            rank_sends.clear();
             let invalid = |reason: String| SimError::InvalidProgram { rank, reason };
             let mut range_err: Option<SimError> = None;
             for (op_index, op) in p.ops.iter().enumerate() {
                 let peer = match op {
-                    Op::Send { to, .. } => {
+                    Op::Send { to, bytes, .. } => {
                         p2p_ops[rank] += 1;
+                        rank_sends.push((*to, *bytes));
                         Some(*to)
                     }
-                    Op::Isend { to, req, .. } => {
+                    Op::Isend { to, req, bytes, .. } => {
                         p2p_ops[rank] += 1;
+                        rank_sends.push((*to, *bytes));
                         if !open.insert(*req) {
                             return Err(invalid(format!("request {req} created while still open")));
                         }
@@ -382,8 +390,14 @@ impl Prepass {
                         None
                     }
                     Op::Bcast { root, .. } | Op::Reduce { root, .. } => Some(*root),
-                    Op::Sendrecv { to, from, .. } => {
+                    Op::Sendrecv {
+                        to,
+                        send_bytes,
+                        from,
+                        ..
+                    } => {
                         p2p_ops[rank] += 2;
+                        rank_sends.push((*to, *send_bytes));
                         if *to >= nranks && range_err.is_none() {
                             range_err = Some(SimError::RankOutOfRange {
                                 rank: *to,
@@ -406,23 +420,49 @@ impl Prepass {
             if let Some(e) = range_err {
                 return Err(e);
             }
+            rank_sends.sort_unstable();
+            for same in rank_sends.chunk_by(|a, b| a == b) {
+                sends.push(Sends {
+                    from: rank as u32,
+                    to: same[0].0 as u32,
+                    bytes: same[0].1,
+                    count: same.len() as u64,
+                });
+            }
         }
-        Ok(Prepass { p2p_ops })
+        Ok(Prepass { p2p_ops, sends })
     }
 
     /// Prepass of the programs formed by concatenating `reps` copies of
-    /// the analyzed template per rank: post counts scale linearly, and
-    /// validity is preserved because [`Program::validate`] requires all
-    /// requests closed at the end of the template, so every copy starts
-    /// from a clean request namespace (the documented
-    /// reuse-after-`Wait` rule). Appending collectives (which post no
-    /// point-to-point requests) to such a concatenation leaves the
-    /// counts unchanged, so e.g. a `W×step + Barrier` warm-up program
-    /// is described by `template.scaled(W)` exactly.
+    /// the analyzed template per rank: post and send counts scale
+    /// linearly, and validity is preserved because
+    /// [`Program::validate`] requires all requests closed at the end of
+    /// the template, so every copy starts from a clean request namespace
+    /// (the documented reuse-after-`Wait` rule). Appending collectives
+    /// (which post no point-to-point requests) to such a concatenation
+    /// leaves the counts unchanged, so e.g. a `W×step + Barrier` warm-up
+    /// program is described by `template.scaled(W)` exactly.
     pub fn scaled(&self, reps: usize) -> Prepass {
         Prepass {
             p2p_ops: self.p2p_ops.iter().map(|c| c * reps).collect(),
+            sends: self
+                .sends
+                .iter()
+                .map(|s| Sends {
+                    count: s.count * reps as u64,
+                    ..*s
+                })
+                .collect(),
         }
+    }
+
+    /// The message statistics of `reps` walks of the analyzed programs,
+    /// with zeroed phase rows: a completed run posts every send of a
+    /// program once per walk, whatever the schedule, so this is what
+    /// counting its sends one by one would give. A message below
+    /// `eager_threshold` bytes is eager.
+    pub fn traffic(&self, reps: u64, eager_threshold: usize) -> Profile {
+        Profile::from_sends(self.nranks(), &self.sends, reps, eager_threshold)
     }
 
     /// Number of ranks the prepass describes.
@@ -445,86 +485,11 @@ impl Prepass {
 }
 
 // ---------------------------------------------------------------------------
-// Profile recording strategy (monomorphized; see `SimConfig::profile`)
-// ---------------------------------------------------------------------------
-
-/// Profile-recording strategy the run loop is monomorphized over: the
-/// profile-on instantiation records into a live [`Profile`], the
-/// profile-off one compiles to nothing (no per-op branch, no dead
-/// `Profile` allocation, and blocked-phase attribution is skipped
-/// entirely).
-pub(crate) trait ProfileSink: Send {
-    /// Whether phase attribution needs to be computed at all.
-    const ENABLED: bool;
-    fn new(nranks: usize) -> Self;
-    fn phase(&mut self, rank: usize, phase: Phase, secs: f64);
-    fn message(&mut self, from: usize, to: usize, bytes: usize, regime: Regime);
-    /// Fold in the sink of a partition owning the ranks `owned`.
-    fn absorb(&mut self, part: Self, owned: Range<usize>);
-    /// Copy `rank`'s phase row into the warm-up cut's sink `cut`.
-    fn cut_rank(&self, cut: &mut Self, rank: usize);
-    /// Copy the cross-rank views (histograms, communication matrix)
-    /// into the warm-up cut's sink `cut`.
-    fn cut_global(&self, cut: &mut Self);
-    fn finish(self) -> Profile;
-}
-
-struct LiveProfile(Profile);
-
-impl ProfileSink for LiveProfile {
-    const ENABLED: bool = true;
-    fn new(nranks: usize) -> Self {
-        LiveProfile(Profile::new(nranks))
-    }
-    #[inline]
-    fn phase(&mut self, rank: usize, phase: Phase, secs: f64) {
-        self.0.record_phase(rank, phase, secs);
-    }
-    #[inline]
-    fn message(&mut self, from: usize, to: usize, bytes: usize, regime: Regime) {
-        self.0.record_message(from, to, bytes, regime);
-    }
-    fn absorb(&mut self, part: Self, owned: Range<usize>) {
-        self.0.absorb_partition(&part.0, owned.start, owned.end);
-    }
-    fn cut_rank(&self, cut: &mut Self, rank: usize) {
-        cut.0.per_rank[rank] = self.0.per_rank[rank];
-    }
-    fn cut_global(&self, cut: &mut Self) {
-        cut.0.eager_hist.clone_from(&self.0.eager_hist);
-        cut.0.rendezvous_hist.clone_from(&self.0.rendezvous_hist);
-        cut.0.comm_matrix.clone_from(&self.0.comm_matrix);
-    }
-    fn finish(self) -> Profile {
-        self.0
-    }
-}
-
-struct NoProfile;
-
-impl ProfileSink for NoProfile {
-    const ENABLED: bool = false;
-    fn new(_nranks: usize) -> Self {
-        NoProfile
-    }
-    #[inline]
-    fn phase(&mut self, _rank: usize, _phase: Phase, _secs: f64) {}
-    #[inline]
-    fn message(&mut self, _from: usize, _to: usize, _bytes: usize, _regime: Regime) {}
-    fn absorb(&mut self, _part: Self, _owned: Range<usize>) {}
-    fn cut_rank(&self, _cut: &mut Self, _rank: usize) {}
-    fn cut_global(&self, _cut: &mut Self) {}
-    fn finish(self) -> Profile {
-        Profile::default()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Fault-injection strategy (monomorphized; see `SimConfig::faults`)
 // ---------------------------------------------------------------------------
 
-/// Fault-injection strategy the run loop is monomorphized over,
-/// mirroring [`ProfileSink`]: the faults-off instantiation compiles to
+/// Fault-injection strategy the run loop is monomorphized over, like
+/// the `TRACE` flag: the faults-off instantiation compiles to
 /// nothing (no per-op branch, no crash/cancel polls, no wire-time
 /// perturbation — results stay bit-identical to a faults-free build),
 /// the active one reads the lookup tables an [`ActiveFaults`] compiled
@@ -733,15 +698,6 @@ impl Req {
     }
 }
 
-/// Map the eager-protocol decision onto the profile's [`Regime`].
-fn regime_of(eager: bool) -> Regime {
-    if eager {
-        Regime::Eager
-    } else {
-        Regime::Rendezvous
-    }
-}
-
 /// Network parameters the hot path needs, flattened out of
 /// [`NetModel`]: the per-message cost is `lat + bytes / denom`, chosen
 /// by node placement, exactly as
@@ -880,7 +836,6 @@ struct Channel {
     recvs: Pending<RecvPost>,
     wire_lat: f64,
     wire_denom: f64,
-    same_node: bool,
 }
 
 impl Channel {
@@ -899,7 +854,6 @@ impl Channel {
             } else {
                 np.denom_inter
             },
-            same_node,
         }
     }
 }
@@ -1005,7 +959,7 @@ static WARMUP_BARRIER: [Op; 1] = [Op::Barrier];
 /// warm-up barrier if there is a cut, then `after` repetitions — and
 /// how its requests are numbered. [`Engine::run`] is one repetition
 /// without a cut.
-pub(crate) struct Replay {
+pub(crate) struct Replay<'p> {
     before: usize,
     /// Collective sequence number of the warm-up barrier, if inserted.
     cut: Option<usize>,
@@ -1013,22 +967,25 @@ pub(crate) struct Replay {
     /// Rank `r`'s request slots are `slots[r]..slots[r + 1]`, reused by
     /// every repetition.
     slots: Vec<usize>,
+    /// The prepass of one repetition.
+    step: &'p Prepass,
 }
 
-impl Replay {
+impl<'p> Replay<'p> {
     /// Each program walked once, without a cut.
-    fn once(prepass: &Prepass) -> Self {
+    fn once(prepass: &'p Prepass) -> Self {
         Replay {
             before: 1,
             cut: None,
             after: 0,
             slots: prepass.arena_starts(),
+            step: prepass,
         }
     }
 
     /// The step template `programs` walked `warmup` times, the warm-up
     /// barrier, then `measured` more times.
-    fn warmed(programs: &[Program], step: &Prepass, warmup: usize, measured: usize) -> Self {
+    fn warmed(programs: &[Program], step: &'p Prepass, warmup: usize, measured: usize) -> Self {
         // A successful run enters the same collectives on every rank,
         // so rank 0's count places the barrier for all of them.
         let per_step = programs.first().map_or(0, |p| {
@@ -1042,18 +999,19 @@ impl Replay {
             cut: Some(warmup * per_step),
             after: measured,
             slots: step.arena_starts(),
+            step,
         }
     }
 }
 
 /// The warm-up cut as a partition records it (see [`WarmupCut`]).
-struct Cut<P> {
+struct Cut {
     /// Collective sequence number of the warm-up barrier.
     seq: usize,
     /// The barrier's finish, once this partition has learnt it.
     finish: Option<f64>,
     rows: Vec<[f64; EventKind::COUNT]>,
-    profile: P,
+    phases: Vec<RankPhases>,
 }
 
 /// The scheduler's wake-list: ranks that may be able to make progress.
@@ -1310,16 +1268,16 @@ struct Crash {
 }
 
 /// The event-driven scheduler over the ranks one partition owns,
-/// monomorphized over the profile sink, the fault hook, the boundary
-/// and the tracing flag. Programs are already validated.
+/// monomorphized over the fault hook, the boundary and the tracing
+/// flag. Programs are already validated.
 ///
 /// State is globally indexed even when the partition owns a slice of
 /// the ranks: only owned slots (plus the rendezvous completions of
 /// owned senders) are ever touched, but global indexing keeps the arena
 /// numbering identical at every partition count.
-pub(crate) struct Scheduler<'a, P, F, B, const TRACE: bool> {
+pub(crate) struct Scheduler<'a, F, B, const TRACE: bool> {
     programs: &'a [Program],
-    replay: &'a Replay,
+    replay: &'a Replay<'a>,
     np: &'a NetParams,
     faults: &'a F,
     pub(crate) boundary: B,
@@ -1336,20 +1294,17 @@ pub(crate) struct Scheduler<'a, P, F, B, const TRACE: bool> {
     timeline: Timeline,
     /// Online per-rank breakdown (kept even when full tracing is off).
     breakdown: Vec<[f64; EventKind::COUNT]>,
-    profile: P,
+    /// Online per-rank profile phases, written like `breakdown`.
+    phases: Vec<RankPhases>,
     /// The warm-up cut, when the replay inserts a warm-up barrier.
-    cut: Option<Cut<P>>,
-    p2p_bytes: u64,
-    internode_bytes: u64,
+    cut: Option<Cut>,
 }
 
-impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
-    Scheduler<'a, P, F, B, TRACE>
-{
+impl<'a, F: FaultHook, B: Boundary, const TRACE: bool> Scheduler<'a, F, B, TRACE> {
     /// A scheduler executing the ranks `owned` as `replay` walks them.
     pub(crate) fn new(
         programs: &'a [Program],
-        replay: &'a Replay,
+        replay: &'a Replay<'a>,
         np: &'a NetParams,
         owned: Range<usize>,
         faults: &'a F,
@@ -1390,15 +1345,13 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
             crashes: Vec::new(),
             timeline: Timeline::new(nranks),
             breakdown: vec![[0.0; EventKind::COUNT]; nranks],
-            profile: P::new(nranks),
+            phases: vec![RankPhases::default(); nranks],
             cut: replay.cut.map(|seq| Cut {
                 seq,
                 finish: None,
                 rows: vec![[0.0; EventKind::COUNT]; nranks],
-                profile: P::new(nranks),
+                phases: vec![RankPhases::default(); nranks],
             }),
-            p2p_bytes: 0,
-            internode_bytes: 0,
         }
     }
 
@@ -1596,10 +1549,10 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
         }
         self.breakdown[r][EventKind::Compute.index()] += total;
         if F::ENABLED && stall > 0.0 {
-            self.profile.phase(r, Phase::Compute, total - stall);
-            self.profile.phase(r, Phase::FaultStall, stall);
+            self.phases[r].add(Phase::Compute, total - stall);
+            self.phases[r].add(Phase::FaultStall, stall);
         } else {
-            self.profile.phase(r, Phase::Compute, total);
+            self.phases[r].add(Phase::Compute, total);
         }
         let state = &mut self.ranks[r];
         state.clock += total;
@@ -1624,12 +1577,9 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
         }
         // Attribute the blocked time: a rendezvous send in the set
         // means a hand-shake stall; otherwise an unfinished receive
-        // dominates (eager sends complete in `o`). Skipped entirely
-        // when profiling is off.
+        // dominates (eager sends complete in `o`).
         let has = |class: ReqClass| set.as_slice().iter().any(|&q| self.reqs[q].class == class);
-        let phase = if !P::ENABLED {
-            Phase::Compute // unused
-        } else if has(ReqClass::RdvSend) {
+        let phase = if has(ReqClass::RdvSend) {
             Phase::RendezvousStall
         } else if has(ReqClass::Recv) {
             Phase::RecvWait
@@ -1641,7 +1591,7 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
         }
         if resume > start {
             self.breakdown[r][kind.index()] += resume - start;
-            self.profile.phase(r, phase, resume - start);
+            self.phases[r].add(phase, resume - start);
         }
         let state = &mut self.ranks[r];
         state.clock = resume;
@@ -1661,12 +1611,12 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
         }
         if finish > start {
             self.breakdown[r][kind.index()] += finish - start;
-            self.profile.phase(r, Phase::CollectiveWait, finish - start);
+            self.phases[r].add(Phase::CollectiveWait, finish - start);
         }
         if let Some(cut) = &mut self.cut {
             if self.ranks[r].coll_seq == cut.seq {
                 cut.rows[r] = self.breakdown[r];
-                self.profile.cut_rank(&mut cut.profile, r);
+                cut.phases[r] = self.phases[r];
             }
         }
         let state = &mut self.ranks[r];
@@ -1678,16 +1628,13 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
 
     /// Record collective `seq`'s finish and wake every owned rank —
     /// all of them entered it (except `running`, which re-examines its
-    /// state inline). The warm-up barrier's finish takes the cut's
-    /// cross-rank views: every owned rank is parked in the barrier, so
-    /// none has posted past it yet.
+    /// state inline).
     pub(crate) fn collective_finished(&mut self, seq: usize, finish: f64, running: usize) {
         debug_assert_eq!(self.coll_finish.len(), seq, "collectives finish in order");
         self.coll_finish.push(finish);
         if let Some(cut) = &mut self.cut {
             if seq == cut.seq {
                 cut.finish = Some(finish);
-                self.profile.cut_global(&mut cut.profile);
             }
         }
         for r in self.owned.clone() {
@@ -1720,9 +1667,9 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
     }
 
     /// Post a send: create its request (eager sends complete locally
-    /// after the sender overhead, receiver or not), match it against
+    /// after the sender overhead, receiver or not) and match it against
     /// its channel's pending receives — or forward it to the partition
-    /// owning the receiver — and account the message.
+    /// owning the receiver.
     fn post_send(&mut self, from: usize, to: usize, tag: u32, bytes: usize, time: f64) -> IReq {
         let eager = bytes < self.np.eager_threshold;
         let ireq = self.next_req(from);
@@ -1746,20 +1693,12 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
             id: ireq + self.ranks[from].id_offset,
             tag,
         };
-        let same_node = if self.boundary.owns(to) {
+        if self.boundary.owns(to) {
             let memo = &mut self.ranks[from].send_memo;
             let slot = self.channels.memo_slot(self.np, memo, to, from, to);
-            let same_node = self.channels.store[slot as usize].same_node;
             self.arrive_send(slot, from, to, post, from);
-            same_node
         } else {
             self.boundary.forward_send(from, to, post);
-            self.np.node_of[from] == self.np.node_of[to]
-        };
-        self.profile.message(from, to, bytes, regime_of(eager));
-        self.p2p_bytes += bytes as u64;
-        if !same_node {
-            self.internode_bytes += bytes as u64;
         }
         ireq
     }
@@ -1848,22 +1787,19 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
     }
 
     /// Fold in a drained partition: its owned per-rank state replaces
-    /// the (untouched) rows here, and the cross-rank aggregates add —
-    /// `u64` counters and histogram buckets, exact and commutative. The
+    /// the (untouched) rows here, and its crashes join this one's. The
     /// partitions' warm-up cuts merge the same way.
     pub(crate) fn absorb(&mut self, mut part: Self) {
         let owned = part.owned.clone();
         self.ranks[owned.clone()].swap_with_slice(&mut part.ranks[owned.clone()]);
         self.breakdown[owned.clone()].copy_from_slice(&part.breakdown[owned.clone()]);
+        self.phases[owned.clone()].copy_from_slice(&part.phases[owned.clone()]);
         self.timeline.absorb(&part.timeline);
-        self.profile.absorb(part.profile, owned.clone());
-        self.p2p_bytes += part.p2p_bytes;
-        self.internode_bytes += part.internode_bytes;
         self.crashes.append(&mut part.crashes);
         if let (Some(cut), Some(theirs)) = (&mut self.cut, part.cut) {
             cut.finish = cut.finish.or(theirs.finish);
             cut.rows[owned.clone()].copy_from_slice(&theirs.rows[owned.clone()]);
-            cut.profile.absorb(theirs.profile, owned);
+            cut.phases[owned.clone()].copy_from_slice(&theirs.phases[owned]);
         }
     }
 
@@ -1905,17 +1841,28 @@ impl<'a, P: ProfileSink, F: FaultHook, B: Boundary, const TRACE: bool>
             // run without ranks has no finish to report.
             finish: cut.finish.unwrap_or(0.0),
             per_rank_breakdown: cut.rows,
-            profile: cut.profile.finish(),
+            per_rank_phases: cut.phases,
         });
+        // Every rank walked its program once per repetition (see the
+        // module docs).
+        let reps = (self.replay.before + self.replay.after) as u64;
+        let mut profile = self.replay.step.traffic(reps, self.np.eager_threshold);
+        profile.per_rank = self.phases;
+        let node_of = &self.np.node_of;
+        let internode_bytes = profile
+            .pairs()
+            .filter(|&(from, to, _)| node_of[from] != node_of[to])
+            .map(|(_, _, bytes)| bytes)
+            .sum();
         Ok((
             SimResult {
                 makespan,
                 finish_times,
                 timeline: self.timeline,
-                p2p_bytes: self.p2p_bytes,
-                internode_bytes: self.internode_bytes,
+                p2p_bytes: profile.pairs().map(|(_, _, bytes)| bytes).sum(),
+                internode_bytes,
                 per_rank_breakdown: self.breakdown,
-                profile: self.profile.finish(),
+                profile,
             },
             cut,
         ))
@@ -1971,11 +1918,12 @@ impl Engine {
     /// [`Prepass::scaled`]), and pay for the walk once.
     ///
     /// The prepass must describe exactly `self`'s programs (the rank
-    /// count is asserted; the per-rank post counts are trusted, and a
-    /// debug assertion in the scheduler catches undercounts).
+    /// count is asserted; the per-rank post counts and the sends behind
+    /// the message statistics are trusted, and a debug assertion in the
+    /// scheduler catches post undercounts).
     pub fn run_prevalidated(self, prepass: &Prepass) -> Result<SimResult, SimError> {
-        let replay = Replay::once(prepass);
-        self.run_replay(prepass, &replay).map(|(result, _)| result)
+        self.run_replay(&Replay::once(prepass))
+            .map(|(result, _)| result)
     }
 
     /// Replay `self`'s programs as a step template: every rank walks
@@ -1993,7 +1941,7 @@ impl Engine {
         measured: usize,
     ) -> Result<(SimResult, WarmupCut), SimError> {
         let replay = Replay::warmed(&self.programs, step, warmup, measured);
-        let (result, cut) = self.run_replay(step, &replay)?;
+        let (result, cut) = self.run_replay(&replay)?;
         Ok((
             result,
             cut.expect("a replay with a warm-up barrier records its cut"),
@@ -2001,17 +1949,13 @@ impl Engine {
     }
 
     /// Run every rank as `replay` walks it.
-    fn run_replay(
-        &self,
-        prepass: &Prepass,
-        replay: &Replay,
-    ) -> Result<(SimResult, Option<WarmupCut>), SimError> {
+    fn run_replay(&self, replay: &Replay) -> Result<(SimResult, Option<WarmupCut>), SimError> {
         let nranks = self.programs.len();
         assert_eq!(
-            prepass.p2p_ops.len(),
+            replay.step.nranks(),
             nranks,
             "prepass sized for {} ranks but {} programs given",
-            prepass.p2p_ops.len(),
+            replay.step.nranks(),
             nranks
         );
         // `threads` is a scheduling knob, never a semantic one: results
@@ -2029,37 +1973,36 @@ impl Engine {
         }
     }
 
-    /// Select the (profile × trace) instantiation for fault hook `F`.
+    /// Select the trace instantiation for fault hook `F`.
     fn dispatch<F: FaultHook>(
         &self,
         replay: &Replay,
         threads: usize,
         faults: &F,
     ) -> Result<(SimResult, Option<WarmupCut>), SimError> {
-        match (self.config.profile, self.config.trace) {
-            (true, false) => self.run_with::<LiveProfile, F, false>(replay, threads, faults),
-            (true, true) => self.run_with::<LiveProfile, F, true>(replay, threads, faults),
-            (false, false) => self.run_with::<NoProfile, F, false>(replay, threads, faults),
-            (false, true) => self.run_with::<NoProfile, F, true>(replay, threads, faults),
+        if self.config.trace {
+            self.run_with::<F, true>(replay, threads, faults)
+        } else {
+            self.run_with::<F, false>(replay, threads, faults)
         }
     }
 
     /// Run one instantiation: the `Solo` boundary on the calling thread,
     /// or `threads` partitions under [`crate::pdes`].
-    fn run_with<P: ProfileSink, F: FaultHook, const TRACE: bool>(
+    fn run_with<F: FaultHook, const TRACE: bool>(
         &self,
         replay: &Replay,
         threads: usize,
         faults: &F,
     ) -> Result<(SimResult, Option<WarmupCut>), SimError> {
         if threads > 1 {
-            return crate::pdes::run::<P, F, TRACE>(self, replay, threads, faults);
+            return crate::pdes::run::<F, TRACE>(self, replay, threads, faults);
         }
         let nranks = self.programs.len();
         let np = NetParams::of(&self.net, nranks);
         let solo = Solo(CollTable::new(&self.net));
         let mut sched =
-            Scheduler::<P, F, _, TRACE>::new(&self.programs, replay, &np, 0..nranks, faults, solo);
+            Scheduler::<F, _, TRACE>::new(&self.programs, replay, &np, 0..nranks, faults, solo);
         sched.drain()?;
         let mismatch = sched.boundary.0.mismatch();
         sched.conclude(mismatch)
@@ -2069,6 +2012,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::Regime;
     use crate::program::{Op, Program};
     use spechpc_machine::presets;
 
@@ -2617,7 +2561,7 @@ mod tests {
 
     #[test]
     fn profile_populated_without_tracing() {
-        // Default config: trace off, profile on.
+        // Default config: trace off.
         let mut p0 = Program::new();
         p0.push(Op::compute(10.0));
         p0.push(Op::send(1, 0, 8));
@@ -2626,7 +2570,6 @@ mod tests {
         let r = run(vec![p0, p1]);
         assert!(r.timeline.events.is_empty(), "tracing must default off");
         let prof = &r.profile;
-        assert!(prof.is_enabled());
         // Rank 0: 10 s compute plus the eager send overhead.
         assert!((prof.per_rank[0].compute_s - 10.0).abs() < 1e-12);
         // Rank 1 waited ~10 s for the late message.
@@ -2640,65 +2583,6 @@ mod tests {
         assert_eq!(rdv.count, 0);
         assert_eq!(prof.bytes_between(0, 1), 8);
         assert_eq!(prof.bytes_between(1, 0), 0);
-    }
-
-    #[test]
-    fn profile_disabled_yields_empty() {
-        let mut p0 = Program::new();
-        p0.push(Op::compute(1.0));
-        let cluster = presets::cluster_a();
-        let net = NetModel::compact(&cluster, 1);
-        let cfg = SimConfig {
-            trace: false,
-            profile: false,
-            ..SimConfig::default()
-        };
-        let r = Engine::new(cfg, net, vec![p0]).run().unwrap();
-        assert!(!r.profile.is_enabled());
-        assert_eq!(r.profile, Profile::default());
-    }
-
-    #[test]
-    fn profile_off_leaves_results_bit_identical() {
-        // The no-op recorder instantiation must not perturb any other
-        // output: timings, breakdowns and byte counters match the
-        // profile-on run exactly.
-        let mk = || {
-            let mut progs = Vec::new();
-            for r in 0..12usize {
-                let mut p = Program::new();
-                p.push(Op::compute(0.002 * (r + 1) as f64));
-                p.push(Op::sendrecv((r + 1) % 12, 1 << 17, (r + 11) % 12, 0));
-                p.push(Op::send((r + 3) % 12, 1, 128));
-                p.push(Op::recv((r + 9) % 12, 1));
-                p.push(Op::allreduce(256));
-                progs.push(p);
-            }
-            progs
-        };
-        let cluster = presets::cluster_a();
-        let run_cfg = |profile: bool| {
-            let net = NetModel::compact(&cluster, 12);
-            Engine::new(
-                SimConfig {
-                    trace: false,
-                    profile,
-                    ..SimConfig::default()
-                },
-                net,
-                mk(),
-            )
-            .run()
-            .unwrap()
-        };
-        let on = run_cfg(true);
-        let off = run_cfg(false);
-        assert_eq!(on.finish_times, off.finish_times);
-        assert_eq!(on.per_rank_breakdown, off.per_rank_breakdown);
-        assert_eq!(on.p2p_bytes, off.p2p_bytes);
-        assert_eq!(on.internode_bytes, off.internode_bytes);
-        assert!(on.profile.is_enabled());
-        assert!(!off.profile.is_enabled());
     }
 
     #[test]
@@ -2749,11 +2633,7 @@ mod tests {
         let progs = vec![p0, p1];
         let cluster = presets::cluster_a();
         let net = NetModel::compact(&cluster, progs.len());
-        let cfg = SimConfig {
-            trace: true,
-            profile: true,
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig::default().with_trace(true);
         let r = Engine::new(cfg, net, progs).run().unwrap();
         let traced = r
             .timeline

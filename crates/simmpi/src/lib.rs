@@ -27,9 +27,10 @@
 //!   through the engine with a zero-cost off path,
 //! * [`trace`] — per-rank timelines (the ITAC analog) with breakdowns and
 //!   an ASCII timeline renderer used for the paper's Fig. 2 insets,
-//! * [`profile`] — an *online* observability profile (per-rank phase split,
-//!   protocol/size histograms, rank×rank communication matrix) computed
-//!   incrementally by the engine even with `trace: false`,
+//! * [`profile`] — the observability profile of a run, available even
+//!   with `trace: false`: a per-rank phase split the engine books as it
+//!   executes, plus protocol/size histograms and a sparse rank×rank
+//!   communication matrix counted from the programs by the prepass,
 //! * [`comm`] / [`threadcomm`] — a real, in-process message-passing layer
 //!   with the same interface, used to execute the mini-kernels natively on
 //!   host threads (data actually moves; collectives actually reduce).

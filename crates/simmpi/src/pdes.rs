@@ -8,8 +8,8 @@
 //! cut points snapped to node boundaries where one lies near the even
 //! split (see `partition_ranks`). Each partition runs the engine's one
 //! step loop (see [`crate::engine`]) over its own ranks on a host
-//! thread, with its own channel table, trace timeline and profile
-//! sink. This module supplies only the `Partitioned` boundary and the
+//! thread, with its own channel table, trace timeline and per-rank
+//! rows. This module supplies only the `Partitioned` boundary and the
 //! protocol behind it. Partitions exchange three kinds of messages over
 //! per-partition inboxes:
 //!
@@ -55,23 +55,20 @@
 //! ## Deterministic merge
 //!
 //! Each per-rank output (finish time, program counter, breakdown row,
-//! per-rank profile phases, trace events) is written only by the
-//! partition owning that rank, in the rank's own program order — so
-//! scattering the partition outputs back together reproduces the
-//! one-partition per-rank streams exactly. Cross-rank aggregates are
-//! merged with exact, commutative reductions only: `u64` byte counters
-//! and histogram buckets add, collective entry times max-reduce, and
-//! the run-wide request ids (which seed the flaky-link draws) are
-//! identical because every partition numbers requests from the same
-//! prepass-derived layout. Errors then resolve in the engine's one
-//! canonical order, which does not depend on the partition count.
+//! profile phase row, trace events) is written only by the partition
+//! owning that rank, in the rank's own program order — so scattering
+//! the partition outputs back together reproduces the one-partition
+//! per-rank streams exactly. Nothing cross-rank is summed: collective
+//! entry times max-reduce in the shared table, the run-wide request ids
+//! (which seed the flaky-link draws) are identical because every
+//! partition numbers requests from the same prepass-derived layout, and
+//! the message statistics come from the prepass once the merged run
+//! concludes. Errors then resolve in the engine's one canonical order,
+//! which does not depend on the partition count.
 //!
-//! A replay's warm-up cut merges the same way. Each partition writes
+//! A replay's warm-up cut merges the same way: each partition writes
 //! the cut rows of its own ranks as they leave the warm-up barrier, and
-//! takes its cross-rank views when it learns of the barrier's finish:
-//! its own ranks are all parked in the barrier then, so its histograms
-//! and matrix hold exactly their warm-up sends. The rows scatter and
-//! the views add, as the final state does.
+//! the rows scatter as the final state's do.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -79,8 +76,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::engine::{
-    Boundary, CollTable, Engine, FaultHook, IReq, NetParams, ProfileSink, Replay, Scheduler,
-    SendPost, SimError, SimResult, WarmupCut,
+    Boundary, CollTable, Engine, FaultHook, IReq, NetParams, Replay, Scheduler, SendPost, SimError,
+    SimResult, WarmupCut,
 };
 use crate::program::Program;
 use crate::trace::EventKind;
@@ -200,7 +197,7 @@ impl Outgoing {
 struct Shared<'a> {
     np: NetParams,
     programs: &'a [Program],
-    replay: &'a Replay,
+    replay: &'a Replay<'a>,
     parts: Vec<Range<usize>>,
     /// Partition index per rank.
     part_of: Vec<u32>,
@@ -365,11 +362,11 @@ impl Boundary for Partitioned<'_, '_> {
 /// One partition worker: alternate between applying inbox messages and
 /// draining the ready queue until the run stops, then hand back the
 /// partition's state for the merge.
-fn worker<'s, 'a, P: ProfileSink, F: FaultHook, const TRACE: bool>(
+fn worker<'s, 'a, F: FaultHook, const TRACE: bool>(
     sh: &'s Shared<'a>,
     faults: &'s F,
     me: usize,
-) -> Scheduler<'s, P, F, Partitioned<'s, 'a>, TRACE> {
+) -> Scheduler<'s, F, Partitioned<'s, 'a>, TRACE> {
     let boundary = Partitioned {
         sh,
         me,
@@ -422,7 +419,7 @@ fn worker<'s, 'a, P: ProfileSink, F: FaultHook, const TRACE: bool>(
 
 /// Run `engine` as `threads` partitions (already clamped to the rank
 /// count), every rank walking its program as `replay` says.
-pub(crate) fn run<P: ProfileSink, F: FaultHook, const TRACE: bool>(
+pub(crate) fn run<F: FaultHook, const TRACE: bool>(
     engine: &Engine,
     replay: &Replay,
     threads: usize,
@@ -455,7 +452,7 @@ pub(crate) fn run<P: ProfileSink, F: FaultHook, const TRACE: bool>(
         let handles: Vec<_> = (0..sh.parts.len())
             .map(|me| {
                 let sh = &sh;
-                scope.spawn(move || worker::<P, F, TRACE>(sh, faults, me))
+                scope.spawn(move || worker::<F, TRACE>(sh, faults, me))
             })
             .collect();
         handles

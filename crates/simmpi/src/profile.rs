@@ -1,27 +1,36 @@
-//! Per-run observability profile — the ITAC/LIKWID analog computed
-//! *online* by the engine.
+//! Per-run observability profile — the ITAC/LIKWID analog.
 //!
 //! The paper's evaluation rests on measurement tooling: ITAC traces for
-//! the MPI time breakdowns of §4.1 / Fig. 2 and LIKWID counters for the
-//! power analysis of §4.2. The [`Profile`] is the simulator's
-//! equivalent: the engine accumulates it incrementally while executing,
-//! so it is available even when full event tracing
+//! the MPI time breakdowns of §4.1 / Fig. 2 and ITAC message
+//! statistics for the communication analysis of §5. The [`Profile`] is
+//! the simulator's equivalent, available even when full event tracing
 //! ([`SimConfig::trace`](crate::engine::SimConfig)) is off — tracing
 //! records *every interval*, the profile records *sums*, which is what
 //! the Fig. 2-style analyses actually consume.
 //!
-//! Three views are maintained per run:
+//! It holds three views of a run:
 //!
 //! * **per-rank phase split** ([`RankPhases`]) — wall-clock seconds in
 //!   computation, eager-send overhead, rendezvous stalls, receive
 //!   waits, collective waits and fault-induced stalls; the
-//!   compute-vs-communication fractions of the paper's Fig. 2 insets,
+//!   compute-vs-communication fractions of the paper's Fig. 2 insets.
+//!   These depend on the schedule, so the engine books them as it
+//!   executes, each rank into its own row,
 //! * **protocol-regime / message-size histograms** — log2-bucketed
 //!   point-to-point message counts and payload bytes, split into the
 //!   eager and rendezvous regimes (the protocol boundary the minisweep
 //!   pathology of §4.1.5 hinges on),
 //! * **rank×rank communication matrix** — point-to-point payload bytes
 //!   per (sender, receiver) pair, the ITAC message-statistics analog.
+//!   It is stored sparse: the non-zero pairs sorted by `(from, to)`,
+//!   so a profile is O(ranks + pairs), never O(ranks²).
+//!
+//! The histograms and the matrix depend only on the programs, not on
+//! the schedule: a completed run posts every send of its programs once
+//! per walk. The engine's validation prepass groups the sends of one
+//! walk as it checks the programs, and
+//! [`Prepass::traffic`](crate::engine::Prepass::traffic) scales them to
+//! any number of walks.
 
 /// Protocol regime of a point-to-point message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,20 +102,23 @@ impl RankPhases {
         }
     }
 
-    fn add(&mut self, phase: Phase, secs: f64) {
-        match phase {
-            Phase::Compute => self.compute_s += secs,
-            Phase::EagerSend => self.eager_send_s += secs,
-            Phase::RendezvousStall => self.rendezvous_stall_s += secs,
-            Phase::RecvWait => self.recv_wait_s += secs,
-            Phase::CollectiveWait => self.collective_wait_s += secs,
-            Phase::FaultStall => self.fault_stall_s += secs,
+    /// Book `secs` of `phase`; only a positive interval books anything.
+    pub(crate) fn add(&mut self, phase: Phase, secs: f64) {
+        if secs > 0.0 {
+            match phase {
+                Phase::Compute => self.compute_s += secs,
+                Phase::EagerSend => self.eager_send_s += secs,
+                Phase::RendezvousStall => self.rendezvous_stall_s += secs,
+                Phase::RecvWait => self.recv_wait_s += secs,
+                Phase::CollectiveWait => self.collective_wait_s += secs,
+                Phase::FaultStall => self.fault_stall_s += secs,
+            }
         }
     }
 
     /// Component-wise `self − other`, clamped at zero (used to isolate
     /// the measured region from the warm-up prefix).
-    fn saturating_sub(&self, other: &RankPhases) -> RankPhases {
+    pub fn saturating_sub(&self, other: &RankPhases) -> RankPhases {
         let d = |a: f64, b: f64| (a - b).max(0.0);
         RankPhases {
             compute_s: d(self.compute_s, other.compute_s),
@@ -144,9 +156,27 @@ pub fn bucket_floor(bucket: usize) -> u64 {
     1u64 << bucket
 }
 
-/// The complete observability profile of one simulated run. Empty
-/// (`nranks == 0`) when profiling was disabled.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// `count` point-to-point sends of `bytes` bytes each, `from → to`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sends {
+    pub(crate) from: u32,
+    pub(crate) to: u32,
+    pub(crate) bytes: usize,
+    pub(crate) count: u64,
+}
+
+/// One non-zero entry of the rank×rank byte matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pair {
+    from: u32,
+    to: u32,
+    bytes: u64,
+}
+
+/// The complete observability profile of one simulated run: the phase
+/// split the engine measures, and the message statistics of the
+/// programs it ran.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     pub nranks: usize,
     /// Phase split of every rank.
@@ -155,49 +185,94 @@ pub struct Profile {
     pub eager_hist: Vec<SizeBucket>,
     /// Message-size histogram of the rendezvous regime.
     pub rendezvous_hist: Vec<SizeBucket>,
-    /// Row-major rank×rank payload bytes: `comm_matrix[from * nranks + to]`.
-    pub comm_matrix: Vec<u64>,
+    /// The rank×rank payload bytes, sparse and canonical: the non-zero
+    /// entries only, sorted by `(from, to)`.
+    pairs: Vec<Pair>,
 }
 
 impl Profile {
-    /// An enabled, zeroed profile for `nranks` ranks.
+    /// A zeroed profile for `nranks` ranks: no time, no messages.
     pub fn new(nranks: usize) -> Self {
         Profile {
             nranks,
             per_rank: vec![RankPhases::default(); nranks],
             eager_hist: vec![SizeBucket::default(); NBUCKETS],
             rendezvous_hist: vec![SizeBucket::default(); NBUCKETS],
-            comm_matrix: vec![0; nranks * nranks],
+            pairs: Vec::new(),
         }
     }
 
-    /// Whether the engine populated this profile.
-    pub fn is_enabled(&self) -> bool {
-        self.nranks > 0
-    }
-
-    /// Record one point-to-point message (at post time).
-    pub fn record_message(&mut self, from: usize, to: usize, bytes: usize, regime: Regime) {
-        let hist = match regime {
-            Regime::Eager => &mut self.eager_hist,
-            Regime::Rendezvous => &mut self.rendezvous_hist,
-        };
-        let b = &mut hist[bucket_of(bytes)];
-        b.count += 1;
-        b.bytes += bytes as u64;
-        self.comm_matrix[from * self.nranks + to] += bytes as u64;
-    }
-
-    /// Accumulate one interval into a rank's phase split.
-    pub fn record_phase(&mut self, rank: usize, phase: Phase, secs: f64) {
-        if secs > 0.0 {
-            self.per_rank[rank].add(phase, secs);
+    /// The message statistics of `sends`, sorted by `(from, to)`, each
+    /// group posted `reps` times over, with zeroed phase rows. A
+    /// message below `eager_threshold` bytes is eager.
+    pub(crate) fn from_sends(
+        nranks: usize,
+        sends: &[Sends],
+        reps: u64,
+        eager_threshold: usize,
+    ) -> Self {
+        let mut p = Profile::new(nranks);
+        for s in sends {
+            let hist = if s.bytes < eager_threshold {
+                &mut p.eager_hist
+            } else {
+                &mut p.rendezvous_hist
+            };
+            let (count, bytes) = (s.count * reps, s.bytes as u64 * s.count * reps);
+            let b = &mut hist[bucket_of(s.bytes)];
+            b.count += count;
+            b.bytes += bytes;
+            if bytes == 0 {
+                continue;
+            }
+            match p.pairs.last_mut() {
+                Some(last) if (last.from, last.to) == (s.from, s.to) => last.bytes += bytes,
+                _ => p.pairs.push(Pair {
+                    from: s.from,
+                    to: s.to,
+                    bytes,
+                }),
+            }
         }
+        p
+    }
+
+    /// Append the matrix entry `from → to` to a profile being decoded.
+    /// Entries must come in the canonical order: in range, non-zero,
+    /// and strictly after the last one by `(from, to)`. Returns `false`,
+    /// appending nothing, for any other entry.
+    pub fn push_pair(&mut self, from: usize, to: usize, bytes: u64) -> bool {
+        let canonical = from < self.nranks
+            && to < self.nranks
+            && bytes > 0
+            && self
+                .pairs
+                .last()
+                .is_none_or(|p| (p.from as usize, p.to as usize) < (from, to));
+        if canonical {
+            self.pairs.push(Pair {
+                from: from as u32,
+                to: to as u32,
+                bytes,
+            });
+        }
+        canonical
     }
 
     /// Payload bytes sent `from → to`.
     pub fn bytes_between(&self, from: usize, to: usize) -> u64 {
-        self.comm_matrix[from * self.nranks + to]
+        let key = (from as u32, to as u32);
+        self.pairs
+            .binary_search_by_key(&key, |p| (p.from, p.to))
+            .map_or(0, |i| self.pairs[i].bytes)
+    }
+
+    /// The non-zero matrix entries `(from, to, bytes)`, sorted by
+    /// `(from, to)`.
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = (usize, usize, u64)> + '_ {
+        self.pairs
+            .iter()
+            .map(|p| (p.from as usize, p.to as usize, p.bytes))
     }
 
     /// Totals over one regime's histogram.
@@ -225,71 +300,6 @@ impl Profile {
             t.fault_stall_s += r.fault_stall_s;
         }
         t
-    }
-
-    /// `self − warm`, component-wise and clamped at zero. Both runs
-    /// being deterministic with a shared prefix, this isolates the
-    /// measured region exactly (the same trick
-    /// `harness`'s breakdown subtraction uses).
-    pub fn saturating_sub(&self, warm: &Profile) -> Profile {
-        if !self.is_enabled() {
-            return Profile::default();
-        }
-        if !warm.is_enabled() {
-            return self.clone();
-        }
-        assert_eq!(self.nranks, warm.nranks, "profiles of different runs");
-        let sub_hist = |a: &[SizeBucket], b: &[SizeBucket]| -> Vec<SizeBucket> {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| SizeBucket {
-                    count: x.count.saturating_sub(y.count),
-                    bytes: x.bytes.saturating_sub(y.bytes),
-                })
-                .collect()
-        };
-        Profile {
-            nranks: self.nranks,
-            per_rank: self
-                .per_rank
-                .iter()
-                .zip(&warm.per_rank)
-                .map(|(a, b)| a.saturating_sub(b))
-                .collect(),
-            eager_hist: sub_hist(&self.eager_hist, &warm.eager_hist),
-            rendezvous_hist: sub_hist(&self.rendezvous_hist, &warm.rendezvous_hist),
-            comm_matrix: self
-                .comm_matrix
-                .iter()
-                .zip(&warm.comm_matrix)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-        }
-    }
-
-    /// Merge one partition's profile into a full-size one: the
-    /// per-rank phase rows of `lo..hi` are scattered from the partition
-    /// (which owns those ranks exclusively), while the global views —
-    /// both size histograms and the communication matrix — are summed
-    /// element-wise. All global counters are `u64`, so the merged
-    /// result is bit-identical to a single-threaded accumulation
-    /// regardless of partition order; the per-rank `f64` sums are
-    /// owner-written in the rank's own operation order, which is the
-    /// same order a one-partition run uses.
-    pub fn absorb_partition(&mut self, part: &Profile, lo: usize, hi: usize) {
-        assert_eq!(self.nranks, part.nranks, "profiles of different runs");
-        self.per_rank[lo..hi].copy_from_slice(&part.per_rank[lo..hi]);
-        for (a, b) in self.eager_hist.iter_mut().zip(&part.eager_hist) {
-            a.count += b.count;
-            a.bytes += b.bytes;
-        }
-        for (a, b) in self.rendezvous_hist.iter_mut().zip(&part.rendezvous_hist) {
-            a.count += b.count;
-            a.bytes += b.bytes;
-        }
-        for (a, b) in self.comm_matrix.iter_mut().zip(&part.comm_matrix) {
-            *a += *b;
-        }
     }
 
     // -----------------------------------------------------------------
@@ -343,13 +353,8 @@ impl Profile {
     /// Rank×rank communication matrix as sparse CSV (non-zero entries).
     pub fn matrix_to_csv(&self) -> String {
         let mut out = String::from("from,to,bytes\n");
-        for from in 0..self.nranks {
-            for to in 0..self.nranks {
-                let b = self.bytes_between(from, to);
-                if b > 0 {
-                    out.push_str(&format!("{from},{to},{b}\n"));
-                }
-            }
+        for (from, to, b) in self.pairs() {
+            out.push_str(&format!("{from},{to},{b}\n"));
         }
         out
     }
@@ -358,6 +363,8 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Prepass;
+    use crate::program::{Op, Program};
 
     #[test]
     fn buckets_cover_sizes() {
@@ -372,28 +379,59 @@ mod tests {
         assert!(bucket_of(usize::MAX) < NBUCKETS);
     }
 
+    /// Rank 0 sends 100 B to rank 1 twice and 1 MiB to rank 3, rank 2
+    /// an empty message to rank 0; the threshold is 64 KiB.
+    fn programs() -> Vec<Program> {
+        let mut progs: Vec<Program> = (0..4).map(|_| Program::new()).collect();
+        progs[0].push(Op::send(3, 0, 1 << 20));
+        progs[0].push(Op::isend(1, 0, 100, 0));
+        progs[0].push(Op::wait(0));
+        progs[0].push(Op::sendrecv(1, 100, 2, 1));
+        progs[2].push(Op::send(0, 0, 0));
+        progs
+    }
+
     #[test]
-    fn message_recording_fills_all_views() {
-        let mut p = Profile::new(4);
-        p.record_message(0, 1, 100, Regime::Eager);
-        p.record_message(0, 1, 100, Regime::Eager);
-        p.record_message(2, 3, 1 << 20, Regime::Rendezvous);
-        assert_eq!(p.bytes_between(0, 1), 200);
+    fn program_traffic_fills_all_views() {
+        let p = Prepass::analyze(&programs()).unwrap().traffic(3, 64 << 10);
+        assert_eq!(p.nranks, 4);
+        assert_eq!(p.totals(), RankPhases::default());
+        assert_eq!(p.bytes_between(0, 1), 600);
+        assert_eq!(p.bytes_between(0, 3), 3 << 20);
         assert_eq!(p.bytes_between(1, 0), 0);
-        assert_eq!(p.regime_totals(Regime::Eager).count, 2);
-        assert_eq!(p.regime_totals(Regime::Eager).bytes, 200);
-        assert_eq!(p.regime_totals(Regime::Rendezvous).count, 1);
-        assert_eq!(p.eager_hist[bucket_of(100)].count, 2);
-        assert_eq!(p.rendezvous_hist[20].bytes, 1 << 20);
+        // The empty message counts but takes no matrix entry.
+        assert_eq!(p.bytes_between(2, 0), 0);
+        assert_eq!(
+            p.pairs().collect::<Vec<_>>(),
+            vec![(0, 1, 600), (0, 3, 3 << 20)]
+        );
+        let eager = p.regime_totals(Regime::Eager);
+        assert_eq!((eager.count, eager.bytes), (9, 600));
+        assert_eq!(p.eager_hist[bucket_of(100)].count, 6);
+        assert_eq!(p.eager_hist[0].count, 3);
+        assert_eq!(p.rendezvous_hist[20].bytes, 3 << 20);
+    }
+
+    #[test]
+    fn decoded_pairs_must_be_canonical() {
+        let mut p = Profile::new(3);
+        assert!(p.push_pair(0, 2, 5));
+        assert!(p.push_pair(1, 0, 7));
+        assert!(!p.push_pair(1, 0, 7), "repeated pair");
+        assert!(!p.push_pair(0, 1, 1), "out of order");
+        assert!(!p.push_pair(2, 1, 0), "zero bytes");
+        assert!(!p.push_pair(2, 3, 1), "out of range");
+        assert_eq!(p.pairs().len(), 2);
+        assert_eq!(p.bytes_between(1, 0), 7);
     }
 
     #[test]
     fn phase_accounting_and_fractions() {
         let mut p = Profile::new(2);
-        p.record_phase(0, Phase::Compute, 3.0);
-        p.record_phase(0, Phase::RecvWait, 1.0);
-        p.record_phase(1, Phase::CollectiveWait, 2.0);
-        p.record_phase(1, Phase::Compute, 0.0); // no-op
+        p.per_rank[0].add(Phase::Compute, 3.0);
+        p.per_rank[0].add(Phase::RecvWait, 1.0);
+        p.per_rank[1].add(Phase::CollectiveWait, 2.0);
+        p.per_rank[1].add(Phase::Compute, 0.0); // no-op
         assert!((p.per_rank[0].total_s() - 4.0).abs() < 1e-12);
         assert!((p.per_rank[0].comm_fraction() - 0.25).abs() < 1e-12);
         assert!((p.per_rank[1].comm_fraction() - 1.0).abs() < 1e-12);
@@ -404,41 +442,27 @@ mod tests {
 
     #[test]
     fn subtraction_isolates_measured_region() {
-        let mut full = Profile::new(1);
-        full.record_phase(0, Phase::Compute, 5.0);
-        full.record_message(0, 0, 64, Regime::Eager);
-        full.record_message(0, 0, 64, Regime::Eager);
-        let mut warm = Profile::new(1);
-        warm.record_phase(0, Phase::Compute, 2.0);
-        warm.record_message(0, 0, 64, Regime::Eager);
+        let mut full = RankPhases::default();
+        full.add(Phase::Compute, 5.0);
+        full.add(Phase::RecvWait, 1.0);
+        let mut warm = RankPhases::default();
+        warm.add(Phase::Compute, 2.0);
+        warm.add(Phase::RecvWait, 2.0);
         let m = full.saturating_sub(&warm);
-        assert!((m.per_rank[0].compute_s - 3.0).abs() < 1e-12);
-        assert_eq!(m.regime_totals(Regime::Eager).count, 1);
-        assert_eq!(m.bytes_between(0, 0), 64);
-    }
-
-    #[test]
-    fn disabled_profile_subtracts_to_empty() {
-        let empty = Profile::default();
-        assert!(!empty.is_enabled());
-        assert_eq!(empty.saturating_sub(&Profile::new(3)), Profile::default());
-        let p = Profile::new(2);
-        assert_eq!(p.saturating_sub(&Profile::default()), p);
+        assert!((m.compute_s - 3.0).abs() < 1e-12);
+        assert_eq!(m.recv_wait_s, 0.0);
     }
 
     #[test]
     fn csv_exports_are_well_formed() {
-        let mut p = Profile::new(2);
-        p.record_phase(0, Phase::Compute, 1.0);
-        p.record_phase(1, Phase::RendezvousStall, 0.5);
-        p.record_message(0, 1, 1 << 17, Regime::Rendezvous);
+        let mut p = Prepass::analyze(&programs()).unwrap().traffic(1, 64 << 10);
+        p.per_rank[0].add(Phase::Compute, 1.0);
+        p.per_rank[1].add(Phase::RendezvousStall, 0.5);
         let ranks = p.ranks_to_csv();
-        assert_eq!(ranks.lines().count(), 3); // header + 2 ranks
+        assert_eq!(ranks.lines().count(), 5); // header + 4 ranks
         assert!(ranks.starts_with("rank,compute_s"));
         let hist = p.histogram_to_csv();
-        assert!(hist.contains("rendezvous,131072,1,131072"));
-        let m = p.matrix_to_csv();
-        assert_eq!(m.lines().count(), 2); // header + 1 pair
-        assert!(m.contains("0,1,131072"));
+        assert!(hist.contains("rendezvous,1048576,1,1048576"));
+        assert_eq!(p.matrix_to_csv(), "from,to,bytes\n0,1,200\n0,3,1048576\n");
     }
 }

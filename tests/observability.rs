@@ -1,12 +1,14 @@
 //! Integration tests for the observability layer: the Fig.-2-style
 //! profile must be populated without event tracing (the whole point of
-//! the incremental profiler), survive the disk cache byte-exactly, and
-//! the executor metrics must report real cache hits on a warm store.
+//! the incremental profiler), hold its communication matrix sparse,
+//! survive the disk cache byte-exactly, and the executor metrics must
+//! report real cache hits on a warm store.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use spechpc::prelude::*;
-use spechpc::simmpi::Profile;
+use spechpc::simmpi::{Op, Profile};
 
 fn quick() -> RunConfig {
     RunConfig::default()
@@ -25,15 +27,12 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 fn assert_profiled(r: &RunResult, ctx: &str) {
     let p: &Profile = &r.profile;
-    assert!(p.is_enabled(), "{ctx}: profile must be on by default");
+    assert_eq!(p.nranks, r.nranks, "{ctx}: the profile covers every rank");
     assert_eq!(p.per_rank.len(), p.nranks, "{ctx}: one phase row per rank");
     let tot = p.totals();
     assert!(tot.total_s() > 0.0, "{ctx}: phases must be attributed");
     assert!(tot.mpi_s() > 0.0, "{ctx}: some MPI wait must show up");
-    let traffic: u64 = (0..p.nranks)
-        .flat_map(|f| (0..p.nranks).map(move |t| (f, t)))
-        .map(|(f, t)| p.bytes_between(f, t))
-        .sum();
+    let traffic: u64 = p.pairs().map(|(_, _, bytes)| bytes).sum();
     assert!(traffic > 0, "{ctx}: comm matrix must record traffic");
     let msgs: u64 = p
         .eager_hist
@@ -123,4 +122,41 @@ fn warm_cache_reports_hits_and_preserves_the_profile() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The communication matrix is stored sparse. At 1,664 ranks (16
+/// ClusterB nodes) the profile holds exactly the `(from, to)` pairs the
+/// step programs send bytes on, none of the other 2.7 million, and each
+/// pair carries `measured_steps ×` its bytes per step.
+#[test]
+fn the_matrix_holds_exactly_the_programs_send_pairs_at_1664_ranks() {
+    let cluster = presets::cluster_b();
+    let (class, n) = (WorkloadClass::Small, 1664);
+    let runner = SimRunner::new(RunConfig::default());
+    let measured = runner.config.measured_steps as u64;
+    for (name, distinct) in [("lbm", 6656), ("soma", 0)] {
+        let b = benchmark_by_name(name).unwrap();
+        let model = NodeModel::new(&cluster, n);
+        let ct = model.compute_times(&b.signature(class), &b.penalties(class, n));
+        let mut per_step: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        for (from, prog) in b.step_programs(class, &ct).iter().enumerate() {
+            for op in &prog.ops {
+                let (to, bytes) = match *op {
+                    Op::Send { to, bytes, .. } | Op::Isend { to, bytes, .. } => (to, bytes),
+                    Op::Sendrecv { to, send_bytes, .. } => (to, send_bytes),
+                    _ => continue,
+                };
+                if bytes > 0 {
+                    *per_step.entry((from, to)).or_default() += bytes as u64;
+                }
+            }
+        }
+        assert_eq!(per_step.len(), distinct, "{name}: distinct send pairs");
+        let r = runner.run(&cluster, &*b, class, n).unwrap();
+        let want: Vec<(usize, usize, u64)> = per_step
+            .iter()
+            .map(|(&(from, to), &bytes)| (from, to, measured * bytes))
+            .collect();
+        assert_eq!(r.profile.pairs().collect::<Vec<_>>(), want, "{name}");
+    }
 }

@@ -65,9 +65,9 @@ fn two_runs(
     let cut = WarmupCut {
         finish: warm.makespan,
         per_rank_breakdown: warm.per_rank_breakdown,
-        profile: warm.profile,
+        per_rank_phases: warm.profile.per_rank,
     };
-    Ok(runner.result_from(benchmark, class, &model, &ct, full, &cut))
+    Ok(runner.result_from(benchmark, class, &model, &ct, &pre, full, &cut))
 }
 
 fn plan(name: &str) -> FaultPlan {

@@ -640,14 +640,49 @@ fn out_of_range_integers_are_typed_errors_not_other_runs() {
         // engine would allocate per-rank state for all of them.
         (r#"{"benchmark":"lbm","nranks":4e15}"#, 422, "invalid_ranks"),
         (r#"{"benchmark":"lbm","nranks":2305}"#, 422, "invalid_ranks"),
+        // A string or bool field of another type is not its default.
+        (r#"{"benchmark":"lbm","cluster":2}"#, 400, "bad_request"),
+        (r#"{"benchmark":"lbm","class":7}"#, 400, "bad_request"),
+        (
+            r#"{"benchmark":"lbm","config":{"trace":"yes"}}"#,
+            400,
+            "bad_request",
+        ),
     ] {
         let (got, _, answer) = http(addr, "POST", "/v1/run", body);
         assert_eq!(got, status, "{body}: {answer}");
         assert!(answer.contains(&format!("\"{code}\"")), "{body}: {answer}");
     }
-    let (got, _, answer) = http(addr, "POST", "/v1/suite", r#"{"nranks":4e15}"#);
-    assert_eq!(got, 422, "{answer}");
-    assert!(answer.contains("\"invalid_ranks\""), "{answer}");
+    for (path, body, status, code) in [
+        ("/v1/suite", r#"{"nranks":4e15}"#, 422, "invalid_ranks"),
+        ("/v1/suite", r#"{"cluster":true}"#, 400, "bad_request"),
+        ("/v1/suite", r#"{"class":["small"]}"#, 400, "bad_request"),
+        (
+            "/v1/plan",
+            r#"{"cluster":2,"jobs":[{"benchmark":"lbm","nranks":4}]}"#,
+            400,
+            "bad_request",
+        ),
+        (
+            "/v1/plan",
+            r#"{"jobs":[{"benchmark":"lbm","class":7,"nranks":4}]}"#,
+            400,
+            "bad_request",
+        ),
+        (
+            "/v1/plan",
+            r#"{"jobs":[{"benchmark":"lbm","nranks":4}],"variants":[{"name":"v","cluster":2}]}"#,
+            400,
+            "bad_request",
+        ),
+    ] {
+        let (got, _, answer) = http(addr, "POST", path, body);
+        assert_eq!(got, status, "{path} {body}: {answer}");
+        assert!(
+            answer.contains(&format!("\"{code}\"")),
+            "{path} {body}: {answer}"
+        );
+    }
     assert_eq!(
         lookups(addr),
         [0, 0, 0],
