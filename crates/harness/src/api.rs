@@ -23,7 +23,7 @@ use spechpc_simmpi::faults::{FaultEvent, FaultPlan, RankSet};
 use crate::cache;
 use crate::error::HarnessError;
 use crate::exec::{Executor, RunSpec};
-use crate::json::{fmt_f64, parse_json, quote, Json};
+use crate::json::{parse_json, write_f64, write_str, Json};
 use crate::report::fmt;
 use crate::runner::{RunConfig, RunResult};
 use crate::suite::{Suite, SuiteReport};
@@ -780,11 +780,13 @@ pub(crate) fn suite_body(
     failures: &[(String, String, String)],
 ) -> String {
     let mut s = String::with_capacity(4096);
-    s.push_str("{\n");
-    s.push_str(&format!("  \"cluster\": {},\n", quote(cluster)));
-    s.push_str(&format!("  \"class\": {},\n", quote(&class.to_string())));
-    s.push_str(&format!("  \"complete\": {},\n", failures.is_empty()));
-    s.push_str("  \"results\": [");
+    s.push_str("{\n  \"cluster\": ");
+    write_str(&mut s, cluster);
+    s.push_str(",\n  \"class\": ");
+    write_str(&mut s, &class.to_string());
+    s.push_str(",\n  \"complete\": ");
+    s.push_str(if failures.is_empty() { "true" } else { "false" });
+    s.push_str(",\n  \"results\": [");
     for (i, r) in results.iter().enumerate() {
         if i > 0 {
             s.push(',');
@@ -797,13 +799,13 @@ pub(crate) fn suite_body(
         if i > 0 {
             s.push(',');
         }
-        s.push('\n');
-        s.push_str(&format!(
-            "    {{ \"label\": {}, \"error\": {}, \"message\": {} }}",
-            quote(label),
-            quote(code),
-            quote(message)
-        ));
+        s.push_str("\n    { \"label\": ");
+        write_str(&mut s, label);
+        s.push_str(", \"error\": ");
+        write_str(&mut s, code);
+        s.push_str(", \"message\": ");
+        write_str(&mut s, message);
+        s.push_str(" }");
     }
     s.push_str("]\n}\n");
     s
@@ -1219,13 +1221,13 @@ pub fn render_run_text(r: &RunResult) -> String {
         "{} ({}) on {}: {} ranks over {} node(s)\n",
         r.benchmark, r.class, r.cluster, r.nranks, r.nodes_used
     ));
-    out.push_str(&format!(
-        "  runtime        {} s  (step {} s, min {} / max {})\n",
-        fmt(r.runtime_s),
-        fmt_f64(r.step_seconds),
-        fmt_f64(r.step_seconds_min),
-        fmt_f64(r.step_seconds_max),
-    ));
+    out.push_str(&format!("  runtime        {} s  (step ", fmt(r.runtime_s)));
+    write_f64(&mut out, r.step_seconds);
+    out.push_str(" s, min ");
+    write_f64(&mut out, r.step_seconds_min);
+    out.push_str(" / max ");
+    write_f64(&mut out, r.step_seconds_max);
+    out.push_str(")\n");
     out.push_str(&format!(
         "  performance    {} Gflop/s ({} AVX)\n",
         fmt(r.counters.dp_gflops()),

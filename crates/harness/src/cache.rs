@@ -14,10 +14,11 @@
 //!
 //! The JSON codec is hand-rolled (the workspace carries no external
 //! dependencies) and round-trips every `f64` exactly: values are
-//! written with Rust's `{:?}` formatting, which emits the shortest
-//! decimal that parses back to the identical bit pattern. A cached
-//! replay is therefore byte-identical to the run that produced it —
-//! the property the parallel executor's determinism guarantee rests on.
+//! written by [`json::write_f64`](crate::json::write_f64) in Rust's
+//! `{:?}` spelling, the shortest decimal that parses back to the
+//! identical bit pattern. A cached replay is therefore byte-identical
+//! to the run that produced it — the property the parallel executor's
+//! determinism guarantee rests on.
 //!
 //! Traced runs are never cached: a [`Timeline`]
 //! can hold millions of events and the experiments that need one (the
@@ -35,7 +36,7 @@ use spechpc_simmpi::profile::{Profile, RankPhases, SizeBucket};
 use spechpc_simmpi::trace::{Breakdown, EventKind, Timeline};
 
 use crate::hash;
-use crate::json::{fmt_f64 as jf, parse_json, quote as jstr, Json};
+use crate::json::{parse_json, write_f64, write_str, write_u64, Json};
 use crate::runner::{RunConfig, RunResult};
 
 /// Bump whenever the on-disk layout or the simulation semantics change;
@@ -496,10 +497,11 @@ pub fn encode_entry(canonical_key: &str, r: &RunResult) -> String {
 /// A cache entry's text around its result's [`encode_result`] bytes.
 fn entry_text(canonical_key: &str, result_json: &str) -> String {
     let mut s = String::with_capacity(result_json.len() + canonical_key.len() + 64);
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": {CACHE_SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"key\": {},\n", jstr(canonical_key)));
-    s.push_str("  \"result\": ");
+    s.push_str("{\n  \"schema\": ");
+    write_u64(&mut s, CACHE_SCHEMA_VERSION);
+    s.push_str(",\n  \"key\": ");
+    write_str(&mut s, canonical_key);
+    s.push_str(",\n  \"result\": ");
     s.push_str(result_json);
     s.push_str("\n}\n");
     s
@@ -508,87 +510,89 @@ fn entry_text(canonical_key: &str, result_json: &str) -> String {
 /// Serialize the result object — the `"result"` value of a cache entry,
 /// also embedded verbatim in the service API's run responses
 /// ([`crate::api`]) so a cached replay serves byte-identical payloads.
+/// Every float keeps `{:?}`'s spelling ([`write_f64`]: `12.0`, not
+/// `12`), and everything is appended to one buffer.
 pub(crate) fn encode_result(r: &RunResult) -> String {
     let mut s = String::with_capacity(1024);
-    s.push_str("{\n");
-    s.push_str(&format!("    \"benchmark\": {},\n", jstr(&r.benchmark)));
-    s.push_str(&format!("    \"cluster\": {},\n", jstr(&r.cluster)));
-    s.push_str(&format!("    \"class\": {},\n", jstr(&r.class)));
-    s.push_str(&format!("    \"nranks\": {},\n", r.nranks));
-    s.push_str(&format!("    \"nodes_used\": {},\n", r.nodes_used));
-    s.push_str(&format!("    \"step_seconds\": {},\n", jf(r.step_seconds)));
-    s.push_str(&format!(
-        "    \"step_seconds_min\": {},\n",
-        jf(r.step_seconds_min)
-    ));
-    s.push_str(&format!(
-        "    \"step_seconds_max\": {},\n",
-        jf(r.step_seconds_max)
-    ));
-    s.push_str(&format!("    \"runtime_s\": {},\n", jf(r.runtime_s)));
-    s.push_str(&format!(
-        "    \"counters\": {{ \"runtime_s\": {}, \"dp_flops\": {}, \"dp_avx_flops\": {}, \"mem_bytes\": {}, \"l3_bytes\": {}, \"l2_bytes\": {} }},\n",
-        jf(r.counters.runtime_s),
-        jf(r.counters.dp_flops),
-        jf(r.counters.dp_avx_flops),
-        jf(r.counters.mem_bytes),
-        jf(r.counters.l3_bytes),
-        jf(r.counters.l2_bytes),
-    ));
-    s.push_str("    \"breakdown\": { \"total\": ");
-    s.push_str(&jf(r.breakdown.total));
+    s.push_str("{\n    \"benchmark\": ");
+    write_str(&mut s, &r.benchmark);
+    s.push_str(",\n    \"cluster\": ");
+    write_str(&mut s, &r.cluster);
+    s.push_str(",\n    \"class\": ");
+    write_str(&mut s, &r.class);
+    s.push_str(",\n    \"nranks\": ");
+    write_u64(&mut s, r.nranks as u64);
+    s.push_str(",\n    \"nodes_used\": ");
+    write_u64(&mut s, r.nodes_used as u64);
+    for (key, x) in [
+        (",\n    \"step_seconds\": ", r.step_seconds),
+        (",\n    \"step_seconds_min\": ", r.step_seconds_min),
+        (",\n    \"step_seconds_max\": ", r.step_seconds_max),
+        (",\n    \"runtime_s\": ", r.runtime_s),
+        (
+            ",\n    \"counters\": { \"runtime_s\": ",
+            r.counters.runtime_s,
+        ),
+        (", \"dp_flops\": ", r.counters.dp_flops),
+        (", \"dp_avx_flops\": ", r.counters.dp_avx_flops),
+        (", \"mem_bytes\": ", r.counters.mem_bytes),
+        (", \"l3_bytes\": ", r.counters.l3_bytes),
+        (", \"l2_bytes\": ", r.counters.l2_bytes),
+        (" },\n    \"breakdown\": { \"total\": ", r.breakdown.total),
+    ] {
+        s.push_str(key);
+        write_f64(&mut s, x);
+    }
     s.push_str(", \"seconds\": [");
     for (i, (kind, secs)) in r.breakdown.seconds.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("[{}, {}]", jstr(&kind.to_string()), jf(*secs)));
+        s.push_str(if i == 0 { "[" } else { ", [" });
+        write_str(&mut s, kind.name());
+        s.push_str(", ");
+        write_f64(&mut s, *secs);
+        s.push(']');
     }
     s.push_str("] },\n");
-    s.push_str(&encode_profile(&r.profile));
-    s.push_str(&format!(
-        "    \"power\": {{ \"package_w\": {}, \"dram_w\": {} }},\n",
-        jf(r.power.package_w),
-        jf(r.power.dram_w),
-    ));
-    s.push_str(&format!(
-        "    \"energy\": {{ \"cpu_j\": {}, \"dram_j\": {}, \"runtime_s\": {} }}\n",
-        jf(r.energy.cpu_j),
-        jf(r.energy.dram_j),
-        jf(r.energy.runtime_s),
-    ));
-    s.push_str("  }");
+    encode_profile(&mut s, &r.profile);
+    for (key, x) in [
+        ("    \"power\": { \"package_w\": ", r.power.package_w),
+        (", \"dram_w\": ", r.power.dram_w),
+        (" },\n    \"energy\": { \"cpu_j\": ", r.energy.cpu_j),
+        (", \"dram_j\": ", r.energy.dram_j),
+        (", \"runtime_s\": ", r.energy.runtime_s),
+    ] {
+        s.push_str(key);
+        write_f64(&mut s, x);
+    }
+    s.push_str(" }\n  }");
     s
 }
 
-/// Serialize the observability profile: dense per-rank phase rows,
-/// sparse (non-zero only) histogram and matrix entries.
-fn encode_profile(p: &Profile) -> String {
-    let mut s = String::with_capacity(256);
-    s.push_str(&format!(
-        "    \"profile\": {{ \"nranks\": {}, \"per_rank\": [",
-        p.nranks
-    ));
+/// Append the observability profile: dense per-rank phase rows, sparse
+/// (non-zero only) histogram and matrix entries.
+fn encode_profile(s: &mut String, p: &Profile) {
+    s.push_str("    \"profile\": { \"nranks\": ");
+    write_u64(s, p.nranks as u64);
+    s.push_str(", \"per_rank\": [");
     for (i, r) in p.per_rank.iter().enumerate() {
         if i > 0 {
             s.push_str(", ");
         }
-        s.push_str(&format!(
-            "[{}, {}, {}, {}, {}, {}]",
-            jf(r.compute_s),
-            jf(r.eager_send_s),
-            jf(r.rendezvous_stall_s),
-            jf(r.recv_wait_s),
-            jf(r.collective_wait_s),
-            jf(r.fault_stall_s),
-        ));
+        let phases = [
+            r.compute_s,
+            r.eager_send_s,
+            r.rendezvous_stall_s,
+            r.recv_wait_s,
+            r.collective_wait_s,
+            r.fault_stall_s,
+        ];
+        write_row(s, &phases, write_f64);
     }
     s.push_str("], ");
     for (name, hist) in [
-        ("eager_hist", &p.eager_hist),
-        ("rendezvous_hist", &p.rendezvous_hist),
+        ("\"eager_hist\": [", &p.eager_hist),
+        ("\"rendezvous_hist\": [", &p.rendezvous_hist),
     ] {
-        s.push_str(&format!("\"{name}\": ["));
+        s.push_str(name);
         let mut first = true;
         for (bucket, b) in hist.iter().enumerate() {
             if b.count == 0 && b.bytes == 0 {
@@ -598,7 +602,7 @@ fn encode_profile(p: &Profile) -> String {
                 s.push_str(", ");
             }
             first = false;
-            s.push_str(&format!("[{}, {}, {}]", bucket, b.count, b.bytes));
+            write_row(s, &[bucket as u64, b.count, b.bytes], write_u64);
         }
         s.push_str("], ");
     }
@@ -607,10 +611,18 @@ fn encode_profile(p: &Profile) -> String {
         if i > 0 {
             s.push_str(", ");
         }
-        s.push_str(&format!("[{from}, {to}, {bytes}]"));
+        write_row(s, &[from as u64, to as u64, bytes], write_u64);
     }
     s.push_str("] },\n");
-    s
+}
+
+/// Append `[a, b, …]`, each item written by `write`.
+fn write_row<T: Copy>(s: &mut String, row: &[T], write: fn(&mut String, T)) {
+    for (i, &x) in row.iter().enumerate() {
+        s.push_str(if i == 0 { "[" } else { ", " });
+        write(s, x);
+    }
+    s.push(']');
 }
 
 // ---------------------------------------------------------------------------
@@ -619,7 +631,7 @@ fn encode_profile(p: &Profile) -> String {
 
 /// Inverse of [`EventKind`]'s `Display` names.
 fn event_kind_from_name(name: &str) -> Option<EventKind> {
-    EventKind::ALL.into_iter().find(|k| k.to_string() == name)
+    EventKind::ALL.into_iter().find(|k| k.name() == name)
 }
 
 /// Inverse of [`encode_profile`]. Every count is an exact

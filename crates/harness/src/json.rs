@@ -8,24 +8,40 @@
 //!
 //! Two properties the cache's byte-identical-replay guarantee rests on:
 //!
-//! * **exact `f64` round-trips** — [`fmt_f64`] writes the shortest
-//!   decimal that parses back to the identical bit pattern (Rust's
-//!   `{:?}` formatting), so `parse(render(v)) == v` bit-for-bit;
+//! * **exact `f64` round-trips** — [`write_f64`] writes the shortest
+//!   decimal that parses back to the identical bit pattern, byte for
+//!   byte what Rust's `{:?}` prints, so `parse(render(v)) == v`
+//!   bit-for-bit. The digits come from the codec's own Ryū writer
+//!   (Adams, PLDI 2018) with one rule changed to match `{:?}`: an exact
+//!   tie between the two shortest candidates rounds up, not to even
+//!   (2⁻²⁵ is `2.9802322387695313e-8`). [`write_num`] is the wire
+//!   spelling: the same, except that an integral value below 2⁵³ drops
+//!   its fraction (`3`, not `3.0`). Both append to the caller's
+//!   `String`, allocating nothing per number, and `{:?}` itself is left
+//!   to the tests as their oracle;
 //! * **deterministic rendering** — [`Json::render`] emits object fields
 //!   in insertion order with no ambient state, so the same value always
 //!   serializes to the same bytes.
 //!
-//! The parser recurses once per array or object, so it rejects documents
-//! nested deeper than [`MAX_DEPTH`]: a request body of a few kilobytes of
-//! `[` must get a typed `400`, not overflow the thread's stack.
+//! The parser reads RFC 8259 and nothing looser: a number is exactly
+//! `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` (so `+1`, `.5`,
+//! `1.` and `01` are refused), a string holds no raw control byte, a
+//! `\u` escape is four hex digits, a UTF-16 surrogate pair joining into
+//! one character and a lone surrogate refused, and whitespace is space,
+//! tab, LF and CR (no form feed). It recurses once per array or object,
+//! so it rejects documents nested deeper than [`MAX_DEPTH`]: a request
+//! body of a few kilobytes of `[` must get a typed `400`, not overflow
+//! the thread's stack.
 //!
 //! One grammar, two instantiations: [`parse_json`] builds a [`Json`]
 //! tree, and the crate-private `is_valid_json` runs the same parser
-//! with tree building compiled out, so it answers "would this parse?"
-//! without allocating (the fleet coordinator vets every relayed body
-//! that way).
+//! with tree building (and number conversion) compiled out, so it
+//! answers "would this parse?" without allocating (the fleet
+//! coordinator vets every relayed body that way).
 
-use std::fmt::Write;
+mod number;
+
+pub(crate) use number::write_u64;
 
 /// A JSON value. Numbers are `f64` (like JavaScript); `null` decodes to
 /// NaN through [`Json::num`] so non-finite floats survive a `null`
@@ -49,7 +65,7 @@ impl Json {
         }
     }
 
-    /// Numeric value; `null` maps to NaN (see [`fmt_f64`]).
+    /// Numeric value; `null` maps to NaN (see [`write_f64`]).
     pub fn num(&self) -> Option<f64> {
         match self {
             Json::Num(x) => Some(*x),
@@ -121,10 +137,10 @@ impl Json {
     }
 
     /// Compact, deterministic serialization: object fields in insertion
-    /// order, no whitespace. Integral numbers in the exactly-
-    /// representable `f64` range render without a fraction (`3`, not
-    /// `3.0` — counters and rank counts are integers on the wire);
-    /// everything else goes through [`fmt_f64`].
+    /// order, no whitespace. Numbers go through [`write_num`]: integral
+    /// ones in the exactly-representable `f64` range render without a
+    /// fraction (`3`, not `3.0` — counters and rank counts are integers
+    /// on the wire), everything else as [`write_f64`] writes it.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
@@ -200,19 +216,12 @@ impl From<bool> for Json {
     }
 }
 
-/// Exact `f64` serialization: `{:?}` prints the shortest decimal that
-/// round-trips to the same bits. Non-finite values map to `null` and
-/// decode back to NaN.
-pub fn fmt_f64(x: f64) -> String {
-    let mut out = String::new();
-    write_f64(&mut out, x);
-    out
-}
-
-/// Append [`fmt_f64`] of `x` to `out`, in place.
-fn write_f64(out: &mut String, x: f64) {
+/// Append the shortest decimal that parses back to `x`'s bits, exactly
+/// as `format!("{x:?}")` spells it (`12.0`, `-0.0`, `1.5e-5`, `1e16`),
+/// or `null` when `x` is not finite (a `null` decodes back to NaN).
+pub fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
-        write!(out, "{x:?}").expect("writing to a String cannot fail");
+        number::write_shortest(out, x);
     } else {
         out.push_str("null");
     }
@@ -232,28 +241,24 @@ pub fn exact_u64(x: f64) -> Option<u64> {
 
 /// Append `x` in the wire number format [`Json::render`] uses: an
 /// integral value in the exactly-representable range without a
-/// fraction (`3`, not `3.0`), everything else through [`fmt_f64`].
+/// fraction (`3`, not `3.0`), everything else through [`write_f64`].
 /// Writes in place, so a response of many numbers allocates none per
 /// value.
-pub(crate) fn write_num(out: &mut String, x: f64) {
+pub fn write_num(out: &mut String, x: f64) {
     // Integral path: skip -0.0 so the sign bit survives the round trip
-    // through fmt_f64.
+    // through write_f64.
     if x.is_finite()
         && x.fract() == 0.0
         && x.abs() < MAX_EXACT_INT
         && (x != 0.0 || x.is_sign_positive())
     {
-        write!(out, "{}", x as i64).expect("writing to a String cannot fail");
+        if x < 0.0 {
+            out.push('-');
+        }
+        write_u64(out, x.abs() as u64);
     } else {
         write_f64(out, x);
     }
-}
-
-/// Quote and escape a string for embedding in JSON output.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_str(&mut out, s);
-    out
 }
 
 /// Append `s` to `out` quoted and escaped: the one escaping rule of
@@ -268,13 +273,18 @@ pub(crate) fn write_str(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
+                out.push_str("\\u00");
+                out.push(char::from(HEX[c as usize >> 4]));
+                out.push(char::from(HEX[c as usize & 0xf]));
             }
             c => out.push(c),
         }
     }
     out.push('"');
 }
+
+/// The digits of a `\u00XX` escape.
+const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// Deepest nesting of arrays and objects [`parse_json`] accepts. The
 /// golden wire fixtures (`tests/golden/`) nest 6 levels at most.
@@ -300,8 +310,14 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
         }
     }
 
+    /// Step over RFC 8259 whitespace: space, tab, LF and CR (not the
+    /// form feed `u8::is_ascii_whitespace` also takes).
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+        {
             self.pos += 1;
         }
     }
@@ -413,19 +429,15 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
                         b'n' => '\n',
                         b'r' => '\r',
                         b't' => '\t',
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
-                            self.pos += 4;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            char::from_u32(code)?
-                        }
+                        b'u' => self.unicode_escape()?,
                         _ => return None,
                     };
                     if BUILD {
                         out.push(c);
                     }
                 }
+                // Control characters must be escaped (RFC 8259 §7).
+                0x00..=0x1f => return None,
                 _ => {
                     // Re-assemble multi-byte UTF-8 sequences.
                     let len = match b {
@@ -445,18 +457,82 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
         }
     }
 
+    /// The character of a `\u` escape whose `\u` is consumed: four hex
+    /// digits, or a high surrogate's four followed by `\u` and a low
+    /// surrogate's, joined into one character (how UTF-16 and Python's
+    /// `json.dumps` spell `🚀`). A lone surrogate is refused.
+    fn unicode_escape(&mut self) -> Option<char> {
+        let code = self.hex4()?;
+        if !(0xd800..0xdc00).contains(&code) {
+            // A low surrogate here has no high one: from_u32 refuses it.
+            return char::from_u32(code);
+        }
+        if self.bytes.get(self.pos..self.pos + 2)? != b"\\u" {
+            return None;
+        }
+        self.pos += 2;
+        let low = self.hex4()?;
+        if !(0xdc00..0xe000).contains(&low) {
+            return None;
+        }
+        char::from_u32(0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00))
+    }
+
+    /// Exactly four hex digits as a number.
+    fn hex4(&mut self) -> Option<u32> {
+        let hex = self.bytes.get(self.pos..self.pos + 4)?;
+        self.pos += 4;
+        hex.iter()
+            .try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?))
+    }
+
+    /// One number, exactly RFC 8259's
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. The validating
+    /// instantiation stops at the scan: every token of that grammar
+    /// parses as an `f64` (a magnitude past `f64::MAX` as ±∞).
     fn number(&mut self) -> Option<Json> {
         self.skip_ws();
         let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
+        self.eat(b'-');
+        match self.bytes.get(self.pos)? {
+            b'0' => self.pos += 1,
+            b'1'..=b'9' => {
+                self.digits();
+            }
+            _ => return None,
+        }
+        if self.eat(b'.') && self.digits() == 0 {
+            return None;
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            if self.digits() == 0 {
+                return None;
+            }
+        }
+        if !BUILD {
+            return Some(Json::Null);
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
         text.parse::<f64>().ok().map(Json::Num)
+    }
+
+    /// Step over `b` if it is next, saying whether it was.
+    fn eat(&mut self, b: u8) -> bool {
+        let next = self.bytes.get(self.pos) == Some(&b);
+        self.pos += usize::from(next);
+        next
+    }
+
+    /// Step over a run of ASCII digits, returning its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -660,7 +736,8 @@ mod tests {
             if !x.is_finite() {
                 continue;
             }
-            let text = fmt_f64(x);
+            let mut text = String::new();
+            write_f64(&mut text, x);
             let back = text.parse::<f64>().unwrap();
             assert_eq!(x.to_bits(), back.to_bits(), "{text}");
         }
@@ -697,6 +774,94 @@ mod tests {
                 let _ = parse_json(&text);
             }
         }
+    }
+
+    /// Number tokens and whether RFC 8259's grammar admits them.
+    const NUMBER_CORNERS: [(&str, bool); 30] = [
+        ("+1", false),
+        ("1.", false),
+        (".5", false),
+        ("1e", false),
+        ("-", false),
+        ("--1", false),
+        ("1e+", false),
+        ("1e-5", true),
+        ("-.5", false),
+        ("1.e3", false),
+        ("01", false),
+        ("-01", false),
+        ("00", false),
+        ("-0", true),
+        ("0", true),
+        ("0.0", true),
+        ("0e0", true),
+        ("1e400", true),
+        ("1E5", true),
+        ("1E+05", true),
+        ("1.2.3", false),
+        ("1.5e3.2", false),
+        ("e5", false),
+        ("+", false),
+        (".", false),
+        ("0x10", false),
+        ("1_000", false),
+        ("Infinity", false),
+        ("NaN", false),
+        ("-Infinity", false),
+    ];
+
+    #[test]
+    fn numbers_are_exactly_rfc_8259() {
+        for (n, valid) in NUMBER_CORNERS {
+            assert_eq!(parse_json(n).is_some(), valid, "{n}");
+            assert_eq!(is_valid_json(n), valid, "{n}");
+        }
+        // Overflow still reads as ±∞, and -0 keeps its sign.
+        assert_eq!(parse_json("1e400"), Some(Json::Num(f64::INFINITY)));
+        assert_eq!(parse_json("-1e400"), Some(Json::Num(f64::NEG_INFINITY)));
+        let Some(Json::Num(z)) = parse_json("-0") else {
+            panic!("-0 parses")
+        };
+        assert!(z == 0.0 && z.is_sign_negative());
+        assert_eq!(parse_json("[1E+05]"), Some(Json::Arr(vec![Json::Num(1e5)])));
+        // Around a token, whitespace is RFC 8259's four bytes only.
+        assert_eq!(parse_json(" \t\n\r1 \r\n"), Some(Json::Num(1.0)));
+        for bad in ["\u{c}1", "1\u{c}", "[1,\u{c}2]"] {
+            assert_eq!(parse_json(bad), None, "{bad:?}");
+            assert!(!is_valid_json(bad), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn strings_join_surrogate_pairs_and_refuse_raw_controls() {
+        // What Python's default json.dumps writes for "🚀".
+        let rocket = r#""\ud83d\ude80""#;
+        assert_eq!(parse_json(rocket), Some(Json::Str("🚀".into())));
+        assert!(is_valid_json(rocket));
+        assert_eq!(
+            parse_json(r#""a\u00e9\uD83D\uDE80b""#),
+            Some(Json::from("aé🚀b"))
+        );
+        for bad in [
+            r#""\ud83d""#,       // lone high surrogate
+            r#""\ud83dx""#,      // high surrogate, then a plain byte
+            r#""\ud83d\u0041""#, // high surrogate, then no low one
+            r#""\ude80""#,       // lone low surrogate
+            r#""\ude80\ud83d""#, // the pair reversed
+            r#""\u+041""#,       // not four hex digits
+            "\"a\tb\"",          // raw tab
+            "\"a\nb\"",          // raw newline
+            "\"\u{1}\"",         // raw U+0001
+        ] {
+            assert_eq!(parse_json(bad), None, "{bad:?}");
+            assert!(!is_valid_json(bad), "{bad:?}");
+        }
+        // Escaped, the same characters are fine, and the writer escapes
+        // them so its output always re-parses.
+        let mut text = String::new();
+        write_str(&mut text, "a\tb\u{1}\u{1f}");
+        assert_eq!(text, r#""a\tb\u0001\u001f""#);
+        assert_eq!(parse_json(&text), Some(Json::from("a\tb\u{1}\u{1f}")));
     }
 
     /// The validator and the tree parser are one grammar: over rendered
@@ -742,14 +907,13 @@ mod tests {
             inputs.push(format!("\"\\u{h}"));
         }
         inputs.push("\"\\ud83d\\ude00\"".to_string());
-        // Number corners, then random runs over the number alphabet.
-        for n in [
-            "+1", "1.", ".5", "1e", "-", "--1", "1e+", "1e-5", "-.5", "1.e3", "01", "-0", "1e400",
-            "1E5", "1.2.3", "e5", "+", ".", "0x10", "1_000", "Infinity", "NaN",
-        ] {
-            inputs.push(n.to_string());
-            inputs.push(format!("[{n}]"));
-            inputs.push(format!("{{\"k\": {n}}}"));
+        // Number corners, each with RFC 8259's verdict, then random
+        // runs over the number alphabet.
+        for (n, valid) in NUMBER_CORNERS {
+            for text in [n.to_string(), format!("[{n}]"), format!("{{\"k\": {n}}}")] {
+                assert_eq!(parse_json(&text).is_some(), valid, "{text:?}");
+                inputs.push(text);
+            }
         }
         let alphabet = b"0123456789+-.eE";
         for _ in 0..500 {

@@ -49,6 +49,24 @@ impl EventKind {
         self != EventKind::Compute
     }
 
+    /// The MPI routine name (`"Compute"` for computation) that reports,
+    /// CSVs and cache entries print.
+    pub const fn name(self) -> &'static str {
+        match self {
+            EventKind::Compute => "Compute",
+            EventKind::Send => "MPI_Send",
+            EventKind::Recv => "MPI_Recv",
+            EventKind::Sendrecv => "MPI_Sendrecv",
+            EventKind::Wait => "MPI_Wait",
+            EventKind::Allreduce => "MPI_Allreduce",
+            EventKind::Barrier => "MPI_Barrier",
+            EventKind::Bcast => "MPI_Bcast",
+            EventKind::Reduce => "MPI_Reduce",
+            EventKind::Allgather => "MPI_Allgather",
+            EventKind::Alltoall => "MPI_Alltoall",
+        }
+    }
+
     /// All kinds, in a fixed order (the engine's online breakdown
     /// arrays index into this).
     pub const ALL: [EventKind; 11] = [
@@ -80,20 +98,7 @@ impl EventKind {
 
 impl std::fmt::Display for EventKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            EventKind::Compute => "Compute",
-            EventKind::Send => "MPI_Send",
-            EventKind::Recv => "MPI_Recv",
-            EventKind::Sendrecv => "MPI_Sendrecv",
-            EventKind::Wait => "MPI_Wait",
-            EventKind::Allreduce => "MPI_Allreduce",
-            EventKind::Barrier => "MPI_Barrier",
-            EventKind::Bcast => "MPI_Bcast",
-            EventKind::Reduce => "MPI_Reduce",
-            EventKind::Allgather => "MPI_Allgather",
-            EventKind::Alltoall => "MPI_Alltoall",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

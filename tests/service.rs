@@ -609,6 +609,47 @@ fn deeply_nested_json_bodies_are_a_typed_400() {
     join.join().unwrap().unwrap();
 }
 
+/// The wire reads RFC 8259 JSON and nothing looser. A number with a
+/// plus sign or a leading zero is a typed 400, not a run of 4 ranks. A
+/// UTF-16 surrogate pair (Python's `json.dumps` spelling of `🚀`) is one
+/// character and comes back as raw UTF-8, while a lone surrogate or a
+/// raw control byte inside a string is a 400.
+#[test]
+fn wire_json_is_exactly_rfc_8259() {
+    use spechpc::harness::plan::{PlanJob, PlanRequest, PlanVariant};
+    let (addr, _, join) = spawn_server(executor(), serve_config());
+    for body in [
+        r#"{"benchmark":"lbm","nranks": +4}"#,
+        r#"{"benchmark":"lbm","nranks": 04}"#,
+    ] {
+        let (status, _, answer) = http(addr, "POST", "/v1/run", body);
+        assert_eq!(status, 400, "{body}: {answer}");
+        assert!(answer.contains("\"bad_request\""), "{body}: {answer}");
+    }
+    let plan = |name: &str| {
+        PlanRequest::new()
+            .with_cluster("a")
+            .with_nodes(4)
+            .with_config(RunConfig::default().with_repetitions(1).with_trace(false))
+            .with_job(PlanJob::new("lbm", WorkloadClass::Tiny, 72))
+            .with_variant(PlanVariant::new("NAME").with_power_cap_w(1300.0))
+            .to_json()
+            .replace("\"NAME\"", &format!("\"{name}\""))
+    };
+    let (status, _, answer) = http(addr, "POST", "/v1/plan", &plan(r"\ud83d\ude80"));
+    assert_eq!(status, 200, "{answer}");
+    assert!(answer.contains("\"name\":\"🚀\""), "{answer}");
+    for name in [r"\ud83d", "a\tb"] {
+        let body = plan(name);
+        let (status, _, answer) = http(addr, "POST", "/v1/plan", &body);
+        assert_eq!(status, 400, "{body}: {answer}");
+        assert!(answer.contains("\"bad_request\""), "{body}: {answer}");
+    }
+    let (status, _, _) = http(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    join.join().unwrap().unwrap();
+}
+
 /// Integer fields decode strictly on the wire: a value that is not a
 /// non-negative integer is a typed 400 instead of another run (`-5`
 /// ranks used to run a full node, `2.7` two ranks), and step or
