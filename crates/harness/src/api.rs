@@ -14,6 +14,8 @@
 //! from the content-addressed store is byte-identical to the one that
 //! simulated — the service inherits the cache's replay guarantee.
 
+use std::sync::Arc;
+
 use spechpc_kernels::common::config::WorkloadClass;
 use spechpc_machine::cluster::ClusterSpec;
 use spechpc_machine::presets;
@@ -706,11 +708,13 @@ impl RunResponse {
 /// depth and is reused verbatim, so cached replays cannot drift from
 /// fresh runs.
 fn run_body(result_json: &str) -> String {
-    let mut s = String::with_capacity(result_json.len() + RUN_HEAD.len() + RUN_TAIL.len());
-    s.push_str(RUN_HEAD);
-    s.push_str(result_json);
-    s.push_str(RUN_TAIL);
-    s
+    run_body_parts(result_json).concat()
+}
+
+/// [`run_body`] as the three pieces it joins, for a caller that copies
+/// them straight into a buffer of its own.
+pub(crate) fn run_body_parts(result_json: &str) -> [&str; 3] {
+    [RUN_HEAD, result_json, RUN_TAIL]
 }
 
 /// The envelope [`run_body`] writes around a result's encoding.
@@ -832,6 +836,22 @@ pub fn dispatch_run(exec: &Executor, req: &RunRequest) -> Result<RunResponse, Ap
 pub(crate) fn dispatch_run_body(exec: &Executor, req: &RunRequest) -> Result<String, ApiError> {
     let (forked, cluster, spec) = run_target(exec, req)?;
     Ok(run_body(&forked.run_one_encoded(&cluster, &spec)?))
+}
+
+/// The `POST /v1/run` answer for `body` that needs no worker: the
+/// result encoding of a key resident in memory
+/// ([`Executor::resident_encoded`]), or the refusal that decoding the
+/// body or [`run_target`] produces. `None` leaves the request to
+/// [`dispatch_run_body`], which reads the disk tier, asks a peer or
+/// simulates.
+pub(crate) fn dispatch_run_resident(
+    exec: &Executor,
+    body: &str,
+) -> Option<Result<Arc<str>, ApiError>> {
+    match RunRequest::from_json(body).and_then(|req| run_target(exec, &req)) {
+        Ok((forked, cluster, spec)) => forked.resident_encoded(&cluster, &spec).map(Ok),
+        Err(e) => Some(Err(e)),
+    }
 }
 
 /// The executor forked to `req`'s run rules, and the grid point it asks
@@ -975,7 +995,9 @@ pub enum ServeClass {
     /// control so health/metrics stay responsive under load.
     Fast,
     /// Dispatched to the simulation worker pool under admission control
-    /// (may run the engine for seconds).
+    /// (may run the engine for seconds). A daemon answers a small
+    /// `POST /v1/run` whose key is resident in memory, or whose body it
+    /// refuses, on the loop thread instead, without a simulation slot.
     Sim,
 }
 

@@ -191,6 +191,9 @@ pub struct CacheMetrics {
     /// Results stored (both fresh runs and disk-hit promotions write to
     /// the in-memory map; only fresh runs count here).
     pub stores: u64,
+    /// Entries the memory tier holds at the snapshot: a gauge, where
+    /// every other field counts events.
+    pub resident: u64,
 }
 
 impl CacheMetrics {
@@ -253,14 +256,18 @@ impl RunCache {
             .map(|d| d.join(format!("{hash:016x}.json")))
     }
 
-    /// The resident entry under `hash`, if its key is `canonical`.
+    /// The resident entry under `hash`, if its key is `canonical`. A hit
+    /// counts under `hits_mem`; a miss counts nothing.
     fn resident(&self, hash: u64, canonical: &str) -> Option<Entry> {
-        self.mem
+        let hit = self
+            .mem
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get(&hash)
             .filter(|e| e.0.canonical == canonical)
-            .cloned()
+            .cloned()?;
+        self.metrics.hits_mem.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
     }
 
     /// Make `result` the resident entry under `hash`.
@@ -291,7 +298,6 @@ impl RunCache {
         let canonical = key.canonical();
         let hash = hash_of(&canonical);
         if let Some(hit) = self.resident(hash, &canonical) {
-            self.metrics.hits_mem.fetch_add(1, Ordering::Relaxed);
             return Some(hit);
         }
         let Some(path) = self.path_of(hash) else {
@@ -316,6 +322,14 @@ impl RunCache {
         };
         self.metrics.hits_disk.fetch_add(1, Ordering::Relaxed);
         Some(self.admit(hash, canonical, result))
+    }
+
+    /// [`RunCache::lookup`] of the memory tier alone: it reads no file.
+    /// A hit counts under `hits_mem`; a miss counts nothing, so the
+    /// `lookup` a caller falls back to counts the request once.
+    pub(crate) fn lookup_resident(&self, key: &RunKey) -> Option<Entry> {
+        let canonical = key.canonical();
+        self.resident(hash_of(&canonical), &canonical)
     }
 
     /// Move a corrupt entry into `<dir>/quarantine/`, preserving the
@@ -382,7 +396,8 @@ impl RunCache {
         std::fs::read_to_string(path).ok()
     }
 
-    /// Number of entries resident in memory (test/diagnostic hook).
+    /// Number of entries resident in memory (the `resident` gauge of
+    /// [`RunCache::metrics`]).
     pub fn len_in_memory(&self) -> usize {
         self.mem.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
@@ -397,6 +412,7 @@ impl RunCache {
             quarantined: self.metrics.quarantined.load(Ordering::Relaxed),
             torn_quarantined: self.metrics.torn_quarantined.load(Ordering::Relaxed),
             stores: self.metrics.stores.load(Ordering::Relaxed),
+            resident: self.len_in_memory() as u64,
         }
     }
 

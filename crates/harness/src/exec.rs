@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use spechpc_kernels::common::benchmark::Benchmark;
 use spechpc_kernels::common::config::WorkloadClass;
-use spechpc_kernels::registry::benchmark_by_name;
+use spechpc_kernels::registry::{benchmark_by_name, BENCHMARK_NAMES};
 use spechpc_machine::cluster::ClusterSpec;
 
 use crate::cache::{encode_result, CacheMetrics, Entry, RunCache, RunKey};
@@ -401,6 +401,33 @@ impl Executor {
         let outcome = self.serve_point(cluster, spec).map(Served::into_encoded);
         self.time_point(cluster, spec, t0);
         outcome
+    }
+
+    /// The result encoding of a point whose key is resident in memory,
+    /// or `None`: the probe a daemon's event loop answers `POST /v1/run`
+    /// with before it hands a request to the worker pool. It reads no
+    /// file, asks no peer and runs no simulation. A hit counts under
+    /// `hits_mem` and times the point exactly as
+    /// [`Executor::run_one_encoded`]'s hit does; a miss counts nothing,
+    /// because the pool's lookup will.
+    pub(crate) fn resident_encoded(
+        &self,
+        cluster: &ClusterSpec,
+        spec: &RunSpec,
+    ) -> Option<Arc<str>> {
+        // `serve_point` refuses a name outside the registry before any
+        // lookup, and a traced run bypasses the cache: both are the
+        // pool's to answer.
+        if self.runner.config.trace || !BENCHMARK_NAMES.contains(&spec.benchmark.as_str()) {
+            return None;
+        }
+        let t0 = Instant::now();
+        let encoded = self
+            .cache
+            .lookup_resident(&self.key_of(cluster, spec))?
+            .encoded();
+        self.time_point(cluster, spec, t0);
+        Some(encoded)
     }
 
     /// Count one timed point into the ledger.

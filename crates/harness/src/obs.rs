@@ -121,6 +121,7 @@ pub fn metrics_json(m: &ExecMetrics) -> Json {
                 ("quarantined".into(), Json::from(c.quarantined)),
                 ("torn_quarantined".into(), Json::from(c.torn_quarantined)),
                 ("stores".into(), Json::from(c.stores)),
+                ("resident".into(), Json::from(c.resident)),
             ]),
         ),
         (
@@ -269,6 +270,7 @@ mod tests {
                 quarantined: 6,
                 torn_quarantined: 4,
                 stores: 3,
+                resident: 8,
             },
             per_worker_runs: vec![4, 2],
             points_timed: 1,
@@ -296,7 +298,8 @@ mod tests {
         assert_eq!(
             body,
             "{\"runs_executed\":3,\"peer_hits\":5,\"cache\":{\"hits_mem\":2,\"hits_disk\":1,\
-             \"misses\":3,\"corrupt\":7,\"quarantined\":6,\"torn_quarantined\":4,\"stores\":3},\
+             \"misses\":3,\"corrupt\":7,\"quarantined\":6,\"torn_quarantined\":4,\"stores\":3,\
+             \"resident\":8},\
              \"per_worker_runs\":[4,2],\"points_timed\":1,\"total_wall_s\":0.0123}"
         );
         let rows = flatten(&crate::json::parse_json(&body).unwrap());
@@ -313,6 +316,7 @@ mod tests {
                 "cache_quarantined",
                 "cache_torn_quarantined",
                 "cache_stores",
+                "cache_resident",
                 "per_worker_runs_0",
                 "per_worker_runs_1",
                 "points_timed",

@@ -48,6 +48,12 @@
 //!   when saturated, and a `--max-conns` cap answers `503` at accept
 //!   time. Fast routes (health/metrics) are served inline on the loop
 //!   thread so clients can watch the backlog even under saturation;
+//! * **resident replays on the loop** — the gates cover requests that
+//!   read a file, ask a peer or run the engine. A `POST /v1/run` body
+//!   of at most [`INLINE_BODY_BYTES`] is decoded on the loop thread: a
+//!   key resident in memory, or a body refused before any lookup, is
+//!   answered there without a slot or a thread hop, and everything
+//!   else goes to the pool as before;
 //! * **deadlines** — a connection that dribbles an incomplete request
 //!   past the read deadline is answered `408` and reaped (slow-loris
 //!   defence); idle keep-alive connections are closed after the idle
@@ -58,7 +64,8 @@
 //! * **byte-identical replays** — responses carry no timestamps and the
 //!   run payload reuses the cache encoding, so a repeated identical
 //!   `POST /v1/run` answers from memory in microseconds with the same
-//!   bytes (`encode_response` is the one place framing is pinned);
+//!   bytes (`write_response` is the one place framing is pinned,
+//!   whichever thread frames);
 //! * **graceful shutdown** — SIGTERM or `POST /v1/shutdown` stops
 //!   accepting, drains queued and in-flight work, flushes the metrics
 //!   CSV, and [`Server::serve`] returns `Ok` (exit 0).
@@ -99,8 +106,10 @@ pub struct ServeConfig {
     /// is answered `429` straight from the loop thread.
     pub queue_depth: usize,
     /// Max simulating requests in flight before `POST /v1/run` and
-    /// `POST /v1/suite` answer `429`; `0` resolves to `workers - 1`
-    /// (min 1) so one worker always stays free for queued short work.
+    /// `POST /v1/suite` answer `429` (a run resident in memory is
+    /// answered on the loop and never counts); `0` resolves to
+    /// `workers - 1` (min 1) so one worker always stays free for queued
+    /// short work.
     pub max_inflight: usize,
     /// Structured request log on stderr.
     pub log_requests: bool,
@@ -426,6 +435,11 @@ const MAX_BODY_BYTES: usize = 1 << 20;
 /// Read-buffer high-water mark: past this the loop stops reading from
 /// the socket (TCP backpressure) until the parser drains it.
 const MAX_BUFFERED_BYTES: usize = MAX_HEADER_BYTES + MAX_BODY_BYTES + 4096;
+/// The largest `POST /v1/run` body the loop thread decodes itself to
+/// answer a resident key; a larger one goes to the worker pool. A body
+/// near the 1 MiB cap takes milliseconds to parse, too long to hold
+/// every other connection waiting.
+pub const INLINE_BODY_BYTES: usize = 4096;
 
 /// One step of the incremental parser over a connection's read buffer.
 enum Parsed {
@@ -467,15 +481,25 @@ fn parse_request(buf: &[u8]) -> Parsed {
     if method.is_empty() || target.is_empty() {
         return Parsed::Bad(ApiError::bad_request("malformed request line"));
     }
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut connection = String::new();
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = match value.trim().parse() {
-                    Ok(n) => n,
-                    Err(_) => return Parsed::Bad(ApiError::bad_request("bad Content-Length")),
+                // RFC 9112 §6.3: `1*DIGIT`, and copies that disagree
+                // leave the body's end unknowable (the request-smuggling
+                // shape), so neither can be framed.
+                let value = value.trim_matches([' ', '\t']);
+                let n = match value.parse() {
+                    Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                    _ => return Parsed::Bad(ApiError::bad_request("bad Content-Length")),
                 };
+                if content_length.is_some_and(|m| m != n) {
+                    return Parsed::Bad(ApiError::bad_request(
+                        "conflicting Content-Length headers",
+                    ));
+                }
+                content_length = Some(n);
             } else if name.eq_ignore_ascii_case("connection") {
                 connection = value.trim().to_ascii_lowercase();
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
@@ -485,6 +509,7 @@ fn parse_request(buf: &[u8]) -> Parsed {
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Parsed::Bad(ApiError::bad_request("request body too large"));
     }
@@ -492,6 +517,9 @@ fn parse_request(buf: &[u8]) -> Parsed {
     if buf.len() < total {
         return Parsed::Partial;
     }
+    let Ok(body) = std::str::from_utf8(&buf[header_end + 4..total]) else {
+        return Parsed::Bad(ApiError::bad_request("request body is not UTF-8"));
+    };
 
     let keep_alive = {
         let close = connection.split(',').any(|t| t.trim() == "close");
@@ -511,7 +539,7 @@ fn parse_request(buf: &[u8]) -> Parsed {
             method,
             path,
             query,
-            body: String::from_utf8_lossy(&buf[header_end + 4..total]).to_string(),
+            body: body.to_string(),
             keep_alive,
         },
         total,
@@ -540,32 +568,36 @@ fn reason_of(status: u16) -> &'static str {
     }
 }
 
-/// Encode one response. **This is where the byte-identity invariant is
-/// enforced**: a deterministic header set in a fixed order
-/// (`Content-Type`, `Content-Length`, `Connection`, optional
-/// `Retry-After`), no date, no server version — a cached replay is
-/// byte-identical to the response that simulated, and `Connection:
-/// close` responses are byte-identical to the pre-event-loop daemon's.
-pub(crate) fn encode_response(
+/// Append one response to `out`, its body the concatenation of `body`.
+/// **This is where the byte-identity invariant is enforced**: a
+/// deterministic header set in a fixed order (`Content-Type`,
+/// `Content-Length`, `Connection`, optional `Retry-After`), no date, no
+/// server version — a cached replay is byte-identical to the response
+/// that simulated, whichever thread framed it, and `Connection: close`
+/// responses are byte-identical to the pre-event-loop daemon's.
+pub(crate) fn write_response(
+    out: &mut Vec<u8>,
     status: u16,
-    body: &str,
+    body: &[&str],
     retry_after: Option<u32>,
     keep_alive: bool,
-) -> Vec<u8> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        status,
+) {
+    use std::io::Write as _;
+    let len: usize = body.iter().map(|part| part.len()).sum();
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {len}\r\nConnection: {}\r\n",
         reason_of(status),
-        body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
     if let Some(secs) = retry_after {
-        head.push_str(&format!("Retry-After: {secs}\r\n"));
+        let _ = write!(out, "Retry-After: {secs}\r\n");
     }
-    head.push_str("\r\n");
-    let mut bytes = head.into_bytes();
-    bytes.extend_from_slice(body.as_bytes());
-    bytes
+    out.extend_from_slice(b"\r\n");
+    for part in body {
+        out.extend_from_slice(part.as_bytes());
+    }
 }
 
 /// Saturation and drain answers carry `Retry-After` so polite clients
@@ -633,6 +665,22 @@ fn route_fast(ctx: &Ctx, req: &HttpRequest) -> Result<(u16, String), ApiError> {
         }
         _ => Err(api::no_route(&req.method, &req.path)),
     }
+}
+
+/// A pooled `POST /v1/run` answered on the loop thread: the encoding of
+/// a key resident in memory, or the refusal that decoding the body or
+/// resolving its target produces. Like `GET /v1/cache/{key}` it takes
+/// no simulation slot. `None` hands the request to the pool: another
+/// route or role, a body over [`INLINE_BODY_BYTES`], a drain (which
+/// refuses it), or a run that needs the disk, a peer or the engine.
+fn route_resident(ctx: &Ctx, req: &HttpRequest) -> Option<Result<Arc<str>, ApiError>> {
+    let Role::Daemon(exec) = &ctx.role else {
+        return None;
+    };
+    let inline = req.body.len() <= INLINE_BODY_BYTES
+        && !ctx.draining()
+        && api::endpoint_for(&req.method, &req.path)?.id == EndpointId::Run;
+    inline.then(|| api::dispatch_run_resident(exec, &req.body))?
 }
 
 /// Pooled routes, executed on a worker thread under a [`SimSlot`]:
@@ -959,8 +1007,13 @@ mod ev {
     }
 
     fn append_response(ctx: &Ctx, conn: &mut Conn, status: u16, body: &str, keep: bool) {
-        let bytes = encode_response(status, body, ctx.retry_after(status), keep);
-        conn.out.extend_from_slice(&bytes);
+        write_response(
+            &mut conn.out,
+            status,
+            &[body],
+            ctx.retry_after(status),
+            keep,
+        );
     }
 
     struct EventLoop {
@@ -1094,7 +1147,8 @@ mod ev {
             if ctx.log_requests {
                 log_line(&ctx, &req.method, &req.path, status, body.len(), t0);
             }
-            let bytes = encode_response(status, &body, retry_after, keep_alive);
+            let mut bytes = Vec::new();
+            write_response(&mut bytes, status, &[&body], retry_after, keep_alive);
             // Release the slot before publishing the completion so the
             // in-flight gauge never over-reports past the response.
             drop(slot);
@@ -1125,7 +1179,9 @@ mod ev {
             }
         }
         let e = ApiError::connection_limit(max);
-        let bytes = encode_response(e.status, &error_body(&e), ctx.retry_after(e.status), false);
+        let mut bytes = Vec::new();
+        let retry_after = ctx.retry_after(e.status);
+        write_response(&mut bytes, e.status, &[&error_body(&e)], retry_after, false);
         let _ = stream.write(&bytes);
     }
 
@@ -1264,36 +1320,8 @@ mod ev {
                             && !self.ctx.draining()
                             && !conn.read_closed
                             && (cap == 0 || conn.served < cap);
-                        if is_pooled(&self.ctx, &req) {
-                            match self.try_dispatch(idx, conn, req, keep) {
-                                Ok(()) => conn.busy = true,
-                                Err(refused) => {
-                                    let (req, e) = *refused;
-                                    // Well-framed refusal (429/503):
-                                    // a keep-alive connection survives
-                                    // a 429 so the client can retry
-                                    // without reconnecting; drain
-                                    // refusals close.
-                                    let keep_err = keep && e.status != 503;
-                                    let body = error_body(&e);
-                                    if self.ctx.log_requests {
-                                        log_line(
-                                            &self.ctx,
-                                            &req.method,
-                                            &req.path,
-                                            e.status,
-                                            body.len(),
-                                            Instant::now(),
-                                        );
-                                    }
-                                    append_response(&self.ctx, conn, e.status, &body, keep_err);
-                                    if !keep_err {
-                                        conn.close_after_flush = true;
-                                    }
-                                }
-                            }
-                        } else {
-                            let t0 = Instant::now();
+                        let t0 = Instant::now();
+                        if !is_pooled(&self.ctx, &req) {
                             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                                 route_fast(&self.ctx, &req)
                             }))
@@ -1306,18 +1334,67 @@ mod ev {
                             // drain latch — recompute so its own
                             // response is framed `Connection: close`.
                             let keep = keep && !self.ctx.draining();
-                            if self.ctx.log_requests {
-                                log_line(&self.ctx, &req.method, &req.path, status, body.len(), t0);
+                            self.answer(conn, &req, status, &[&body], keep, t0);
+                            continue;
+                        }
+                        let resident = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            route_resident(&self.ctx, &req)
+                        }))
+                        .unwrap_or_else(|p| Some(Err(panic_to_error(p))));
+                        match resident {
+                            Some(Ok(encoded)) => {
+                                let body = api::run_body_parts(&encoded);
+                                self.answer(conn, &req, 200, &body, keep, t0);
                             }
-                            append_response(&self.ctx, conn, status, &body, keep);
-                            if !keep {
-                                conn.close_after_flush = true;
+                            Some(Err(e)) => {
+                                self.answer(conn, &req, e.status, &[&error_body(&e)], keep, t0)
                             }
+                            None => match self.try_dispatch(idx, conn, req, keep) {
+                                Ok(()) => conn.busy = true,
+                                Err(refused) => {
+                                    let (req, e) = *refused;
+                                    // Well-framed refusal (429/503):
+                                    // a keep-alive connection survives
+                                    // a 429 so the client can retry
+                                    // without reconnecting; drain
+                                    // refusals close.
+                                    let keep = keep && e.status != 503;
+                                    self.answer(conn, &req, e.status, &[&error_body(&e)], keep, t0);
+                                }
+                            },
                         }
                     }
                 }
             }
             self.flush(conn)
+        }
+
+        /// Answer `req` on the loop thread: log it, frame `body` into
+        /// the connection's output buffer, and close after the flush
+        /// unless `keep`.
+        fn answer(
+            &self,
+            conn: &mut Conn,
+            req: &HttpRequest,
+            status: u16,
+            body: &[&str],
+            keep: bool,
+            t0: Instant,
+        ) {
+            if self.ctx.log_requests {
+                let bytes = body.iter().map(|part| part.len()).sum();
+                log_line(&self.ctx, &req.method, &req.path, status, bytes, t0);
+            }
+            write_response(
+                &mut conn.out,
+                status,
+                body,
+                self.ctx.retry_after(status),
+                keep,
+            );
+            if !keep {
+                conn.close_after_flush = true;
+            }
         }
 
         /// Admission-checked hand-off of one pooled request to the
@@ -1746,21 +1823,69 @@ mod tests {
             Parsed::Bad(e) => assert_eq!(e.status, 400),
             _ => panic!("empty request line must be refused"),
         }
+        // Copies that disagree are the request-smuggling shape: which
+        // one frames the body is unknowable, so neither does.
+        let body = "x".repeat(59);
+        let raw = format!(
+            "POST /v1/run HTTP/1.1\r\nContent-Length: 200\r\nContent-Length: 59\r\n\r\n{body}"
+        );
+        match parse_request(raw.as_bytes()) {
+            Parsed::Bad(e) => assert_eq!(
+                (e.status, e.message.as_str()),
+                (400, "conflicting Content-Length headers")
+            ),
+            _ => panic!("disagreeing Content-Length copies must be refused"),
+        }
+        let raw = format!(
+            "POST /v1/run HTTP/1.1\r\nContent-Length: 59\r\ncontent-length:59\r\n\r\n{body}"
+        );
+        let (req, _) = complete(parse_request(raw.as_bytes()));
+        assert_eq!(req.body, body, "copies that agree frame the body");
+        // `1*DIGIT` only: a sign, a list or an empty value is refused.
+        for value in ["+5", "-0", "5, 5", "", "0x5", "5 5"] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            match parse_request(raw.as_bytes()) {
+                Parsed::Bad(e) => assert_eq!(e.status, 400, "{value:?}"),
+                _ => panic!("Content-Length {value:?} must be refused"),
+            }
+        }
+    }
+
+    #[test]
+    fn parser_refuses_a_body_that_is_not_utf8() {
+        let mut raw = b"POST /v1/run HTTP/1.1\r\nContent-Length: 20\r\n\r\n".to_vec();
+        raw.extend_from_slice(b"{\"benchmark\":\"lbm\xff\"}");
+        match parse_request(&raw) {
+            Parsed::Bad(e) => {
+                assert_eq!((e.status, e.code.as_str()), (400, "bad_request"));
+                assert!(!e.message.contains('\u{fffd}'), "{e}");
+            }
+            _ => panic!("a non-UTF-8 body must be refused, not replaced"),
+        }
     }
 
     #[test]
     fn response_framing_is_pinned() {
         // The byte-identity invariant: fixed header set, fixed order,
         // no date. Close framing must match the pre-event-loop daemon.
-        let bytes = encode_response(200, "{}\n", None, false);
+        let mut bytes = Vec::new();
+        write_response(&mut bytes, 200, &["{}\n"], None, false);
         assert_eq!(
             String::from_utf8(bytes).unwrap(),
             "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 3\r\nConnection: close\r\n\r\n{}\n"
         );
-        let bytes = encode_response(429, "x", retry_after_of(429, 0, 8), true);
+        // Responses append, and a body in pieces is framed as one.
+        let mut bytes = b"prior".to_vec();
+        write_response(
+            &mut bytes,
+            429,
+            &["x", "", "yz"],
+            retry_after_of(429, 0, 8),
+            true,
+        );
         assert_eq!(
             String::from_utf8(bytes).unwrap(),
-            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nContent-Length: 1\r\nConnection: keep-alive\r\nRetry-After: 1\r\n\r\nx"
+            "priorHTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nContent-Length: 3\r\nConnection: keep-alive\r\nRetry-After: 1\r\n\r\nxyz"
         );
     }
 
@@ -1961,8 +2086,8 @@ mod tests {
                         buf.splice(request_line_end..request_line_end, dup.bytes());
                     }
                     _ => {
-                        // Last header wins, so this one decides: past
-                        // the body cap, or past usize.
+                        // Past the body cap, or past usize; should a
+                        // copy already be there, the two disagree.
                         let huge = pick(
                             &mut rng,
                             &["1048577", "18446744073709551615", "99999999999999999999999"],

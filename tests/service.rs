@@ -44,15 +44,22 @@ fn spawn_server(
 
 /// One HTTP exchange; returns (status, raw response bytes, body).
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Vec<u8>, String) {
+    http_bytes(addr, method, path, body.as_bytes())
+}
+
+/// [`http`] with a body of any bytes, UTF-8 or not.
+fn http_bytes(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+    let mut req = format!(
+        "{method} {path} HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send request");
+    )
+    .into_bytes();
+    req.extend_from_slice(body);
+    stream.write_all(&req).expect("send request");
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read response");
     let text = String::from_utf8_lossy(&raw).to_string();
@@ -354,6 +361,41 @@ fn saturation_answers_429_with_retry_after() {
     join.join().unwrap().unwrap();
 }
 
+/// A replay of a key resident in memory is answered on the event loop
+/// and takes no simulation slot, so it is served while the only slot is
+/// held; a key not yet resident still needs the slot and is refused.
+#[test]
+fn resident_replays_are_served_while_the_only_slot_is_held() {
+    let cfg = serve_config().with_workers(3).with_max_inflight(1);
+    let (addr, _, join) = spawn_server(executor(), cfg);
+    let (status, warm, body) = http(addr, "POST", "/v1/run", &run_body("lbm", 4, 1));
+    assert_eq!(status, 200, "{body}");
+
+    // The slow run of `saturation_answers_429_with_retry_after`.
+    let slow = std::thread::spawn(move || {
+        let req = RunRequest::new("pot3d", WorkloadClass::Large, 1152)
+            .with_config(slow_config(250))
+            .to_json();
+        http(addr, "POST", "/v1/run", &req)
+    });
+    wait_for_inflight(addr, 1);
+
+    let (status, replay, body) = http(addr, "POST", "/v1/run", &run_body("lbm", 4, 1));
+    assert_eq!(status, 200, "a resident replay must not shed: {body}");
+    assert_eq!(replay, warm, "the replay must be the warm-up's bytes");
+    let (status, raw, body) = http(addr, "POST", "/v1/run", &run_body("lbm", 8, 1));
+    assert_eq!(status, 429, "a key not yet resident needs the slot: {body}");
+    assert!(body.contains("\"error\":\"saturated\""), "{body}");
+    let head = String::from_utf8_lossy(&raw);
+    assert!(head.contains("Retry-After: 5"), "{head}");
+
+    let (status, _, body) = slow.join().unwrap();
+    assert_eq!(status, 200, "the occupying run still completes: {body}");
+    let (status, _, _) = http(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    join.join().unwrap().unwrap();
+}
+
 #[test]
 fn thirty_two_concurrent_clients_are_all_served() {
     let cfg = serve_config().with_workers(8).with_queue_depth(8);
@@ -636,6 +678,17 @@ fn wire_json_is_exactly_rfc_8259() {
             .to_json()
             .replace("\"NAME\"", &format!("\"{name}\""))
     };
+    // A body that is not UTF-8 is a 400; its bytes are never replaced
+    // by U+FFFD, in a field the request ignores or in a name it echoes.
+    for body in [
+        &b"{\"benchmark\":\"lbm\",\"nranks\":4,\"note\":\"\xff\"}"[..],
+        b"{\"benchmark\":\"lbm\xff\",\"nranks\":4}",
+    ] {
+        let (status, _, answer) = http_bytes(addr, "POST", "/v1/run", body);
+        assert_eq!(status, 400, "{}: {answer}", String::from_utf8_lossy(body));
+        assert!(answer.contains("\"bad_request\""), "{answer}");
+        assert!(!answer.contains('\u{fffd}'), "{answer}");
+    }
     let (status, _, answer) = http(addr, "POST", "/v1/plan", &plan(r"\ud83d\ude80"));
     assert_eq!(status, 200, "{answer}");
     assert!(answer.contains("\"name\":\"🚀\""), "{answer}");
@@ -983,47 +1036,65 @@ fn run_bodies_are_identical_from_every_cache_tier() {
         .map(|req| api::dispatch_run(&reference, req).unwrap().to_json())
         .collect();
 
-    // POST each request to `addr`; each must answer the reference
-    // bytes and move exactly the lookup counter `moved` by one.
-    let serve_all = |addr: SocketAddr, tier: &str, moved: usize| {
-        for (req, want) in requests.iter().zip(&want) {
-            let before = lookups(addr);
-            let (status, _, body) = http(addr, "POST", "/v1/run", &req.to_json());
-            assert_eq!(status, 200, "{tier}: {body}");
-            assert_eq!(&body, want, "{tier} body differs for {}", key(req));
-            let mut delta = lookups(addr);
-            for (d, b) in delta.iter_mut().zip(before) {
-                *d -= b;
+    // Each spelling runs on daemons of its own. Padded past the loop's
+    // parse bound, a request's memory hit is answered by the worker pool
+    // instead of the event loop.
+    for pad in [0, spechpc::harness::serve::INLINE_BODY_BYTES] {
+        let spell = |req: &RunRequest| format!("{}{}", " ".repeat(pad), req.to_json());
+        // POST each request to `addr`; each must answer the reference
+        // bytes and move exactly the lookup counter `moved` by one.
+        let serve_all = |addr: SocketAddr, tier: &str, moved: usize| {
+            for (req, want) in requests.iter().zip(&want) {
+                let before = lookups(addr);
+                let (status, _, body) = http(addr, "POST", "/v1/run", &spell(req));
+                assert_eq!(status, 200, "{tier}, pad {pad}: {body}");
+                assert_eq!(
+                    &body,
+                    want,
+                    "{tier}, pad {pad}: body differs for {}",
+                    key(req)
+                );
+                let mut delta = lookups(addr);
+                for (d, b) in delta.iter_mut().zip(before) {
+                    *d -= b;
+                }
+                let mut expect = [0; 3];
+                expect[moved] = 1;
+                assert_eq!(
+                    delta, expect,
+                    "{tier}, pad {pad}: (hits_mem, hits_disk, misses) moved"
+                );
             }
-            let mut expect = [0; 3];
-            expect[moved] = 1;
-            assert_eq!(delta, expect, "{tier}: (hits_mem, hits_disk, misses) moved");
+        };
+        let (owner_dir, peer_dir) = (
+            owner_dir.join(pad.to_string()),
+            peer_dir.join(pad.to_string()),
+        );
+
+        let (owner, _, owner_join) = spawn_disk_daemon(&owner_dir, vec![]);
+        serve_all(owner, "fresh run", 2);
+        serve_all(owner, "memory hit", 0);
+        assert_eq!(metrics(owner).u64_of("runs_executed"), Some(3));
+
+        let (reader, _, reader_join) = spawn_disk_daemon(&owner_dir, vec![]);
+        serve_all(reader, "disk hit", 1);
+        assert_eq!(metrics(reader).u64_of("runs_executed"), Some(0));
+
+        let (peer, _, peer_join) = spawn_disk_daemon(&peer_dir, vec![owner.to_string()]);
+        serve_all(peer, "peer hit", 2);
+        let m = metrics(peer);
+        assert_eq!(m.u64_of("runs_executed"), Some(0));
+        assert_eq!(m.u64_of("peer_hits"), Some(3));
+
+        for (addr, join) in [
+            (peer, peer_join),
+            (reader, reader_join),
+            (owner, owner_join),
+        ] {
+            let (status, _, _) = http(addr, "POST", "/v1/shutdown", "");
+            assert_eq!(status, 200);
+            join.join().unwrap().unwrap();
         }
-    };
-
-    let (owner, _, owner_join) = spawn_disk_daemon(&owner_dir, vec![]);
-    serve_all(owner, "fresh run", 2);
-    serve_all(owner, "memory hit", 0);
-    assert_eq!(metrics(owner).u64_of("runs_executed"), Some(3));
-
-    let (reader, _, reader_join) = spawn_disk_daemon(&owner_dir, vec![]);
-    serve_all(reader, "disk hit", 1);
-    assert_eq!(metrics(reader).u64_of("runs_executed"), Some(0));
-
-    let (peer, _, peer_join) = spawn_disk_daemon(&peer_dir, vec![owner.to_string()]);
-    serve_all(peer, "peer hit", 2);
-    let m = metrics(peer);
-    assert_eq!(m.u64_of("runs_executed"), Some(0));
-    assert_eq!(m.u64_of("peer_hits"), Some(3));
-
-    for (addr, join) in [
-        (peer, peer_join),
-        (reader, reader_join),
-        (owner, owner_join),
-    ] {
-        let (status, _, _) = http(addr, "POST", "/v1/shutdown", "");
-        assert_eq!(status, 200);
-        join.join().unwrap().unwrap();
     }
     let _ = std::fs::remove_dir_all(&root);
 }
